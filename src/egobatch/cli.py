@@ -202,7 +202,7 @@ def _cmd_train(args) -> int:
 
     if args.init_from:
         model = model_from_params(read_checkpoint(args.init_from))
-        arch = _infer_architecture(model)
+        arch = model.architecture
         if arch != cfg.architecture:
             raise ShapeError(
                 f"checkpoint holds a {arch!r} model, requested {cfg.architecture!r}"
@@ -235,7 +235,6 @@ def _cmd_train(args) -> int:
         **cfg.to_json_obj(),
     })
     result.report.write_json(out / "report.json")
-    write_checkpoint(model.params(), out / "last.egomdl")
     if result.best_params is not None:
         write_checkpoint(result.best_params, out / "best.egomdl")
     for idx, stats in enumerate(result.report.epochs):
@@ -244,16 +243,11 @@ def _cmd_train(args) -> int:
     print(f"stop reason: {result.report.stop_reason} "
           f"(best epoch {result.report.best_epoch})")
     if result.report.stop_reason == "numeric_failure":
-        raise NumericError("training aborted on a non-finite loss")
+        # a diverged last state may be non-finite, which checkpoints refuse
+        raise NumericError("training aborted on a non-finite loss; "
+                           "last.egomdl not written")
+    write_checkpoint(model.params(), out / "last.egomdl")
     return EXIT_OK
-
-
-def _infer_architecture(model) -> str:
-    if getattr(model, "embed", None) is not None:
-        return "piggyback"
-    if getattr(model, "lstm", None) is not None:
-        return "sliding"
-    return "baseline"
 
 
 def _cmd_predict(args) -> int:
@@ -269,7 +263,7 @@ def _cmd_predict(args) -> int:
     else:
         sequences = dataset.sequences
 
-    arch = _infer_architecture(model)
+    arch = model.architecture
     timelines = []
     for seq in sequences:
         if arch == "baseline":

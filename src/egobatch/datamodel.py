@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -101,14 +101,19 @@ class DaySequence:
 
 @dataclass
 class Dataset:
-    """A label set plus the day sequences annotated with it."""
+    """A label set plus the day sequences annotated with it.
+
+    Sequence ids are indexed at construction; `by_id` does not see sequences
+    added or renamed afterwards.
+    """
 
     label_set: LabelSet
     sequences: list[DaySequence]
+    _by_id: dict[str, DaySequence] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ids = [seq.sequence_id for seq in self.sequences]
-        if len(set(ids)) != len(ids):
+        self._by_id = {seq.sequence_id: seq for seq in self.sequences}
+        if len(self._by_id) != len(self.sequences):
             raise DataError("sequence ids must be unique within a dataset")
         dims = {seq.feature_dim for seq in self.sequences}
         if len(dims) > 1:
@@ -126,10 +131,10 @@ class Dataset:
         return self.sequences[0].feature_dim
 
     def by_id(self, sequence_id: str) -> DaySequence:
-        for seq in self.sequences:
-            if seq.sequence_id == sequence_id:
-                return seq
-        raise DataError(f"no sequence with id {sequence_id!r}")
+        try:
+            return self._by_id[sequence_id]
+        except KeyError:
+            raise DataError(f"no sequence with id {sequence_id!r}") from None
 
 
 def category_distribution(sequences: list[DaySequence], num_classes: int) -> np.ndarray:
@@ -238,9 +243,16 @@ def read_sequence_file(
 # ---------------------------------------------------------------------------
 
 def read_labels_file(path: str | Path) -> LabelSet:
-    """labels.txt: one UTF-8 category name per line, line index = label id."""
+    """labels.txt: one UTF-8 category name per line, line index = label id.
+
+    A blank line would shift every later id, so it is a format error; a
+    final newline is not a blank line.
+    """
     lines = Path(path).read_text(encoding="utf-8").splitlines()
-    return LabelSet(tuple(line for line in lines if line.strip()))
+    for number, line in enumerate(lines, start=1):
+        if not line.strip():
+            raise FormatError(f"{path}: blank line {number} in the label file")
+    return LabelSet(tuple(lines))
 
 
 def write_labels_file(label_set: LabelSet, path: str | Path) -> None:

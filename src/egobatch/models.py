@@ -37,6 +37,7 @@ class FrameBaselineModel:
     head: DenseLayer
     embed = None
     lstm = None
+    architecture = "baseline"
 
     def params(self) -> dict[str, np.ndarray]:
         return stack_params(self)
@@ -49,6 +50,7 @@ class SlidingWindowModel:
     lstm: LstmLayer
     head: DenseLayer
     embed = None
+    architecture = "sliding"
 
     def __post_init__(self):
         if self.head.in_dim != self.lstm.hidden:
@@ -65,6 +67,7 @@ class PiggybackModel:
     embed: DenseLayer
     lstm: LstmLayer
     head: DenseLayer
+    architecture = "piggyback"
 
     def __post_init__(self):
         if not (self.embed.out_dim == self.lstm.in_dim == self.lstm.hidden):
@@ -215,14 +218,15 @@ def predict_sliding_sequence(model, seq: DaySequence, timestep: int) -> Predicti
     right-padded with repeats of the final frame and the padded positions are
     discarded, so every frame receives exactly one prediction. Accepts any
     stack with a recurrent layer (the overlap model runs here carry-free).
+    The windows are independent, so all of them run in one batched pass.
     """
-    starts, _ = tile_starts(len(seq), timestep)
-    logits = np.full((len(seq), model.head.out_dim), np.nan)
-    for start in starts:
-        rows, _, valid = batch_rows(seq.features, seq.labels, start, timestep)
-        out = run_window(model, rows).logits
-        logits[start:start + int(valid.sum())] = out[valid]
-    return _timeline_from_logits(seq, logits)
+    starts, pad_count = tile_starts(len(seq), timestep)
+    rows, _, _ = batch_rows(seq.features, seq.labels, 0, len(seq) + pad_count)
+    if model.embed is not None:
+        rows = model.embed.forward_rows(rows)
+    h_rows = model.lstm.forward_batch(rows.reshape(len(starts), timestep, -1))
+    logits = model.head.forward_rows(h_rows.reshape(len(rows), -1))
+    return _timeline_from_logits(seq, logits[:len(seq)])
 
 
 def piggyback_logits(model: PiggybackModel, seq: DaySequence, batch_size: int,
@@ -233,22 +237,24 @@ def piggyback_logits(model: PiggybackModel, seq: DaySequence, batch_size: int,
     its last m recurrent outputs. Frames inside an overlap receive two head
     outputs and `retention` selects the kept one ("earlier": the batch where
     the frame was new, the later batch's carried positions serving only as
-    context priming).
+    context priming). The whole padded day is embedded once, up front.
     """
     if retention not in RETENTIONS:
         raise ConfigError(f"retention must be one of {RETENTIONS}, got {retention!r}")
     n, m = batch_size, overlap
     plan = piggyback_plan(len(seq), n, m, seq.sequence_id)
+    rows, _, valid_rows = batch_rows(seq.features, seq.labels, 0,
+                                     len(seq) + plan.pad_count)
+    embedded = model.embed.forward_rows(rows)
     store = CarryStore(m)
     logits = np.full((len(seq), model.head.out_dim), np.nan)
     for k, start in enumerate(plan.starts):
-        rows, _, valid = batch_rows(seq.features, seq.labels, start, n)
-        embedded = model.embed.forward_rows(rows)
         mask = carry_mask(n, m, first_batch=(k == 0))
-        lstm_in = apply_carry(embedded, store, mask)
-        h_rows, _ = model.lstm.run(lstm_in)
+        lstm_in = apply_carry(embedded[start:start + n], store, mask)
+        h_rows = model.lstm.forward_batch(lstm_in[np.newaxis])[0]
         out = model.head.forward_rows(h_rows)
         store.update(h_rows[-m:])
+        valid = valid_rows[start:start + n]
         keep = valid if (k == 0 or retention == "later") else (valid & ~mask)
         positions = np.flatnonzero(keep)
         logits[start + positions] = out[positions]

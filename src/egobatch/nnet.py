@@ -96,15 +96,10 @@ class LstmState:
 @dataclass
 class _LstmCache:
     inputs: np.ndarray
-    i_rows: np.ndarray
-    f_rows: np.ndarray
-    o_rows: np.ndarray
-    g_rows: np.ndarray
+    gate_rows: np.ndarray  # T x 4H activated gates, laid out like the stacks
     c_prev_rows: np.ndarray
     h_prev_rows: np.ndarray
     tanh_c_rows: np.ndarray
-    w_stack: np.ndarray
-    u_stack: np.ndarray
 
 
 class LstmLayer:
@@ -115,21 +110,32 @@ class LstmLayer:
         i = sigmoid(W_i x + U_i h + b_i)      f = sigmoid(W_f x + U_f h + b_f)
         o = sigmoid(W_o x + U_o h + b_o)      g = tanh(W_c x + U_c h + b_c)
         c' = f * c + i * g                    h' = o * tanh(c')
+
+    The gates live stacked in that order in `w_stack` (4H x D), `u_stack`
+    (4H x H) and `b_stack` (4H); `w`, `u` and `b` map each gate to its row
+    block, a view, so updating either name updates both.
     """
 
     def __init__(self, w: dict[str, np.ndarray], u: dict[str, np.ndarray],
                  b: dict[str, np.ndarray]):
-        self.w = {g: np.ascontiguousarray(w[g], dtype=np.float64) for g in GATES}
-        self.u = {g: np.ascontiguousarray(u[g], dtype=np.float64) for g in GATES}
-        self.b = {g: np.ascontiguousarray(b[g], dtype=np.float64) for g in GATES}
-        hidden, in_dim = self.w["i"].shape
+        w = {g: np.asarray(w[g], dtype=np.float64) for g in GATES}
+        u = {g: np.asarray(u[g], dtype=np.float64) for g in GATES}
+        b = {g: np.asarray(b[g], dtype=np.float64) for g in GATES}
+        hidden, in_dim = w["i"].shape
         for g in GATES:
-            if self.w[g].shape != (hidden, in_dim) or self.u[g].shape != (hidden, hidden) \
-                    or self.b[g].shape != (hidden,):
+            if w[g].shape != (hidden, in_dim) or u[g].shape != (hidden, hidden) \
+                    or b[g].shape != (hidden,):
                 raise ShapeError(f"inconsistent parameter shapes for gate {g!r}")
-            if not (np.isfinite(self.w[g]).all() and np.isfinite(self.u[g]).all()
-                    and np.isfinite(self.b[g]).all()):
+            if not (np.isfinite(w[g]).all() and np.isfinite(u[g]).all()
+                    and np.isfinite(b[g]).all()):
                 raise DataError("recurrent layer parameters must be finite")
+        self.w_stack = np.concatenate([w[g] for g in GATES])
+        self.u_stack = np.concatenate([u[g] for g in GATES])
+        self.b_stack = np.concatenate([b[g] for g in GATES])
+        self.w, self.u, self.b = (
+            {g: stack[k * hidden:(k + 1) * hidden] for k, g in enumerate(GATES)}
+            for stack in (self.w_stack, self.u_stack, self.b_stack)
+        )
 
     @classmethod
     def create(cls, in_dim: int, hidden: int, rng: np.random.Generator) -> "LstmLayer":
@@ -143,18 +149,11 @@ class LstmLayer:
 
     @property
     def hidden(self) -> int:
-        return self.w["i"].shape[0]
+        return self.u_stack.shape[1]
 
     @property
     def in_dim(self) -> int:
-        return self.w["i"].shape[1]
-
-    def _stacks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return (
-            np.concatenate([self.w[g] for g in GATES]),
-            np.concatenate([self.u[g] for g in GATES]),
-            np.concatenate([self.b[g] for g in GATES]),
-        )
+        return self.w_stack.shape[1]
 
     def step(self, x: np.ndarray, state: LstmState) -> LstmState:
         """Advance one position; the returned h is strictly inside (-1, 1)."""
@@ -164,14 +163,11 @@ class LstmLayer:
         if state.h.shape != (self.hidden,) or state.c.shape != (self.hidden,):
             raise ShapeError("state size does not match the hidden size")
         hid = self.hidden
-        w_stack, u_stack, b_stack = self._stacks()
-        a = w_stack @ x + u_stack @ state.h + b_stack
-        i = _sigmoid(a[:hid])
-        f = _sigmoid(a[hid:2 * hid])
-        o = _sigmoid(a[2 * hid:3 * hid])
+        a = self.w_stack @ x + self.u_stack @ state.h + self.b_stack
+        ifo = _sigmoid(a[:3 * hid])
         g = np.tanh(a[3 * hid:])
-        c = f * state.c + i * g
-        h = o * np.tanh(c)
+        c = ifo[hid:2 * hid] * state.c + ifo[:hid] * g
+        h = ifo[2 * hid:] * np.tanh(c)
         if not (np.isfinite(h).all() and np.isfinite(c).all()):
             raise NumericError("non-finite recurrent state")
         return LstmState(h, c)
@@ -185,13 +181,9 @@ class LstmLayer:
         steps, hid = inputs.shape[0], self.hidden
         if state is None:
             state = LstmState.zeros(hid)
-        w_stack, u_stack, b_stack = self._stacks()
-        pre = inputs @ w_stack.T + b_stack  # input-side projections for all t
+        pre = inputs @ self.w_stack.T + self.b_stack  # input-side projections for all t
 
-        i_rows = np.empty((steps, hid))
-        f_rows = np.empty((steps, hid))
-        o_rows = np.empty((steps, hid))
-        g_rows = np.empty((steps, hid))
+        gate_rows = np.empty((steps, 4 * hid))
         c_prev_rows = np.empty((steps, hid))
         h_prev_rows = np.empty((steps, hid))
         tanh_c_rows = np.empty((steps, hid))
@@ -201,22 +193,49 @@ class LstmLayer:
         for t in range(steps):
             h_prev_rows[t] = h
             c_prev_rows[t] = c
-            a = pre[t] + u_stack @ h
-            i = _sigmoid(a[:hid])
-            f = _sigmoid(a[hid:2 * hid])
-            o = _sigmoid(a[2 * hid:3 * hid])
-            g = np.tanh(a[3 * hid:])
-            c = f * c + i * g
+            a = pre[t] + self.u_stack @ h
+            gates = gate_rows[t]
+            gates[:3 * hid] = _sigmoid(a[:3 * hid])
+            gates[3 * hid:] = np.tanh(a[3 * hid:])
+            c = gates[hid:2 * hid] * c + gates[:hid] * gates[3 * hid:]
             tanh_c = np.tanh(c)
-            h = o * tanh_c
-            i_rows[t], f_rows[t], o_rows[t], g_rows[t] = i, f, o, g
+            h = gates[2 * hid:3 * hid] * tanh_c
             tanh_c_rows[t] = tanh_c
             h_rows[t] = h
         if not np.isfinite(h_rows).all():
             raise NumericError("non-finite recurrent outputs")
-        cache = _LstmCache(inputs, i_rows, f_rows, o_rows, g_rows,
-                           c_prev_rows, h_prev_rows, tanh_c_rows, w_stack, u_stack)
+        cache = _LstmCache(inputs, gate_rows, c_prev_rows, h_prev_rows, tanh_c_rows)
         return h_rows, cache
+
+    def forward_batch(self, inputs: np.ndarray) -> np.ndarray:
+        """Forward-only pass over B independent windows, each from zero state.
+
+        Takes B x T x D inputs and returns the B x T x H outputs. The input
+        projection is one matrix product over all B*T rows and each position
+        advances every window with one (B x H)(H x 4H) product. Nothing is
+        kept for backward: this is the inference path, `run` the training one.
+        """
+        inputs = np.asarray(inputs, dtype=np.float64)
+        if inputs.ndim != 3 or inputs.shape[2] != self.in_dim:
+            raise ShapeError(
+                f"expected B x T x {self.in_dim} inputs, got {inputs.shape}")
+        batch, steps, _ = inputs.shape
+        hid = self.hidden
+        pre = (inputs.reshape(batch * steps, -1) @ self.w_stack.T
+               + self.b_stack).reshape(batch, steps, 4 * hid)
+        u_t = self.u_stack.T
+        h = np.zeros((batch, hid))
+        c = np.zeros((batch, hid))
+        h_rows = np.empty((batch, steps, hid))
+        for t in range(steps):
+            a = pre[:, t] + h @ u_t
+            ifo = _sigmoid(a[:, :3 * hid])
+            c = ifo[:, hid:2 * hid] * c + ifo[:, :hid] * np.tanh(a[:, 3 * hid:])
+            h = ifo[:, 2 * hid:] * np.tanh(c)
+            h_rows[:, t] = h
+        if not np.isfinite(h_rows).all():
+            raise NumericError("non-finite recurrent outputs")
+        return h_rows
 
     def backward(self, cache: _LstmCache, d_outputs: np.ndarray
                  ) -> tuple[dict[str, np.ndarray], np.ndarray]:
@@ -230,8 +249,9 @@ class LstmLayer:
         dh_next = np.zeros(hid)
         dc_next = np.zeros(hid)
         for t in range(steps - 1, -1, -1):
-            i, f = cache.i_rows[t], cache.f_rows[t]
-            o, g = cache.o_rows[t], cache.g_rows[t]
+            gates = cache.gate_rows[t]
+            i, f = gates[:hid], gates[hid:2 * hid]
+            o, g = gates[2 * hid:3 * hid], gates[3 * hid:]
             tanh_c = cache.tanh_c_rows[t]
             dh = d_outputs[t] + dh_next
             do = dh * tanh_c
@@ -241,7 +261,7 @@ class LstmLayer:
             d_pre[t, 2 * hid:3 * hid] = do * o * (1.0 - o)
             d_pre[t, 3 * hid:] = dc * i * (1.0 - g * g)
             dc_next = dc * f
-            dh_next = cache.u_stack.T @ d_pre[t]
+            dh_next = self.u_stack.T @ d_pre[t]
         dw_stack = d_pre.T @ cache.inputs
         du_stack = d_pre.T @ cache.h_prev_rows
         db_stack = d_pre.sum(axis=0)
@@ -250,7 +270,7 @@ class LstmLayer:
             grads[f"W_{gate}"] = dw_stack[k * hid:(k + 1) * hid]
             grads[f"U_{gate}"] = du_stack[k * hid:(k + 1) * hid]
             grads[f"b_{gate}"] = db_stack[k * hid:(k + 1) * hid]
-        d_inputs = d_pre @ cache.w_stack
+        d_inputs = d_pre @ self.w_stack
         return grads, d_inputs
 
 
@@ -542,12 +562,16 @@ def grad_check(model, inputs: np.ndarray, labels: np.ndarray,
 
 def write_checkpoint(params: dict[str, np.ndarray], path: str | Path) -> None:
     """magic | u32 count | per tensor: u16 name len, name, u8 rank, u32 dims,
-    float64 LE row-major data; tensors in lexicographic name order."""
+    float64 LE row-major data; tensors in lexicographic name order.
+
+    Non-finite tensors are refused: no model could be rebuilt from them."""
     blob = bytearray()
     blob += CHECKPOINT_MAGIC
     blob += struct.pack("<I", len(params))
     for name in sorted(params):
         arr = np.ascontiguousarray(params[name], dtype="<f8")
+        if not np.isfinite(arr).all():
+            raise DataError(f"refusing to write non-finite tensor {name!r}")
         encoded = name.encode("utf-8")
         if len(encoded) > 0xFFFF:
             raise DataError(f"tensor name too long: {name!r}")
@@ -597,17 +621,3 @@ def read_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
     if offset != len(raw):
         raise FormatError(f"{path}: {len(raw) - offset} trailing bytes")
     return params
-
-
-def validate_param_shapes(params: dict[str, np.ndarray],
-                          expected: dict[str, tuple[int, ...]]) -> None:
-    """Check a loaded checkpoint against a declared architecture."""
-    missing = sorted(set(expected) - set(params))
-    extra = sorted(set(params) - set(expected))
-    if missing or extra:
-        raise ShapeError(f"checkpoint tensors mismatch: missing={missing} extra={extra}")
-    for name, shape in expected.items():
-        if params[name].shape != tuple(shape):
-            raise ShapeError(
-                f"{name!r}: checkpoint shape {params[name].shape} != expected {tuple(shape)}"
-            )

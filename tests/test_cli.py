@@ -85,6 +85,16 @@ class TestDataErrors:
                    "--test-bins", "1", "--val-bins", "1")
         assert code == 2
 
+    def test_blank_line_in_labels(self, synth_dir, tmp_path):
+        names = (synth_dir / "labels.txt").read_text().splitlines()
+        labels = tmp_path / "labels.txt"
+        labels.write_text("\n".join([names[0], "", *names[1:]]) + "\n")
+        code = run("split", "--manifest", str(synth_dir / "manifest.json"),
+                   "--labels", str(labels),
+                   "--out-dir", str(tmp_path / "out"), "--bins", "4",
+                   "--test-bins", "1", "--val-bins", "1")
+        assert code == 2
+
     def test_phase2_without_checkpoint(self, synth_dir, split_dir, tmp_path):
         code = run("train", "--arch", "piggyback", "--timestep", "5",
                    "--overlap", "2", "--phase", "2",
@@ -145,6 +155,21 @@ class TestPipeline:
         assert 0.0 <= report["accuracy"] <= 1.0
         assert (eval_dir / "confusion.csv").exists()
         assert (eval_dir / "confusion_normalized.csv").exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_diverged_training_exits_numeric(self, synth_dir, split_dir, tmp_path):
+        # weights overflow to inf; the non-finite last state is not written
+        code = run("train", "--arch", "baseline",
+                   "--manifest", str(synth_dir / "manifest.json"),
+                   "--labels", str(synth_dir / "labels.txt"),
+                   "--split", str(split_dir / "split.json"),
+                   "--out-dir", str(tmp_path),
+                   "--lr", "1e300", "--epochs", "1", "--dropout", "0.0")
+        assert code == 3
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["stop_reason"] == "numeric_failure"
+        assert not (tmp_path / "last.egomdl").exists()
 
     def test_sliding_schedule_flags(self, synth_dir, split_dir, tmp_path):
         # the documented timestep-15 schedule: lr 1e-4, momentum 0.9, wd 5e-6

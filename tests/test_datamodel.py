@@ -52,6 +52,20 @@ class TestLabelSet:
         write_labels_file(ls, path)
         assert read_labels_file(path) == ls
 
+    def test_labels_file_trailing_newline_optional(self, tmp_path):
+        path = tmp_path / "labels.txt"
+        for text in ("a\nb\nc\n", "a\nb\nc"):
+            path.write_text(text, encoding="utf-8")
+            assert read_labels_file(path) == LabelSet(("a", "b", "c"))
+
+    def test_labels_file_blank_line_rejected(self, tmp_path):
+        # dropping the line would shift every later id by one
+        path = tmp_path / "labels.txt"
+        for text in ("a\n\nb\nc\n", "a\n  \nb\n", "\na\nb\n", "a\nb\n\n"):
+            path.write_text(text, encoding="utf-8")
+            with pytest.raises(FormatError):
+                read_labels_file(path)
+
 
 class TestDaySequence:
     def test_rejects_label_length_mismatch(self):

@@ -23,6 +23,7 @@ from egobatch import (
     write_checkpoint,
     write_timelines_json,
 )
+from egobatch.batching import batch_rows
 from egobatch.models import piggyback_logits
 from egobatch.nnet import softmax
 from oracles import unbatched_reference_logits
@@ -80,6 +81,28 @@ class TestSlidingPredict:
             h_rows, _ = model.lstm.run(seq.features[sl])
             probs = softmax(model.head.forward_rows(h_rows))
             assert np.allclose(timeline.probs[sl], probs, atol=1e-12)
+
+    def test_batched_tiles_match_per_tile_run(self):
+        # one batched pass over all tiles == lstm.run per right-padded tile
+        rng = np.random.default_rng(16)
+        for model in (build_sliding(3, 4, hidden=5, seed=10),
+                      build_piggyback(3, 4, hidden=5, seed=11)):
+            for _ in range(15):
+                timestep = int(rng.integers(1, 12))
+                length = int(rng.choice([int(rng.integers(1, timestep + 1)),
+                                         timestep * int(rng.integers(1, 6)),
+                                         int(rng.integers(1, 60))]))
+                seq = random_seq(rng, length, 3, 4)
+                timeline = predict_sliding_sequence(model, seq, timestep)
+                for start in range(0, length, timestep):
+                    rows, _, valid = batch_rows(seq.features, seq.labels, start,
+                                                timestep)
+                    if model.embed is not None:
+                        rows = model.embed.forward_rows(rows)
+                    h_rows, _ = model.lstm.run(rows)
+                    probs = softmax(model.head.forward_rows(h_rows))[valid]
+                    got = timeline.probs[start:start + len(probs)]
+                    assert np.abs(got - probs).max() <= 1e-12
 
     def test_state_resets_between_tiles(self):
         # a tile's outputs must not depend on frames of earlier tiles

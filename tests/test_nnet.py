@@ -103,6 +103,55 @@ class TestLstmStep:
             state = layer.step(inputs[t], state)
             assert np.allclose(outputs[t], state.h, atol=1e-12)
 
+    def test_forward_batch_matches_run_per_window(self):
+        rng = np.random.default_rng(21)
+        for _ in range(20):
+            batch, steps = int(rng.integers(1, 7)), int(rng.integers(1, 12))
+            in_dim, hidden = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+            layer = LstmLayer.create(in_dim, hidden, rng)
+            inputs = rng.normal(scale=3.0, size=(batch, steps, in_dim))
+            outputs = layer.forward_batch(inputs)
+            assert outputs.shape == (batch, steps, hidden)
+            for k in range(batch):
+                expected, _ = layer.run(inputs[k])
+                assert np.abs(outputs[k] - expected).max() <= 1e-12
+
+    def test_forward_batch_shape_checked(self):
+        layer = LstmLayer.create(3, 4, np.random.default_rng(22))
+        with pytest.raises(ShapeError):
+            layer.forward_batch(np.zeros((5, 3)))
+        with pytest.raises(ShapeError):
+            layer.forward_batch(np.zeros((2, 5, 4)))
+
+
+class TestLstmStorage:
+    def test_gate_tensors_are_views_of_the_stacks(self):
+        model = build_piggyback(5, 3, hidden=4, seed=23)
+        lstm = model.lstm
+        for name, w in stack_params(model).items():
+            if name.startswith("lstm."):
+                stack = {"W": lstm.w_stack, "U": lstm.u_stack,
+                         "b": lstm.b_stack}[name[len("lstm."):][0]]
+                assert np.shares_memory(w, stack), name
+        assert np.array_equal(lstm.w_stack, np.concatenate(
+            [lstm.w[g] for g in "ifoc"]))
+
+    def test_sgd_update_through_views_moves_the_stacks(self):
+        rng = np.random.default_rng(24)
+        model = build_sliding(3, 2, hidden=4, seed=25)
+        params = stack_params(model)
+        before = {name: getattr(model.lstm, name).copy()
+                  for name in ("w_stack", "u_stack", "b_stack")}
+        grads = {name: rng.normal(size=w.shape) for name, w in params.items()}
+        sgd_update(params, grads, OptimizerState.create(params, learning_rate=0.1))
+        for name, old in before.items():
+            stack = getattr(model.lstm, name)
+            assert not np.array_equal(stack, old)
+        for k, g in enumerate("ifoc"):
+            assert np.array_equal(model.lstm.w_stack[4 * k:4 * (k + 1)],
+                                  before["w_stack"][4 * k:4 * (k + 1)]
+                                  - 0.1 * grads[f"lstm.W_{g}"])
+
 
 class TestSoftmaxXent:
     def test_uniform_21_classes(self):
@@ -380,6 +429,15 @@ class TestCheckpoint:
             first = path.read_bytes()
             write_checkpoint(read_checkpoint(path), path)
             assert path.read_bytes() == first
+
+    def test_non_finite_tensor_refused(self, tmp_path):
+        path = tmp_path / "nan.egomdl"
+        for bad in (np.nan, np.inf, -np.inf):
+            params = build_sliding(3, 2, hidden=4, seed=13).params()
+            params["lstm.U_f"][1, 2] = bad
+            with pytest.raises(DataError):
+                write_checkpoint(params, path)
+            assert not path.exists()
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.egomdl"
