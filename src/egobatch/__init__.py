@@ -1,15 +1,6 @@
 """Batch-based recurrent activity classification for photo-stream day sequences."""
 
-from .batching import (
-    CarryStore,
-    PiggybackPlan,
-    Window,
-    apply_carry,
-    carry_mask,
-    piggyback_plan,
-    sliding_starts,
-    tile_starts,
-)
+from .batching import BatchPlan, batch_plan, sliding_plan
 from .datamodel import (
     Dataset,
     DaySequence,

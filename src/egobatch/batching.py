@@ -1,14 +1,18 @@
-"""Batch tilings over day sequences and the overlap carry-over machinery.
+"""Batch plans: how a day of L frames is cut into fixed-size batches.
 
-Three tilings are used:
-  * stride-1 sliding windows (training batches for the windowed recurrent head),
-  * non-overlapping consecutive tiles (inference, and overlap-free pretraining),
-  * overlapping batches with stride n - m, whose first m positions re-inject
-    the stored recurrent outputs of the previous batch.
+Every tiling is one `BatchPlan` over a padded copy of the day:
+  * `sliding_plan(L, T)`: stride-1 windows of T frames (training batches for
+    the windowed recurrent head, and one step per frame for the baseline),
+  * `batch_plan(L, n)`: consecutive non-overlapping batches (inference, and
+    overlap-free pretraining),
+  * `batch_plan(L, n, m)`: batches with stride n - m whose first m positions
+    re-take the previous batch's last m frames; the callers that run such
+    batches in order replace those positions' recurrent inputs with the
+    previous batch's last m recurrent outputs.
 
-Padding never contributes to losses or metrics: sliding windows shorter than
-the timestep are left-padded with repeats of the first frame, every
-right-padded tiling repeats the final frame.
+Padding never contributes to losses or metrics: a sliding window longer than
+the day is left-padded with repeats of the first frame, a batch tiling is
+right-padded with repeats of the final frame.
 """
 
 from __future__ import annotations
@@ -17,187 +21,51 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, SequencingError, ShapeError
+from .errors import ConfigError
 
 
-@dataclass(frozen=True)
-class Window:
-    """One training window; pad_count leading positions repeat frame 0."""
+@dataclass(frozen=True, eq=False)
+class BatchPlan:
+    """Batches of `size` positions at `starts` in a padded copy of one day.
 
-    sequence_id: str
-    start: int
-    length: int
-    pad_count: int = 0
+    `source[p]` is the day frame at padded position p and `valid[p]` is False
+    where that frame is a padding repeat.
+    """
 
-    def __post_init__(self):
-        if self.start < 0 or self.length < 1:
-            raise ConfigError("window start must be >= 0 and length >= 1")
-        if not 0 <= self.pad_count < self.length:
-            raise ConfigError("pad_count must satisfy 0 <= pad_count < length")
+    size: int
+    starts: np.ndarray
+    source: np.ndarray
+    valid: np.ndarray
+
+    def rows(self, array: np.ndarray) -> np.ndarray:
+        """The padded copy of a per-frame array."""
+        return array[self.source]
 
 
-def sliding_starts(length: int, timestep: int, sequence_id: str = "") -> list[Window]:
-    """Stride-1 windows covering a sequence of `length` frames.
+def sliding_plan(length: int, timestep: int) -> BatchPlan:
+    """Stride-1 windows of `timestep` frames, one per start in [0, L - T].
 
-    For length >= timestep there are length - timestep + 1 unpadded windows;
-    shorter sequences yield a single left-padded window.
+    A day shorter than the window yields one window left-padded to T.
     """
     if length < 1 or timestep < 1:
         raise ConfigError("length and timestep must be positive")
-    if length >= timestep:
-        return [
-            Window(sequence_id, start, timestep)
-            for start in range(length - timestep + 1)
-        ]
-    return [Window(sequence_id, 0, timestep, pad_count=timestep - length)]
+    pad = max(timestep - length, 0)
+    positions = np.arange(length + pad)
+    return BatchPlan(size=timestep, starts=np.arange(length + pad - timestep + 1),
+                     source=np.maximum(positions - pad, 0), valid=positions >= pad)
 
 
-def window_rows(
-    features: np.ndarray, labels: np.ndarray, window: Window
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Materialize a window as (rows, labels, valid mask); padding is masked out."""
-    positions = np.arange(window.length)
-    src = np.maximum(positions - window.pad_count, 0) + window.start
-    if src[-1] >= len(features):
-        raise ConfigError("window extends past the end of the sequence")
-    return features[src], labels[src], positions >= window.pad_count
+def batch_plan(length: int, batch_size: int, overlap: int = 0) -> BatchPlan:
+    """Batches of n frames with stride n - m, right-padded to a whole batch.
 
-
-def tile_starts(length: int, size: int) -> tuple[list[int], int]:
-    """Non-overlapping consecutive tiles of `size`; returns (starts, pad_count)."""
-    if length < 1 or size < 1:
-        raise ConfigError("length and tile size must be positive")
-    count = -(-length // size)
-    return [i * size for i in range(count)], count * size - length
-
-
-def batch_rows(
-    features: np.ndarray, labels: np.ndarray, start: int, count: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows [start, start+count), repeating the final frame past the end."""
-    if start < 0 or start >= len(features):
-        raise ConfigError("batch start out of range")
-    idx = np.arange(start, start + count)
-    valid = idx < len(features)
-    return features[np.minimum(idx, len(features) - 1)], labels[
-        np.minimum(idx, len(features) - 1)
-    ], valid
-
-
-@dataclass(frozen=True)
-class PiggybackPlan:
-    """Overlap-m tiling of one sequence into batches of size n, stride n - m."""
-
-    sequence_id: str
-    batch_size: int
-    overlap: int
-    starts: tuple[int, ...]
-    pad_count: int
-
-    @property
-    def batch_count(self) -> int:
-        return len(self.starts)
-
-
-def piggyback_plan(
-    length: int, batch_size: int, overlap: int, sequence_id: str = ""
-) -> PiggybackPlan:
-    """Plan the overlapping batches covering a sequence of `length` frames.
-
-    Batch count is 1 when the sequence fits in one batch, otherwise
-    ceil((L - n) / (n - m)) + 1; the tail is right-padded with repeats of the
-    final frame so every batch has exactly n positions.
+    The count is 1 when the day fits in one batch, otherwise
+    ceil((L - n) / (n - m)) + 1; with m = 0 that is ceil(L / n).
     """
     n, m = batch_size, overlap
-    if not 0 < m < n:
-        raise ConfigError(f"overlap must satisfy 0 < m < n, got n={n} m={m}")
-    if length <= m:
-        raise ConfigError(
-            f"sequence of {length} frames is too short for overlap {m}"
-        )
+    if length < 1 or not 0 <= m < n:
+        raise ConfigError(f"need L >= 1 and 0 <= m < n, got L={length} n={n} m={m}")
     stride = n - m
-    batches = 1 if length <= n else -(-(length - n) // stride) + 1
-    padded = n + (batches - 1) * stride
-    return PiggybackPlan(
-        sequence_id=sequence_id,
-        batch_size=n,
-        overlap=m,
-        starts=tuple(i * stride for i in range(batches)),
-        pad_count=padded - length,
-    )
-
-
-class CarryStore:
-    """The last m recurrent outputs of the most recent batch of one sequence.
-
-    A store is owned by exactly one in-order traversal; batches of the same
-    sequence must be processed in plan order.
-    """
-
-    def __init__(self, overlap: int):
-        if overlap < 1:
-            raise ConfigError("carry overlap must be >= 1")
-        self.overlap = overlap
-        self._rows: np.ndarray | None = None
-
-    @property
-    def is_empty(self) -> bool:
-        return self._rows is None
-
-    @property
-    def rows(self) -> np.ndarray:
-        if self._rows is None:
-            raise SequencingError("carry store read before any batch was processed")
-        return self._rows
-
-    def update(self, h_rows: np.ndarray) -> None:
-        """Overwrite with the batch's last m recurrent output vectors."""
-        h_rows = np.asarray(h_rows, dtype=np.float64)
-        if h_rows.ndim != 2 or h_rows.shape[0] != self.overlap:
-            raise ShapeError(
-                f"carry store expects {self.overlap} rows, got {h_rows.shape}"
-            )
-        if not np.isfinite(h_rows).all():
-            raise SequencingError("refusing to store non-finite recurrent outputs")
-        self._rows = h_rows.copy()
-
-
-def carry_mask(batch_size: int, overlap: int, first_batch: bool) -> np.ndarray:
-    """Positions whose recurrent input is a carried output: none on the first
-    batch, the first `overlap` positions afterwards."""
-    if not 0 < overlap < batch_size:
-        raise ConfigError("carry mask requires 0 < overlap < batch_size")
-    mask = np.zeros(batch_size, dtype=bool)
-    if not first_batch:
-        mask[:overlap] = True
-    return mask
-
-
-def apply_carry(
-    batch_inputs: np.ndarray, store: CarryStore, mask: np.ndarray
-) -> np.ndarray:
-    """Substitute stored recurrent outputs at the masked positions.
-
-    Unmasked rows pass through unchanged. The caller must refresh the store
-    with the batch's last m recurrent outputs after the forward pass.
-    """
-    mask = np.asarray(mask, dtype=bool)
-    if batch_inputs.ndim != 2 or mask.shape != (batch_inputs.shape[0],):
-        raise ShapeError("mask length must equal the batch row count")
-    if not mask.any():
-        return batch_inputs.copy()
-    if store.is_empty:
-        raise SequencingError("carry requested but the store holds no batch yet")
-    rows = store.rows
-    if rows.shape[1] != batch_inputs.shape[1]:
-        raise ShapeError(
-            f"carried width {rows.shape[1]} != batch input width {batch_inputs.shape[1]}"
-        )
-    positions = np.flatnonzero(mask)
-    if len(positions) != rows.shape[0]:
-        raise SequencingError(
-            f"mask selects {len(positions)} positions but store holds {rows.shape[0]} rows"
-        )
-    out = batch_inputs.copy()
-    out[positions] = rows
-    return out
+    count = 1 if length <= n else -(-(length - n) // stride) + 1
+    positions = np.arange(n + (count - 1) * stride)
+    return BatchPlan(size=n, starts=np.arange(count) * stride,
+                     source=np.minimum(positions, length - 1), valid=positions < length)

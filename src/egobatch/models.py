@@ -14,14 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .batching import (
-    CarryStore,
-    apply_carry,
-    batch_rows,
-    carry_mask,
-    piggyback_plan,
-    tile_starts,
-)
+from .batching import BatchPlan, batch_plan
 from .datamodel import DaySequence
 from .errors import ConfigError, DataError, FormatError, ShapeError
 from .nnet import GATES, DenseLayer, LstmLayer, run_window, softmax, stack_params
@@ -211,6 +204,48 @@ def predict_baseline(model: FrameBaselineModel, seq: DaySequence) -> PredictionT
     return _timeline_from_logits(seq, logits)
 
 
+def _plan_logits(model, seq: DaySequence, plan: BatchPlan, overlap: int = 0,
+                 retention: str = "earlier") -> np.ndarray:
+    """Per-frame logits of a recurrent stack run over the batches of `plan`.
+
+    The padded day is embedded once (when the stack has an embedding).
+    Without overlap the batches are independent and run in one batched
+    recurrent pass and one head product. With overlap m they run in plan
+    order, and the first m recurrent inputs of every batch after the first
+    are the previous batch's last m recurrent outputs. A frame inside an
+    overlap then has two outputs; `retention` keeps the one of the batch
+    where the frame was new ("earlier") or of the batch that carried it
+    ("later").
+    """
+    n, m = plan.size, overlap
+    count = len(plan.starts)
+    rows = plan.rows(seq.features)
+    if model.embed is not None:
+        rows = model.embed.forward_rows(rows)
+    if not m:
+        h_rows = model.lstm.forward_batch(rows.reshape(count, n, -1))
+        logits = model.head.forward_rows(h_rows.reshape(count * n, -1))
+    else:
+        # the head runs per batch: one product over all batches can round
+        # the rows of a batch's tail differently
+        logits = np.empty((count * n, model.head.out_dim))
+        for k, start in enumerate(plan.starts):
+            inputs = rows[start:start + n]
+            if k:
+                # overwrites positions the previous batch has already read
+                inputs[:m] = h_rows[-m:]
+            h_rows = model.lstm.forward_batch(inputs[np.newaxis])[0]
+            logits[k * n:(k + 1) * n] = model.head.forward_rows(h_rows)
+    kept = np.ones((count, n), dtype=bool)
+    if retention == "earlier":
+        kept[1:, :m] = False
+    else:
+        kept[:-1, n - m:] = False
+    kept &= plan.valid[plan.starts[:, np.newaxis] + np.arange(n)]
+    # batches and positions ascend, so the kept rows are in frame order
+    return logits.reshape(count, n, -1)[kept]
+
+
 def predict_sliding_sequence(model, seq: DaySequence, timestep: int) -> PredictionTimeline:
     """Tile the sequence with non-overlapping windows of `timestep` frames.
 
@@ -220,45 +255,25 @@ def predict_sliding_sequence(model, seq: DaySequence, timestep: int) -> Predicti
     stack with a recurrent layer (the overlap model runs here carry-free).
     The windows are independent, so all of them run in one batched pass.
     """
-    starts, pad_count = tile_starts(len(seq), timestep)
-    rows, _, _ = batch_rows(seq.features, seq.labels, 0, len(seq) + pad_count)
-    if model.embed is not None:
-        rows = model.embed.forward_rows(rows)
-    h_rows = model.lstm.forward_batch(rows.reshape(len(starts), timestep, -1))
-    logits = model.head.forward_rows(h_rows.reshape(len(rows), -1))
-    return _timeline_from_logits(seq, logits[:len(seq)])
+    plan = batch_plan(len(seq), timestep)
+    return _timeline_from_logits(seq, _plan_logits(model, seq, plan))
 
 
 def piggyback_logits(model: PiggybackModel, seq: DaySequence, batch_size: int,
                      overlap: int, retention: str = "earlier") -> np.ndarray:
     """Per-frame logits of the batched carry-over forward pass.
 
-    Batches run in plan order; after each one the store is overwritten with
-    its last m recurrent outputs. Frames inside an overlap receive two head
-    outputs and `retention` selects the kept one ("earlier": the batch where
-    the frame was new, the later batch's carried positions serving only as
-    context priming). The whole padded day is embedded once, up front.
+    Batches of n frames with stride n - m run in plan order, each carrying
+    the previous batch's last m recurrent outputs; see `_plan_logits` for
+    `retention`. A day of at most n frames is one right-padded batch with no
+    carry.
     """
     if retention not in RETENTIONS:
         raise ConfigError(f"retention must be one of {RETENTIONS}, got {retention!r}")
-    n, m = batch_size, overlap
-    plan = piggyback_plan(len(seq), n, m, seq.sequence_id)
-    rows, _, valid_rows = batch_rows(seq.features, seq.labels, 0,
-                                     len(seq) + plan.pad_count)
-    embedded = model.embed.forward_rows(rows)
-    store = CarryStore(m)
-    logits = np.full((len(seq), model.head.out_dim), np.nan)
-    for k, start in enumerate(plan.starts):
-        mask = carry_mask(n, m, first_batch=(k == 0))
-        lstm_in = apply_carry(embedded[start:start + n], store, mask)
-        h_rows = model.lstm.forward_batch(lstm_in[np.newaxis])[0]
-        out = model.head.forward_rows(h_rows)
-        store.update(h_rows[-m:])
-        valid = valid_rows[start:start + n]
-        keep = valid if (k == 0 or retention == "later") else (valid & ~mask)
-        positions = np.flatnonzero(keep)
-        logits[start + positions] = out[positions]
-    return logits
+    if overlap < 1:
+        raise ConfigError(f"overlap must satisfy 0 < m < n, got n={batch_size} m={overlap}")
+    plan = batch_plan(len(seq), batch_size, overlap)
+    return _plan_logits(model, seq, plan, overlap, retention)
 
 
 def predict_piggyback_sequence(model: PiggybackModel, seq: DaySequence,

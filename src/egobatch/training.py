@@ -1,6 +1,6 @@
-"""Epoch loops for the three architectures, early stopping, reproducibility.
+"""One epoch loop for the three architectures, early stopping, reproducibility.
 
-All loops take one SGD step per window or batch (the gradient is the mean
+The loop takes one SGD step per batch of a plan (the gradient is the mean
 over the window's supervised frames), shuffle the day sequences each epoch
 with a seeded permutation, and select the best epoch by validation loss.
 The overlap architecture trains in two phases: phase 1 on non-overlapping
@@ -16,16 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .batching import (
-    CarryStore,
-    apply_carry,
-    batch_rows,
-    carry_mask,
-    piggyback_plan,
-    sliding_starts,
-    tile_starts,
-    window_rows,
-)
+from .batching import batch_plan, sliding_plan
 from .datamodel import DaySequence
 from .errors import ConfigError, NumericError
 from .models import (
@@ -188,13 +179,23 @@ def _clone_params(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
 
 
 class _EpochDriver:
-    """Shared epoch/validation/early-stop loop; subclasses supply the steps."""
+    """The epoch/validation/early-stop loop over the batches of a plan.
+
+    `plan(length)` tiles each training day; `stage` is the stack that trains
+    (the model unless the embedding is frozen). With `overlap` m > 0 the
+    batches run in order, the model's embedding turns each batch into
+    recurrent inputs, and the first m of them are replaced by the previous
+    batch's last m recurrent outputs.
+    """
 
     def __init__(self, model, trainable: dict[str, np.ndarray], cfg: TrainConfig,
-                 predict):
+                 predict, plan, stage=None, overlap: int = 0):
         self.model = model
         self.cfg = cfg
         self.predict = predict
+        self.plan = plan
+        self.stage = model if stage is None else stage
+        self.overlap = overlap
         seq_seed = np.random.SeedSequence(cfg.seed)
         shuffle_seed, dropout_seed = seq_seed.spawn(2)
         self.shuffle_rng = np.random.default_rng(shuffle_seed)
@@ -204,7 +205,23 @@ class _EpochDriver:
         )
 
     def train_steps(self, seq: DaySequence):
-        raise NotImplementedError
+        plan = self.plan(len(seq))
+        rows, labels = plan.rows(seq.features), plan.rows(seq.labels)
+        m = self.overlap
+        h_prev = None
+        for start in plan.starts:
+            batch = slice(start, start + plan.size)
+            inputs = rows[batch]
+            if m:
+                inputs = self.model.embed.forward_rows(inputs)
+                if h_prev is not None:
+                    inputs[:m] = h_prev[-m:]
+            loss, grads, fwd = backprop_window(
+                self.stage, inputs, labels[batch], plan.valid[batch],
+                dropout_rate=self.cfg.dropout, rng=self.dropout_rng, mode="train",
+            )
+            h_prev = fwd.lstm_outputs
+            yield loss, grads
 
     def run(self, train_seqs: list[DaySequence],
             val_seqs: list[DaySequence]) -> TrainResult:
@@ -244,76 +261,13 @@ class _EpochDriver:
         return TrainResult(report=report, best_params=best_params)
 
 
-class _BaselineDriver(_EpochDriver):
-    def train_steps(self, seq: DaySequence):
-        cfg = self.cfg
-        for t in range(len(seq)):
-            loss, grads, _ = backprop_window(
-                self.model, seq.features[t:t + 1], seq.labels[t:t + 1],
-                dropout_rate=cfg.dropout, rng=self.dropout_rng, mode="train",
-            )
-            yield loss, grads
-
-
-class _SlidingDriver(_EpochDriver):
-    def train_steps(self, seq: DaySequence):
-        cfg = self.cfg
-        for window in sliding_starts(len(seq), cfg.timestep, seq.sequence_id):
-            rows, labels, valid = window_rows(seq.features, seq.labels, window)
-            loss, grads, _ = backprop_window(
-                self.model, rows, labels, valid,
-                dropout_rate=cfg.dropout, rng=self.dropout_rng, mode="train",
-            )
-            yield loss, grads
-
-
-class _PiggybackPhase1Driver(_EpochDriver):
-    """Consecutive batches of size n, no overlap, no carry, full stack."""
-
-    def train_steps(self, seq: DaySequence):
-        cfg = self.cfg
-        starts, _ = tile_starts(len(seq), cfg.timestep)
-        for start in starts:
-            rows, labels, valid = batch_rows(seq.features, seq.labels, start,
-                                             cfg.timestep)
-            loss, grads, _ = backprop_window(
-                self.model, rows, labels, valid,
-                dropout_rate=cfg.dropout, rng=self.dropout_rng, mode="train",
-            )
-            yield loss, grads
-
-
-class _PiggybackPhase2Driver(_EpochDriver):
-    """Overlap plan with carry; the embedding is frozen, batches stay in order."""
-
-    def __init__(self, model: PiggybackModel, trainable, cfg, predict):
-        super().__init__(model, trainable, cfg, predict)
-        self.stage = model.carry_stage()
-
-    def train_steps(self, seq: DaySequence):
-        cfg = self.cfg
-        n, m = cfg.timestep, cfg.overlap
-        plan = piggyback_plan(len(seq), n, m, seq.sequence_id)
-        store = CarryStore(m)
-        for k, start in enumerate(plan.starts):
-            rows, labels, valid = batch_rows(seq.features, seq.labels, start, n)
-            embedded = self.model.embed.forward_rows(rows)
-            mask = carry_mask(n, m, first_batch=(k == 0))
-            lstm_in = apply_carry(embedded, store, mask)
-            loss, grads, fwd = backprop_window(
-                self.stage, lstm_in, labels, valid,
-                dropout_rate=cfg.dropout, rng=self.dropout_rng, mode="train",
-            )
-            store.update(fwd.lstm_outputs[-m:])
-            yield loss, grads
-
-
 def train_baseline(model: FrameBaselineModel, train_seqs: list[DaySequence],
                    val_seqs: list[DaySequence], cfg: TrainConfig) -> TrainResult:
     """One SGD step per frame, sequences shuffled each epoch."""
     if cfg.architecture != "baseline":
         raise ConfigError("config architecture must be 'baseline'")
-    driver = _BaselineDriver(model, model.params(), cfg, predict_baseline)
+    driver = _EpochDriver(model, model.params(), cfg, predict_baseline,
+                          plan=lambda length: sliding_plan(length, 1))
     return driver.run(train_seqs, val_seqs)
 
 
@@ -330,7 +284,8 @@ def train_sliding(model: SlidingWindowModel, train_seqs: list[DaySequence],
     def predict(mdl, seq):
         return predict_sliding_sequence(mdl, seq, cfg.timestep)
 
-    driver = _SlidingDriver(model, model.params(), cfg, predict)
+    driver = _EpochDriver(model, model.params(), cfg, predict,
+                          plan=lambda length: sliding_plan(length, cfg.timestep))
     return driver.run(train_seqs, val_seqs)
 
 
@@ -349,7 +304,8 @@ def train_piggyback(model: PiggybackModel, train_seqs: list[DaySequence],
         def predict(mdl, seq):
             return predict_sliding_sequence(mdl, seq, cfg.timestep)
 
-        driver = _PiggybackPhase1Driver(model, model.params(), cfg, predict)
+        driver = _EpochDriver(model, model.params(), cfg, predict,
+                              plan=lambda length: batch_plan(length, cfg.timestep))
         return driver.run(train_seqs, val_seqs)
 
     def predict(mdl, seq):
@@ -357,5 +313,8 @@ def train_piggyback(model: PiggybackModel, train_seqs: list[DaySequence],
 
     trainable = {name: w for name, w in model.params().items()
                  if not name.startswith("embed.")}
-    driver = _PiggybackPhase2Driver(model, trainable, cfg, predict)
+    driver = _EpochDriver(
+        model, trainable, cfg, predict,
+        plan=lambda length: batch_plan(length, cfg.timestep, cfg.overlap),
+        stage=model.carry_stage(), overlap=cfg.overlap)
     return driver.run(train_seqs, val_seqs)

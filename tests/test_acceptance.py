@@ -19,6 +19,7 @@ from egobatch import (
     LabelSet,
     SynthConfig,
     TrainConfig,
+    batch_plan,
     bhattacharyya,
     build_baseline,
     build_piggyback,
@@ -27,14 +28,13 @@ from egobatch import (
     generate_synthetic,
     grad_check,
     macro_report,
-    piggyback_plan,
     predict_baseline,
     predict_piggyback_sequence,
     predict_sliding_sequence,
     read_checkpoint,
     read_sequence_file,
     select_split,
-    sliding_starts,
+    sliding_plan,
     train_baseline,
     train_piggyback,
     train_sliding,
@@ -168,11 +168,11 @@ def test_batch_plan_invariants():
         overlap = int(rng.integers(1, timestep))
         length = int(rng.integers(overlap + 1, 201))
         if length >= timestep:
-            assert len(sliding_starts(length, timestep)) == length - timestep + 1
-        plan = piggyback_plan(length, timestep, overlap)
+            assert len(sliding_plan(length, timestep).starts) == length - timestep + 1
+        plan = batch_plan(length, timestep, overlap)
         expected = 1 if length <= timestep else \
             math.ceil((length - timestep) / (timestep - overlap)) + 1
-        assert plan.batch_count == expected
+        assert len(plan.starts) == expected
 
         seq = DaySequence("f", "u1", rng.normal(size=(length, 3)),
                           rng.integers(2, size=length))

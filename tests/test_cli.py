@@ -2,6 +2,14 @@ import json
 
 import pytest
 
+from egobatch import (
+    Dataset,
+    DaySequence,
+    build_piggyback,
+    load_dataset,
+    write_checkpoint,
+    write_manifest,
+)
 from egobatch.cli import dispatch
 
 
@@ -232,6 +240,55 @@ class TestPipeline:
             assert code == 0
             outputs.append((out / "best.egomdl").read_bytes())
         assert outputs[0] == outputs[1]
+
+
+class TestShortDays:
+    """A day of at most m frames is one right-padded batch with no carry."""
+
+    @pytest.fixture()
+    def short_day_data(self, synth_dir, tmp_path):
+        data = load_dataset(synth_dir / "manifest.json", synth_dir / "labels.txt")
+        first = data.sequences[0]
+        short = DaySequence("short", first.user_id, first.features[:3],
+                            first.labels[:3])
+        manifest = tmp_path / "manifest.json"
+        write_manifest(Dataset(data.label_set, [*data.sequences, short]),
+                       manifest, tmp_path / "sequences")
+        ids = [seq.sequence_id for seq in data.sequences]
+        split = tmp_path / "split.json"
+        split.write_text(json.dumps({"train": [*ids[:5], "short"],
+                                     "val": ids[5:7], "test": ids[7:]}))
+        model = build_piggyback(data.feature_dim, data.label_set.size, hidden=8,
+                                seed=4)
+        checkpoint = tmp_path / "piggyback.egomdl"
+        write_checkpoint(model.params(), checkpoint)
+        return manifest, split, checkpoint
+
+    def test_predict_covers_a_short_day_once(self, synth_dir, short_day_data,
+                                             tmp_path):
+        manifest, _, checkpoint = short_day_data
+        code = run("predict", "--model", str(checkpoint),
+                   "--manifest", str(manifest),
+                   "--labels", str(synth_dir / "labels.txt"),
+                   "--timestep", "5", "--overlap", "3",
+                   "--out-dir", str(tmp_path / "pred"))
+        assert code == 0
+        timelines = json.loads((tmp_path / "pred" / "timelines.json").read_text())
+        short = [t for t in timelines if t["sequence_id"] == "short"]
+        assert len(short) == 1
+        assert [f["index"] for f in short[0]["frames"]] == [0, 1, 2]
+
+    def test_phase2_trains_on_a_short_day(self, synth_dir, short_day_data, tmp_path):
+        manifest, split, checkpoint = short_day_data
+        code = run("train", "--arch", "piggyback", "--timestep", "5",
+                   "--overlap", "3", "--phase", "2", "--hidden", "8",
+                   "--lr", "0.05", "--epochs", "1", "--dropout", "0.0",
+                   "--init-from", str(checkpoint),
+                   "--manifest", str(manifest),
+                   "--labels", str(synth_dir / "labels.txt"),
+                   "--split", str(split), "--out-dir", str(tmp_path / "ph2"))
+        assert code == 0
+        assert (tmp_path / "ph2" / "last.egomdl").exists()
 
 
 class TestGradcheckCommand:

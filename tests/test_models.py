@@ -23,7 +23,7 @@ from egobatch import (
     write_checkpoint,
     write_timelines_json,
 )
-from egobatch.batching import batch_rows
+from egobatch.batching import batch_plan
 from egobatch.models import piggyback_logits
 from egobatch.nnet import softmax
 from oracles import unbatched_reference_logits
@@ -94,9 +94,10 @@ class TestSlidingPredict:
                                          int(rng.integers(1, 60))]))
                 seq = random_seq(rng, length, 3, 4)
                 timeline = predict_sliding_sequence(model, seq, timestep)
+                plan = batch_plan(length, timestep)
                 for start in range(0, length, timestep):
-                    rows, _, valid = batch_rows(seq.features, seq.labels, start,
-                                                timestep)
+                    rows = plan.rows(seq.features)[start:start + timestep]
+                    valid = plan.valid[start:start + timestep]
                     if model.embed is not None:
                         rows = model.embed.forward_rows(rows)
                     h_rows, _ = model.lstm.run(rows)
@@ -165,21 +166,41 @@ class TestPiggybackPredict:
         ref = unbatched_reference_logits(model, seq, 10, 3, retention="later")
         assert np.abs(mine - ref).max() < 1e-9
 
-    def test_store_holds_previous_batch_outputs_bit_for_bit(self):
-        from egobatch import CarryStore, apply_carry, carry_mask
-
+    def test_store_holds_previous_batch_outputs_bit_for_bit(self, monkeypatch):
+        # batch k's first m recurrent inputs must be exactly batch k-1's last
+        # m recurrent outputs, for every batch of a day and both retentions
         rng = np.random.default_rng(30)
         model = build_piggyback(3, 2, hidden=4, seed=20)
-        seq = random_seq(rng, 11, 3, 2)
-        store = CarryStore(2)
-        h0, _ = model.lstm.run(model.embed.forward_rows(seq.features[0:5]))
-        store.update(h0[-2:])
-        # batch 1 covers frames 3..7; its first two recurrent inputs must be
-        # exactly the previous batch's last two outputs
-        embedded = model.embed.forward_rows(seq.features[3:8])
-        lstm_in = apply_carry(embedded, store, carry_mask(5, 2, first_batch=False))
-        assert np.array_equal(lstm_in[:2], h0[-2:])
-        assert np.array_equal(lstm_in[2:], embedded[2:])
+        seq = random_seq(rng, 23, 3, 2)
+        forward_batch = model.lstm.forward_batch
+        calls = []
+
+        def recording(inputs):
+            out = forward_batch(inputs)
+            calls.append((inputs[0].copy(), out[0].copy()))
+            return out
+
+        monkeypatch.setattr(model.lstm, "forward_batch", recording)
+        for retention in ("earlier", "later"):
+            calls.clear()
+            piggyback_logits(model, seq, 5, 2, retention=retention)
+            assert len(calls) == len(batch_plan(23, 5, 2).starts) == 7
+            for (_, prev_out), (inputs, _) in zip(calls, calls[1:]):
+                assert np.array_equal(inputs[:2], prev_out[-2:])
+
+    def test_short_days_match_unbatched_reference(self):
+        # a day of at most m frames is one right-padded batch with no carry
+        rng = np.random.default_rng(32)
+        for n, m in [(5, 2), (10, 3), (6, 5)]:
+            model = build_piggyback(4, 3, hidden=5, seed=n + m)
+            for length in range(1, m + 1):
+                seq = random_seq(rng, length, 4, 3)
+                for retention in ("earlier", "later"):
+                    mine = piggyback_logits(model, seq, n, m, retention=retention)
+                    ref = unbatched_reference_logits(model, seq, n, m,
+                                                     retention=retention)
+                    assert mine.shape == (length, 3)
+                    assert np.abs(mine - ref).max() <= 1e-12
 
     def test_invalid_overlap(self):
         model = build_piggyback(3, 2, hidden=4, seed=7)

@@ -4,6 +4,7 @@ import pytest
 import egobatch.training as training_module
 from egobatch import (
     ConfigError,
+    DaySequence,
     SynthConfig,
     TrainConfig,
     build_baseline,
@@ -224,6 +225,42 @@ class TestPiggyback:
                           epochs=1, dropout=0.0, seed=0, patience=5, phase=2)
         train_piggyback(model, one, val, cfg)
         assert counter["steps"] == -(-(60 - 7) // 5) + 1
+
+    def test_phase2_carries_previous_batch_outputs_bit_for_bit(self, monkeypatch):
+        calls = []
+        real = training_module.backprop_window
+
+        def recording(stage, inputs, *args, **kwargs):
+            loss, grads, fwd = real(stage, inputs, *args, **kwargs)
+            calls.append((inputs.copy(), fwd.lstm_outputs.copy()))
+            return loss, grads, fwd
+
+        monkeypatch.setattr(training_module, "backprop_window", recording)
+        ds, _, val = desk_data()
+        day = ds.sequences[0]  # 60 frames: batches start at 0, 5, ..., 55
+        model = build_piggyback(DESK.feature_dim, DESK.num_classes, hidden=4, seed=0)
+        embed = model.embed.forward_rows(day.features)
+        cfg = TrainConfig("piggyback", timestep=7, overlap=2, learning_rate=0.01,
+                          epochs=1, dropout=0.0, seed=0, patience=5, phase=2)
+        train_piggyback(model, [day], val, cfg)
+        assert len(calls) == 12
+        assert np.allclose(calls[0][0], embed[:7], rtol=0, atol=1e-12)
+        for k in range(1, len(calls)):
+            inputs, prev_out = calls[k][0], calls[k - 1][1]
+            assert np.array_equal(inputs[:2], prev_out[-2:])
+            rest = embed[5 * k + 2:5 * k + 7]
+            assert np.allclose(inputs[2:2 + len(rest)], rest, rtol=0, atol=1e-12)
+
+    def test_phase2_trains_on_days_of_at_most_m_frames(self):
+        ds, _, val = desk_data()
+        short = [DaySequence(f"short{length}", "u1", ds.sequences[0].features[:length],
+                             ds.sequences[0].labels[:length]) for length in (1, 2, 3)]
+        model = build_piggyback(DESK.feature_dim, DESK.num_classes, hidden=4, seed=0)
+        cfg = TrainConfig("piggyback", timestep=5, overlap=3, learning_rate=0.01,
+                          epochs=1, dropout=0.0, seed=0, patience=5, phase=2)
+        result = train_piggyback(model, short, val + short, cfg)
+        assert result.report.stop_reason == "max_epochs"
+        assert np.isfinite(result.report.epochs[0].train_loss)
 
     def test_phase2_freezes_embedding_bit_for_bit(self):
         _, train, val = desk_data()
