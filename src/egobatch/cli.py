@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -232,7 +233,7 @@ def _cmd_train(args) -> int:
         "split": str(args.split),
         "hidden": args.hidden,
         "init_from": str(args.init_from) if args.init_from else None,
-        **cfg.to_json_obj(),
+        **asdict(cfg),
     })
     result.report.write_json(out / "report.json")
     if result.best_params is not None:

@@ -22,7 +22,8 @@ class NumericError(EgoBatchError):
 
 
 class SequencingError(EgoBatchError):
-    """Batches of one sequence were processed out of order (carry misuse)."""
+    """A step was requested before the one it builds on (phase 2 of the
+    overlap architecture without a phase-1 checkpoint to start from)."""
 
 
 class ConfigError(EgoBatchError):

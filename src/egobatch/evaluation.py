@@ -8,7 +8,7 @@ the evaluated frames; every exported report states this convention.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -33,20 +33,9 @@ class MetricsReport:
     per_class_recall: tuple[float, ...]
     per_class_f1: tuple[float, ...]
 
-    def to_json_obj(self) -> dict:
-        return {
-            "convention": ZERO_DENOMINATOR_NOTE,
-            "accuracy": self.accuracy,
-            "macro_precision": self.macro_precision,
-            "macro_recall": self.macro_recall,
-            "macro_f1": self.macro_f1,
-            "per_class_precision": list(self.per_class_precision),
-            "per_class_recall": list(self.per_class_recall),
-            "per_class_f1": list(self.per_class_f1),
-        }
-
     def write_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_obj(), indent=2) + "\n",
+        obj = {"convention": ZERO_DENOMINATOR_NOTE, **asdict(self)}
+        Path(path).write_text(json.dumps(obj, indent=2) + "\n",
                               encoding="utf-8")
 
 

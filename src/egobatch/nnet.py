@@ -25,12 +25,10 @@ CHECKPOINT_MAGIC = b"EGOMDL01"
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # per element the usual two branches, 1/(1+e^-x) for x >= 0 and
+    # e^x/(1+e^x) below, so the same bits; exp sees only -|x| and cannot overflow
+    ex = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, ex) / (1.0 + ex)
 
 
 def _glorot(rng: np.random.Generator, out_dim: int, in_dim: int) -> np.ndarray:
@@ -97,9 +95,9 @@ class LstmState:
 class _LstmCache:
     inputs: np.ndarray
     gate_rows: np.ndarray  # T x 4H activated gates, laid out like the stacks
-    c_prev_rows: np.ndarray
-    h_prev_rows: np.ndarray
+    c_rows: np.ndarray
     tanh_c_rows: np.ndarray
+    h_rows: np.ndarray
 
 
 class LstmLayer:
@@ -172,70 +170,57 @@ class LstmLayer:
             raise NumericError("non-finite recurrent state")
         return LstmState(h, c)
 
-    def run(self, inputs: np.ndarray,
-            state: LstmState | None = None) -> tuple[np.ndarray, _LstmCache]:
-        """Forward over a whole window; returns (T x H outputs, backward cache)."""
+    def _recur(self, inputs: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The recurrence over B x T x D windows, each from zero state.
+
+        The input projection is one matrix product over all B*T rows and each
+        position advances every window with one (B x H)(H x 4H) product.
+        Returns the B x T activated gates (4H, laid out like the stacks),
+        cells, tanh of the cells and outputs.
+        """
+        batch, steps, _ = inputs.shape
+        hid = self.hidden
+        gate_rows = (inputs.reshape(batch * steps, -1) @ self.w_stack.T
+                     + self.b_stack).reshape(batch, steps, 4 * hid)
+        c_rows = np.empty((batch, steps, hid))
+        tanh_c_rows = np.empty((batch, steps, hid))
+        h_rows = np.empty((batch, steps, hid))
+        u_t = self.u_stack.T
+        h = np.zeros((batch, hid))
+        c = np.zeros((batch, hid))
+        for t in range(steps):
+            gates = gate_rows[:, t]
+            gates += h @ u_t
+            gates[:, :3 * hid] = _sigmoid(gates[:, :3 * hid])
+            gates[:, 3 * hid:] = np.tanh(gates[:, 3 * hid:])
+            c = gates[:, hid:2 * hid] * c + gates[:, :hid] * gates[:, 3 * hid:]
+            tanh_c = np.tanh(c)
+            h = gates[:, 2 * hid:3 * hid] * tanh_c
+            c_rows[:, t] = c
+            tanh_c_rows[:, t] = tanh_c
+            h_rows[:, t] = h
+        if not np.isfinite(h_rows).all():
+            raise NumericError("non-finite recurrent outputs")
+        return gate_rows, c_rows, tanh_c_rows, h_rows
+
+    def run(self, inputs: np.ndarray) -> tuple[np.ndarray, _LstmCache]:
+        """Forward over a T x D window from zero state; returns (T x H
+        outputs, backward cache). This is the training path."""
         inputs = np.asarray(inputs, dtype=np.float64)
         if inputs.ndim != 2 or inputs.shape[1] != self.in_dim:
             raise ShapeError(f"expected rows of width {self.in_dim}, got {inputs.shape}")
-        steps, hid = inputs.shape[0], self.hidden
-        if state is None:
-            state = LstmState.zeros(hid)
-        pre = inputs @ self.w_stack.T + self.b_stack  # input-side projections for all t
-
-        gate_rows = np.empty((steps, 4 * hid))
-        c_prev_rows = np.empty((steps, hid))
-        h_prev_rows = np.empty((steps, hid))
-        tanh_c_rows = np.empty((steps, hid))
-        h_rows = np.empty((steps, hid))
-
-        h, c = state.h, state.c
-        for t in range(steps):
-            h_prev_rows[t] = h
-            c_prev_rows[t] = c
-            a = pre[t] + self.u_stack @ h
-            gates = gate_rows[t]
-            gates[:3 * hid] = _sigmoid(a[:3 * hid])
-            gates[3 * hid:] = np.tanh(a[3 * hid:])
-            c = gates[hid:2 * hid] * c + gates[:hid] * gates[3 * hid:]
-            tanh_c = np.tanh(c)
-            h = gates[2 * hid:3 * hid] * tanh_c
-            tanh_c_rows[t] = tanh_c
-            h_rows[t] = h
-        if not np.isfinite(h_rows).all():
-            raise NumericError("non-finite recurrent outputs")
-        cache = _LstmCache(inputs, gate_rows, c_prev_rows, h_prev_rows, tanh_c_rows)
-        return h_rows, cache
+        cache = _LstmCache(inputs, *(rows[0] for rows in self._recur(inputs[np.newaxis])))
+        return cache.h_rows, cache
 
     def forward_batch(self, inputs: np.ndarray) -> np.ndarray:
-        """Forward-only pass over B independent windows, each from zero state.
-
-        Takes B x T x D inputs and returns the B x T x H outputs. The input
-        projection is one matrix product over all B*T rows and each position
-        advances every window with one (B x H)(H x 4H) product. Nothing is
-        kept for backward: this is the inference path, `run` the training one.
-        """
+        """Forward over B x T x D independent windows, each from zero state;
+        returns the B x T x H outputs. This is the inference path."""
         inputs = np.asarray(inputs, dtype=np.float64)
         if inputs.ndim != 3 or inputs.shape[2] != self.in_dim:
             raise ShapeError(
                 f"expected B x T x {self.in_dim} inputs, got {inputs.shape}")
-        batch, steps, _ = inputs.shape
-        hid = self.hidden
-        pre = (inputs.reshape(batch * steps, -1) @ self.w_stack.T
-               + self.b_stack).reshape(batch, steps, 4 * hid)
-        u_t = self.u_stack.T
-        h = np.zeros((batch, hid))
-        c = np.zeros((batch, hid))
-        h_rows = np.empty((batch, steps, hid))
-        for t in range(steps):
-            a = pre[:, t] + h @ u_t
-            ifo = _sigmoid(a[:, :3 * hid])
-            c = ifo[:, hid:2 * hid] * c + ifo[:, :hid] * np.tanh(a[:, 3 * hid:])
-            h = ifo[:, 2 * hid:] * np.tanh(c)
-            h_rows[:, t] = h
-        if not np.isfinite(h_rows).all():
-            raise NumericError("non-finite recurrent outputs")
-        return h_rows
+        return self._recur(inputs)[3]
 
     def backward(self, cache: _LstmCache, d_outputs: np.ndarray
                  ) -> tuple[dict[str, np.ndarray], np.ndarray]:
@@ -245,6 +230,9 @@ class LstmLayer:
         `stack_params` (without the "lstm." prefix) and dLoss/dinputs.
         """
         steps, hid = d_outputs.shape
+        # the window starts from zero state
+        c_prev_rows = np.vstack([np.zeros(hid), cache.c_rows[:-1]])
+        h_prev_rows = np.vstack([np.zeros(hid), cache.h_rows[:-1]])
         d_pre = np.empty((steps, 4 * hid))
         dh_next = np.zeros(hid)
         dc_next = np.zeros(hid)
@@ -257,13 +245,13 @@ class LstmLayer:
             do = dh * tanh_c
             dc = dh * o * (1.0 - tanh_c * tanh_c) + dc_next
             d_pre[t, :hid] = dc * g * i * (1.0 - i)
-            d_pre[t, hid:2 * hid] = dc * cache.c_prev_rows[t] * f * (1.0 - f)
+            d_pre[t, hid:2 * hid] = dc * c_prev_rows[t] * f * (1.0 - f)
             d_pre[t, 2 * hid:3 * hid] = do * o * (1.0 - o)
             d_pre[t, 3 * hid:] = dc * i * (1.0 - g * g)
             dc_next = dc * f
             dh_next = self.u_stack.T @ d_pre[t]
         dw_stack = d_pre.T @ cache.inputs
-        du_stack = d_pre.T @ cache.h_prev_rows
+        du_stack = d_pre.T @ h_prev_rows
         db_stack = d_pre.sum(axis=0)
         grads: dict[str, np.ndarray] = {}
         for k, gate in enumerate(GATES):
@@ -351,12 +339,12 @@ class WindowForward:
 
 
 def run_window(model, inputs: np.ndarray, *, dropout_rate: float = 0.0,
-               rng: np.random.Generator | None = None,
-               train: bool = False) -> WindowForward:
+               rng: np.random.Generator | None = None) -> WindowForward:
     """Forward one T x D window through a layer stack to per-step logits.
 
-    Training applies inverted dropout to the head input (activations scaled
-    by 1/(1-rate)), so evaluation needs no rescaling.
+    A positive `dropout_rate` applies inverted dropout to the head input
+    (activations scaled by 1/(1-rate)), so evaluation, at rate 0, needs no
+    rescaling.
     """
     if not 0.0 <= dropout_rate < 1.0:
         raise ConfigError("dropout rate must lie in [0, 1)")
@@ -374,9 +362,9 @@ def run_window(model, inputs: np.ndarray, *, dropout_rate: float = 0.0,
         lstm_outputs = rows
     scale = None
     head_in = rows
-    if train and dropout_rate > 0.0:
+    if dropout_rate > 0.0:
         if rng is None:
-            raise ConfigError("training with dropout requires an rng")
+            raise ConfigError("dropout requires an rng")
         keep = 1.0 - dropout_rate
         scale = (rng.random(rows.shape) < keep).astype(np.float64) / keep
         head_in = rows * scale
@@ -410,13 +398,13 @@ def backprop_window(model, inputs: np.ndarray, labels: np.ndarray,
     if not mask.any():
         if train:
             raise DataError("degenerate training batch: every step is loss-masked")
-        fwd = run_window(model, inputs, train=False)
+        fwd = run_window(model, inputs)
         zeros = {name: np.zeros_like(w) for name, w in stack_params(model).items()}
         return 0.0, zeros, fwd
     if (labels[mask] >= model.head.out_dim).any() or (labels[mask] < 0).any():
         raise DataError("label id out of range for the head's class count")
 
-    fwd = run_window(model, inputs, dropout_rate=dropout_rate, rng=rng, train=train)
+    fwd = run_window(model, inputs, dropout_rate=dropout_rate if train else 0.0, rng=rng)
     loss, dlogits = _masked_xent_rows(fwd.logits, labels, mask)
     if not np.isfinite(loss):
         raise NumericError("non-finite window loss")
@@ -508,7 +496,7 @@ class GradCheckReport:
 
 
 def _window_loss(model, inputs, labels, mask) -> float:
-    fwd = run_window(model, inputs, train=False)
+    fwd = run_window(model, inputs)
     loss, _ = _masked_xent_rows(fwd.logits, labels, mask)
     return loss
 

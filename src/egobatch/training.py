@@ -11,7 +11,7 @@ carry-over and a frozen embedding.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -28,10 +28,9 @@ from .models import (
     predict_piggyback_sequence,
     predict_sliding_sequence,
 )
-from .nnet import OptimizerState, backprop_window, sgd_update
+from .nnet import OptimizerState, backprop_window, sgd_update, stack_params
 
 ARCHITECTURES = ("baseline", "sliding", "piggyback")
-STOP_REASONS = ("max_epochs", "early_stop", "numeric_failure")
 _IMPROVEMENT = 1e-12  # a validation loss must beat the best by more than this
 
 
@@ -81,21 +80,6 @@ class TrainConfig:
             if self.phase not in (1, 2):
                 raise ConfigError("phase must be 1 or 2")
 
-    def to_json_obj(self) -> dict:
-        return {
-            "architecture": self.architecture,
-            "timestep": self.timestep,
-            "overlap": self.overlap,
-            "learning_rate": self.learning_rate,
-            "momentum": self.momentum,
-            "weight_decay": self.weight_decay,
-            "epochs": self.epochs,
-            "patience": self.patience,
-            "dropout": self.dropout,
-            "seed": self.seed,
-            "phase": self.phase,
-        }
-
 
 @dataclass
 class EpochStats:
@@ -110,22 +94,8 @@ class TrainReport:
     best_epoch: int = -1
     stop_reason: str = "max_epochs"
 
-    def to_json_obj(self) -> dict:
-        return {
-            "epochs": [
-                {
-                    "train_loss": e.train_loss,
-                    "val_loss": e.val_loss,
-                    "val_accuracy": e.val_accuracy,
-                }
-                for e in self.epochs
-            ],
-            "best_epoch": self.best_epoch,
-            "stop_reason": self.stop_reason,
-        }
-
     def write_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_obj(), indent=2) + "\n",
+        Path(path).write_text(json.dumps(asdict(self), indent=2) + "\n",
                               encoding="utf-8")
 
 
@@ -182,14 +152,14 @@ class _EpochDriver:
     """The epoch/validation/early-stop loop over the batches of a plan.
 
     `plan(length)` tiles each training day; `stage` is the stack that trains
-    (the model unless the embedding is frozen). With `overlap` m > 0 the
-    batches run in order, the model's embedding turns each batch into
-    recurrent inputs, and the first m of them are replaced by the previous
-    batch's last m recurrent outputs.
+    (the model unless the embedding is frozen), and only its parameters get
+    optimizer state. With `overlap` m > 0 the batches run in order, the
+    model's embedding turns each batch into recurrent inputs, and the first m
+    of them are replaced by the previous batch's last m recurrent outputs.
     """
 
-    def __init__(self, model, trainable: dict[str, np.ndarray], cfg: TrainConfig,
-                 predict, plan, stage=None, overlap: int = 0):
+    def __init__(self, model, cfg: TrainConfig, predict, plan, stage=None,
+                 overlap: int = 0):
         self.model = model
         self.cfg = cfg
         self.predict = predict
@@ -201,7 +171,7 @@ class _EpochDriver:
         self.shuffle_rng = np.random.default_rng(shuffle_seed)
         self.dropout_rng = np.random.default_rng(dropout_seed)
         self.opt = OptimizerState.create(
-            trainable, cfg.learning_rate, cfg.momentum, cfg.weight_decay
+            stack_params(self.stage), cfg.learning_rate, cfg.momentum, cfg.weight_decay
         )
 
     def train_steps(self, seq: DaySequence):
@@ -225,6 +195,8 @@ class _EpochDriver:
 
     def run(self, train_seqs: list[DaySequence],
             val_seqs: list[DaySequence]) -> TrainResult:
+        if not train_seqs or not val_seqs:
+            raise ConfigError("training needs at least one train and one val sequence")
         cfg = self.cfg
         report = TrainReport()
         params = self.model.params()
@@ -266,7 +238,7 @@ def train_baseline(model: FrameBaselineModel, train_seqs: list[DaySequence],
     """One SGD step per frame, sequences shuffled each epoch."""
     if cfg.architecture != "baseline":
         raise ConfigError("config architecture must be 'baseline'")
-    driver = _EpochDriver(model, model.params(), cfg, predict_baseline,
+    driver = _EpochDriver(model, cfg, predict_baseline,
                           plan=lambda length: sliding_plan(length, 1))
     return driver.run(train_seqs, val_seqs)
 
@@ -284,7 +256,7 @@ def train_sliding(model: SlidingWindowModel, train_seqs: list[DaySequence],
     def predict(mdl, seq):
         return predict_sliding_sequence(mdl, seq, cfg.timestep)
 
-    driver = _EpochDriver(model, model.params(), cfg, predict,
+    driver = _EpochDriver(model, cfg, predict,
                           plan=lambda length: sliding_plan(length, cfg.timestep))
     return driver.run(train_seqs, val_seqs)
 
@@ -304,17 +276,15 @@ def train_piggyback(model: PiggybackModel, train_seqs: list[DaySequence],
         def predict(mdl, seq):
             return predict_sliding_sequence(mdl, seq, cfg.timestep)
 
-        driver = _EpochDriver(model, model.params(), cfg, predict,
+        driver = _EpochDriver(model, cfg, predict,
                               plan=lambda length: batch_plan(length, cfg.timestep))
         return driver.run(train_seqs, val_seqs)
 
     def predict(mdl, seq):
         return predict_piggyback_sequence(mdl, seq, cfg.timestep, cfg.overlap)
 
-    trainable = {name: w for name, w in model.params().items()
-                 if not name.startswith("embed.")}
     driver = _EpochDriver(
-        model, trainable, cfg, predict,
+        model, cfg, predict,
         plan=lambda length: batch_plan(length, cfg.timestep, cfg.overlap),
         stage=model.carry_stage(), overlap=cfg.overlap)
     return driver.run(train_seqs, val_seqs)

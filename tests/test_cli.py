@@ -71,6 +71,20 @@ class TestUsageErrors:
     def test_bad_value_type(self):
         assert run("synth", "--out-dir", "x", "--sequences", "lots") == 1
 
+    @pytest.mark.parametrize("empty", ["train", "val"])
+    def test_empty_split_list(self, synth_dir, split_dir, tmp_path, empty):
+        split = json.loads((split_dir / "split.json").read_text())
+        split[empty] = []
+        split_path = tmp_path / "split.json"
+        split_path.write_text(json.dumps(split))
+        out = tmp_path / "out"
+        code = run("train", "--arch", "baseline", "--epochs", "1",
+                   "--manifest", str(synth_dir / "manifest.json"),
+                   "--labels", str(synth_dir / "labels.txt"),
+                   "--split", str(split_path), "--out-dir", str(out))
+        assert code == 1
+        assert not (out / "report.json").exists()
+
 
 class TestDataErrors:
     def test_missing_manifest_is_data_error(self, synth_dir, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from egobatch import (
     softmax_xent,
     write_checkpoint,
 )
-from egobatch.nnet import _masked_xent_rows, stack_params
+from egobatch.nnet import _masked_xent_rows, _sigmoid, stack_params
 
 
 def zero_lstm(in_dim, hidden):
@@ -116,12 +117,51 @@ class TestLstmStep:
                 expected, _ = layer.run(inputs[k])
                 assert np.abs(outputs[k] - expected).max() <= 1e-12
 
+    def test_forward_batch_of_one_window_is_run_bit_for_bit(self):
+        rng = np.random.default_rng(25)
+        for hidden in (1, 2, 7, 32, 64):
+            in_dim = int(rng.integers(1, 40))
+            layer = LstmLayer.create(in_dim, hidden, rng)
+            inputs = rng.normal(scale=3.0, size=(int(rng.integers(1, 12)), in_dim))
+            expected, _ = layer.run(inputs)
+            assert np.array_equal(layer.forward_batch(inputs[np.newaxis])[0], expected)
+
     def test_forward_batch_shape_checked(self):
         layer = LstmLayer.create(3, 4, np.random.default_rng(22))
         with pytest.raises(ShapeError):
             layer.forward_batch(np.zeros((5, 3)))
         with pytest.raises(ShapeError):
             layer.forward_batch(np.zeros((2, 5, 4)))
+
+
+def masked_sigmoid(x):
+    """The two-branch form: each branch's exp sees only non-positive values."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+class TestSigmoid:
+    SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, 709.0, -709.0, 745.0, -745.0,
+               5e-324, -5e-324, 2.2e-308, -2.2e-308]
+
+    def test_equals_masked_form_bit_for_bit(self):
+        rng = np.random.default_rng(26)
+        for scale in (1e-8, 1e-3, 1.0, 10.0, 40.0, 800.0):
+            x = np.concatenate([rng.normal(scale=scale, size=300), self.SPECIAL])
+            got, want = _sigmoid(x), masked_sigmoid(x)
+            real = ~np.isnan(want)
+            assert np.array_equal(np.isnan(got), ~real)
+            assert np.array_equal(got[real].view(np.uint64),
+                                  want[real].view(np.uint64)), scale
+
+    def test_saturates_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(_sigmoid(np.array([1000.0, -1000.0])), [1.0, 0.0])
 
 
 class TestLstmStorage:
@@ -340,17 +380,18 @@ class TestDropout:
     def test_eval_ignores_dropout(self):
         model = build_sliding(3, 2, hidden=4, seed=8)
         inputs = np.random.default_rng(13).normal(size=(4, 3))
-        plain = run_window(model, inputs, train=False).logits
-        evald = run_window(model, inputs, dropout_rate=0.9,
-                           rng=np.random.default_rng(0), train=False).logits
-        assert np.array_equal(plain, evald)
+        plain = run_window(model, inputs).logits
+        _, _, evald = backprop_window(model, inputs, np.zeros(4, dtype=np.int64),
+                                      dropout_rate=0.9, rng=np.random.default_rng(0),
+                                      mode="eval")
+        assert np.array_equal(plain, evald.logits)
 
     def test_train_dropout_changes_logits(self):
         model = build_sliding(3, 2, hidden=4, seed=8)
         inputs = np.random.default_rng(14).normal(size=(4, 3))
-        plain = run_window(model, inputs, train=False).logits
+        plain = run_window(model, inputs).logits
         dropped = run_window(model, inputs, dropout_rate=0.5,
-                             rng=np.random.default_rng(1), train=True).logits
+                             rng=np.random.default_rng(1)).logits
         assert not np.array_equal(plain, dropped)
 
 

@@ -76,6 +76,20 @@ class TestTrainConfig:
             TrainConfig("sliding", dropout=1.0)
 
 
+class TestEmptySplit:
+    @pytest.mark.parametrize("empty", ["train", "val"])
+    def test_empty_list_rejected_before_any_step(self, empty):
+        _, train, val = desk_data()
+        lists = {"train": train, "val": val, empty: []}
+        model = build_baseline(DESK.feature_dim, DESK.num_classes, seed=0)
+        before = {name: w.copy() for name, w in model.params().items()}
+        with pytest.raises(ConfigError):
+            train_baseline(model, lists["train"], lists["val"],
+                           TrainConfig("baseline", epochs=1))
+        for name, w in model.params().items():
+            assert np.array_equal(w, before[name]), name
+
+
 class TestSliding:
     def test_loss_decreases_on_synthetic_data(self):
         _, train, val = desk_data()
