@@ -32,10 +32,8 @@ from .evaluation import (
     normalize_confusion,
 )
 from .models import (
-    FrameBaselineModel,
-    PiggybackModel,
+    LayerStack,
     PredictionTimeline,
-    SlidingWindowModel,
     build_baseline,
     build_piggyback,
     build_sliding,

@@ -44,7 +44,6 @@ from .models import (
     build_piggyback,
     build_sliding,
     model_from_params,
-    model_input_dim,
     predict_baseline,
     predict_piggyback_sequence,
     predict_sliding_sequence,
@@ -171,8 +170,9 @@ def _read_split_ids(path: str | Path) -> dict:
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: invalid JSON ({exc})") from exc
     for key in ("test", "val", "train"):
-        if key not in obj:
-            raise FormatError(f"{path}: split manifest lacks {key!r}")
+        ids = obj.get(key) if isinstance(obj, dict) else None
+        if not isinstance(ids, list) or not all(isinstance(sid, str) for sid in ids):
+            raise FormatError(f"{path}: split manifest needs {key!r} as a list of ids")
     return obj
 
 
@@ -210,7 +210,7 @@ def _cmd_train(args) -> int:
             )
         if model.head.out_dim != num_classes:
             raise ShapeError("checkpoint class count does not match the label set")
-        if model_input_dim(model) != feature_dim:
+        if model.input_dim != feature_dim:
             raise ShapeError("checkpoint input width does not match the dataset")
     elif cfg.architecture == "baseline":
         model = build_baseline(feature_dim, num_classes, seed=cfg.seed)
@@ -256,7 +256,7 @@ def _cmd_predict(args) -> int:
     model = model_from_params(read_checkpoint(args.model))
     if model.head.out_dim != dataset.label_set.size:
         raise ShapeError("model class count does not match the label set")
-    if model_input_dim(model) != dataset.feature_dim:
+    if model.input_dim != dataset.feature_dim:
         raise ShapeError("model input width does not match the dataset")
     if args.split:
         ids = _read_split_ids(args.split)[args.subset]
@@ -476,7 +476,7 @@ def dispatch(argv: list[str]) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (FormatError, DataError, ShapeError, PackingError, SequencingError,
-            OSError) as exc:
+            OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except NumericError as exc:

@@ -1,4 +1,4 @@
-"""The three sequence-head architectures and whole-sequence prediction.
+"""One layer stack for the three architectures, and whole-sequence prediction.
 
 All heads consume precomputed per-frame feature vectors. The frame baseline
 classifies frames independently; the sliding-window head runs a recurrent
@@ -17,141 +17,113 @@ import numpy as np
 from .batching import BatchPlan, batch_plan
 from .datamodel import DaySequence
 from .errors import ConfigError, DataError, FormatError, ShapeError
-from .nnet import GATES, DenseLayer, LstmLayer, run_window, softmax, stack_params
+from .nnet import GATES, DenseLayer, LstmLayer, run_window, softmax
 
 DEFAULT_HIDDEN = 256
 RETENTIONS = ("earlier", "later")
 
 
 @dataclass
-class FrameBaselineModel:
-    """Linear softmax classifier over single frames; the ablation anchor."""
+class LayerStack:
+    """An optional embedding, an optional recurrent layer and a class head.
+
+    The layers present decide the architecture: the head alone is the frame
+    baseline, a recurrent layer before it the sliding-window stack, and an
+    affine embedding into the recurrent width before that the piggyback
+    stack, whose recurrent outputs can stand in for its recurrent inputs.
+    """
 
     head: DenseLayer
-    embed = None
-    lstm = None
-    architecture = "baseline"
-
-    def params(self) -> dict[str, np.ndarray]:
-        return stack_params(self)
-
-
-@dataclass
-class SlidingWindowModel:
-    """Recurrent layer over feature windows followed by a class head."""
-
-    lstm: LstmLayer
-    head: DenseLayer
-    embed = None
-    architecture = "sliding"
+    lstm: LstmLayer | None = None
+    embed: DenseLayer | None = None
 
     def __post_init__(self):
-        if self.head.in_dim != self.lstm.hidden:
-            raise ShapeError("head input width must equal the recurrent hidden size")
-
-    def params(self) -> dict[str, np.ndarray]:
-        return stack_params(self)
-
-
-@dataclass
-class PiggybackModel:
-    """Affine embedding into the recurrent width, so outputs can feed inputs."""
-
-    embed: DenseLayer
-    lstm: LstmLayer
-    head: DenseLayer
-    architecture = "piggyback"
-
-    def __post_init__(self):
-        if not (self.embed.out_dim == self.lstm.in_dim == self.lstm.hidden):
+        if self.lstm is None:
+            if self.embed is not None:
+                raise ShapeError("an embedding needs a recurrent layer after it")
+            return
+        if self.embed is not None and not (
+                self.embed.out_dim == self.lstm.in_dim == self.lstm.hidden):
             raise ShapeError(
                 "embedding width, recurrent input width and hidden size must all match"
             )
         if self.head.in_dim != self.lstm.hidden:
             raise ShapeError("head input width must equal the recurrent hidden size")
 
+    @property
+    def architecture(self) -> str:
+        if self.embed is not None:
+            return "piggyback"
+        return "baseline" if self.lstm is None else "sliding"
+
+    @property
+    def input_dim(self) -> int:
+        """Feature width the stack consumes."""
+        return (self.embed or self.lstm or self.head).in_dim
+
     def params(self) -> dict[str, np.ndarray]:
-        return stack_params(self)
+        """Live parameter tensors, canonically named."""
+        out: dict[str, np.ndarray] = {}
+        if self.embed is not None:
+            out["embed.W"] = self.embed.weight
+            out["embed.b"] = self.embed.bias
+        if self.lstm is not None:
+            for g in GATES:
+                out[f"lstm.W_{g}"] = self.lstm.w[g]
+                out[f"lstm.U_{g}"] = self.lstm.u[g]
+                out[f"lstm.b_{g}"] = self.lstm.b[g]
+        out["head.W"] = self.head.weight
+        out["head.b"] = self.head.bias
+        return out
 
-    def carry_stage(self) -> "_RecurrentStage":
+    def carry_stage(self) -> "LayerStack":
         """The sub-stack trained when the embedding is frozen."""
-        return _RecurrentStage(self.lstm, self.head)
+        return LayerStack(self.head, self.lstm)
 
 
-@dataclass
-class _RecurrentStage:
-    lstm: LstmLayer
-    head: DenseLayer
-    embed = None
-
-
-def build_baseline(feature_dim: int, num_classes: int, seed: int = 0) -> FrameBaselineModel:
+def build_baseline(feature_dim: int, num_classes: int, seed: int = 0) -> LayerStack:
     rng = np.random.default_rng(seed)
-    return FrameBaselineModel(head=DenseLayer.create(feature_dim, num_classes, rng))
+    return LayerStack(DenseLayer.create(feature_dim, num_classes, rng))
 
 
 def build_sliding(feature_dim: int, num_classes: int, hidden: int = DEFAULT_HIDDEN,
-                  seed: int = 0) -> SlidingWindowModel:
+                  seed: int = 0) -> LayerStack:
     rng = np.random.default_rng(seed)
     lstm = LstmLayer.create(feature_dim, hidden, rng)
     head = DenseLayer.create(hidden, num_classes, rng)
-    return SlidingWindowModel(lstm=lstm, head=head)
+    return LayerStack(head, lstm)
 
 
 def build_piggyback(feature_dim: int, num_classes: int, hidden: int = DEFAULT_HIDDEN,
-                    seed: int = 0) -> PiggybackModel:
+                    seed: int = 0) -> LayerStack:
     rng = np.random.default_rng(seed)
     embed = DenseLayer.create(feature_dim, hidden, rng)
     lstm = LstmLayer.create(hidden, hidden, rng)
     head = DenseLayer.create(hidden, num_classes, rng)
-    return PiggybackModel(embed=embed, lstm=lstm, head=head)
+    return LayerStack(head, lstm, embed)
 
 
-def model_from_params(params: dict[str, np.ndarray]):
-    """Rebuild a model from checkpoint tensors, inferring the architecture."""
+def model_from_params(params: dict[str, np.ndarray]) -> LayerStack:
+    """Rebuild a stack from checkpoint tensors; the name prefixes present
+    (`lstm.`, `embed.`) decide which layers it has."""
+    layers = {name.split(".", 1)[0] for name in params}
+    expected = {"head.W", "head.b"}
+    if "embed" in layers:
+        expected |= {"embed.W", "embed.b"}
+    if "lstm" in layers:
+        expected |= {f"lstm.{k}_{g}" for k in "WUb" for g in GATES}
     names = set(params)
-    if "head.W" not in names or "head.b" not in names:
-        raise ShapeError("checkpoint lacks the head tensors")
-    head = DenseLayer(params["head.W"], params["head.b"])
-    if "embed.W" in names:
-        model = PiggybackModel(
-            embed=DenseLayer(params["embed.W"], params["embed.b"]),
-            lstm=_lstm_from_params(params),
-            head=head,
-        )
-    elif "lstm.W_i" in names:
-        model = SlidingWindowModel(lstm=_lstm_from_params(params), head=head)
-    else:
-        model = FrameBaselineModel(head=head)
-    expected = set(stack_params(model))
     if names != expected:
         raise ShapeError(
             f"checkpoint tensors mismatch: missing={sorted(expected - names)} "
             f"extra={sorted(names - expected)}"
         )
-    return model
-
-
-def model_input_dim(model) -> int:
-    """Feature width the model consumes."""
-    embed = getattr(model, "embed", None)
-    lstm = getattr(model, "lstm", None)
-    if embed is not None:
-        return embed.in_dim
-    if lstm is not None:
-        return lstm.in_dim
-    return model.head.in_dim
-
-
-def _lstm_from_params(params: dict[str, np.ndarray]) -> LstmLayer:
-    try:
-        return LstmLayer(
-            w={g: params[f"lstm.W_{g}"] for g in GATES},
-            u={g: params[f"lstm.U_{g}"] for g in GATES},
-            b={g: params[f"lstm.b_{g}"] for g in GATES},
-        )
-    except KeyError as exc:
-        raise ShapeError(f"checkpoint lacks recurrent tensor {exc}") from exc
+    lstm = embed = None
+    if "lstm" in layers:
+        lstm = LstmLayer(*({g: params[f"lstm.{k}_{g}"] for g in GATES} for k in "WUb"))
+    if "embed" in layers:
+        embed = DenseLayer(params["embed.W"], params["embed.b"])
+    return LayerStack(DenseLayer(params["head.W"], params["head.b"]), lstm, embed)
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +170,7 @@ def _timeline_from_logits(seq: DaySequence, logits: np.ndarray) -> PredictionTim
     )
 
 
-def predict_baseline(model: FrameBaselineModel, seq: DaySequence) -> PredictionTimeline:
+def predict_baseline(model: LayerStack, seq: DaySequence) -> PredictionTimeline:
     """Classify every frame independently."""
     logits = run_window(model, seq.features).logits
     return _timeline_from_logits(seq, logits)
@@ -259,7 +231,7 @@ def predict_sliding_sequence(model, seq: DaySequence, timestep: int) -> Predicti
     return _timeline_from_logits(seq, _plan_logits(model, seq, plan))
 
 
-def piggyback_logits(model: PiggybackModel, seq: DaySequence, batch_size: int,
+def piggyback_logits(model: LayerStack, seq: DaySequence, batch_size: int,
                      overlap: int, retention: str = "earlier") -> np.ndarray:
     """Per-frame logits of the batched carry-over forward pass.
 
@@ -276,7 +248,7 @@ def piggyback_logits(model: PiggybackModel, seq: DaySequence, batch_size: int,
     return _plan_logits(model, seq, plan, overlap, retention)
 
 
-def predict_piggyback_sequence(model: PiggybackModel, seq: DaySequence,
+def predict_piggyback_sequence(model: LayerStack, seq: DaySequence,
                                batch_size: int, overlap: int,
                                retention: str = "earlier") -> PredictionTimeline:
     """Timeline from the batched carry-over pass; see `piggyback_logits`."""
@@ -331,6 +303,6 @@ def read_timelines_json(path: str | Path, num_classes: int) -> list[PredictionTi
             timelines.append(
                 PredictionTimeline(obj["sequence_id"], true_labels, pred_labels, probs)
             )
-        except (KeyError, TypeError, IndexError) as exc:
+        except (KeyError, TypeError, IndexError, ValueError) as exc:
             raise FormatError(f"{path}: malformed timeline entry") from exc
     return timelines

@@ -1,9 +1,9 @@
 """From-scratch differentiable layers, SGD with momentum, and gradient checks.
 
 Everything runs in float64 with plain numpy; there is no autodiff framework.
-A "layer stack" is any object exposing `embed` (affine or None), `lstm`
-(recurrent layer or None) and `head` (affine producing class logits); the
-three model architectures all fit this shape.
+A "layer stack" is a `models.LayerStack`: an optional affine `embed`, an
+optional recurrent `lstm` and an affine `head` producing class logits, with
+`params()` naming its tensors. The layers present decide the architecture.
 
 Checkpoints (.egomdl) store named float64 tensors, lexicographically ordered,
 little-endian.
@@ -119,6 +119,8 @@ class LstmLayer:
         w = {g: np.asarray(w[g], dtype=np.float64) for g in GATES}
         u = {g: np.asarray(u[g], dtype=np.float64) for g in GATES}
         b = {g: np.asarray(b[g], dtype=np.float64) for g in GATES}
+        if w["i"].ndim != 2:
+            raise ShapeError(f"gate weights must be matrices, got shape {w['i'].shape}")
         hidden, in_dim = w["i"].shape
         for g in GATES:
             if w[g].shape != (hidden, in_dim) or u[g].shape != (hidden, hidden) \
@@ -227,7 +229,7 @@ class LstmLayer:
         """Exact truncated-BPTT gradients for one window.
 
         `d_outputs` is dLoss/dh per position. Returns gradients keyed like
-        `stack_params` (without the "lstm." prefix) and dLoss/dinputs.
+        `LayerStack.params` (without the "lstm." prefix) and dLoss/dinputs.
         """
         steps, hid = d_outputs.shape
         # the window starts from zero state
@@ -308,24 +310,6 @@ def _masked_xent_rows(logits: np.ndarray, labels: np.ndarray, mask: np.ndarray
 # Layer-stack forward / backward over one window
 # ---------------------------------------------------------------------------
 
-def stack_params(model) -> dict[str, np.ndarray]:
-    """Live parameter tensors of a layer stack, canonically named."""
-    out: dict[str, np.ndarray] = {}
-    embed = getattr(model, "embed", None)
-    lstm = getattr(model, "lstm", None)
-    if embed is not None:
-        out["embed.W"] = embed.weight
-        out["embed.b"] = embed.bias
-    if lstm is not None:
-        for g in GATES:
-            out[f"lstm.W_{g}"] = lstm.w[g]
-            out[f"lstm.U_{g}"] = lstm.u[g]
-            out[f"lstm.b_{g}"] = lstm.b[g]
-    out["head.W"] = model.head.weight
-    out["head.b"] = model.head.bias
-    return out
-
-
 @dataclass
 class WindowForward:
     """Forward results for one window plus the caches backward needs."""
@@ -351,14 +335,11 @@ def run_window(model, inputs: np.ndarray, *, dropout_rate: float = 0.0,
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 2:
         raise ShapeError("window inputs must be a T x D matrix")
-    embed = getattr(model, "embed", None)
-    lstm = getattr(model, "lstm", None)
-
-    rows = embed.forward_rows(inputs) if embed is not None else inputs
+    rows = inputs if model.embed is None else model.embed.forward_rows(inputs)
     lstm_cache = None
     lstm_outputs = None
-    if lstm is not None:
-        rows, lstm_cache = lstm.run(rows)
+    if model.lstm is not None:
+        rows, lstm_cache = model.lstm.run(rows)
         lstm_outputs = rows
     scale = None
     head_in = rows
@@ -399,7 +380,7 @@ def backprop_window(model, inputs: np.ndarray, labels: np.ndarray,
         if train:
             raise DataError("degenerate training batch: every step is loss-masked")
         fwd = run_window(model, inputs)
-        zeros = {name: np.zeros_like(w) for name, w in stack_params(model).items()}
+        zeros = {name: np.zeros_like(w) for name, w in model.params().items()}
         return 0.0, zeros, fwd
     if (labels[mask] >= model.head.out_dim).any() or (labels[mask] < 0).any():
         raise DataError("label id out of range for the head's class count")
@@ -416,13 +397,11 @@ def backprop_window(model, inputs: np.ndarray, labels: np.ndarray,
     if fwd._dropout_scale is not None:
         d_rows = d_rows * fwd._dropout_scale
 
-    embed = getattr(model, "embed", None)
-    lstm = getattr(model, "lstm", None)
-    if lstm is not None:
-        lstm_grads, d_rows = lstm.backward(fwd._lstm_cache, d_rows)
+    if model.lstm is not None:
+        lstm_grads, d_rows = model.lstm.backward(fwd._lstm_cache, d_rows)
         for name, g in lstm_grads.items():
             grads[f"lstm.{name}"] = g
-    if embed is not None:
+    if model.embed is not None:
         grads["embed.W"] = d_rows.T @ fwd._inputs
         grads["embed.b"] = d_rows.sum(axis=0)
     return loss, grads, fwd
@@ -518,7 +497,7 @@ def grad_check(model, inputs: np.ndarray, labels: np.ndarray,
     mask = np.ones(inputs.shape[0], dtype=bool) if loss_mask is None else np.asarray(loss_mask, dtype=bool)
     _, grads, _ = backprop_window(model, inputs, labels, mask, mode="eval")
     checks = []
-    for name, w in sorted(stack_params(model).items()):
+    for name, w in sorted(model.params().items()):
         flat = w.reshape(-1)
         gflat = grads[name].reshape(-1)
         if max_coords is not None and flat.size > max_coords:

@@ -20,15 +20,13 @@ from .batching import batch_plan, sliding_plan
 from .datamodel import DaySequence
 from .errors import ConfigError, NumericError
 from .models import (
-    FrameBaselineModel,
-    PiggybackModel,
+    LayerStack,
     PredictionTimeline,
-    SlidingWindowModel,
     predict_baseline,
     predict_piggyback_sequence,
     predict_sliding_sequence,
 )
-from .nnet import OptimizerState, backprop_window, sgd_update, stack_params
+from .nnet import OptimizerState, backprop_window, sgd_update
 
 ARCHITECTURES = ("baseline", "sliding", "piggyback")
 _IMPROVEMENT = 1e-12  # a validation loss must beat the best by more than this
@@ -158,8 +156,11 @@ class _EpochDriver:
     of them are replaced by the previous batch's last m recurrent outputs.
     """
 
-    def __init__(self, model, cfg: TrainConfig, predict, plan, stage=None,
-                 overlap: int = 0):
+    def __init__(self, model: LayerStack, cfg: TrainConfig, predict, plan,
+                 stage: LayerStack | None = None, overlap: int = 0):
+        if model.architecture != cfg.architecture:
+            raise ConfigError(f"config architecture {cfg.architecture!r} does not "
+                              f"match the {model.architecture!r} model")
         self.model = model
         self.cfg = cfg
         self.predict = predict
@@ -171,7 +172,7 @@ class _EpochDriver:
         self.shuffle_rng = np.random.default_rng(shuffle_seed)
         self.dropout_rng = np.random.default_rng(dropout_seed)
         self.opt = OptimizerState.create(
-            stack_params(self.stage), cfg.learning_rate, cfg.momentum, cfg.weight_decay
+            self.stage.params(), cfg.learning_rate, cfg.momentum, cfg.weight_decay
         )
 
     def train_steps(self, seq: DaySequence):
@@ -233,7 +234,7 @@ class _EpochDriver:
         return TrainResult(report=report, best_params=best_params)
 
 
-def train_baseline(model: FrameBaselineModel, train_seqs: list[DaySequence],
+def train_baseline(model: LayerStack, train_seqs: list[DaySequence],
                    val_seqs: list[DaySequence], cfg: TrainConfig) -> TrainResult:
     """One SGD step per frame, sequences shuffled each epoch."""
     if cfg.architecture != "baseline":
@@ -243,7 +244,7 @@ def train_baseline(model: FrameBaselineModel, train_seqs: list[DaySequence],
     return driver.run(train_seqs, val_seqs)
 
 
-def train_sliding(model: SlidingWindowModel, train_seqs: list[DaySequence],
+def train_sliding(model: LayerStack, train_seqs: list[DaySequence],
                   val_seqs: list[DaySequence], cfg: TrainConfig) -> TrainResult:
     """Visit every stride-1 window of every training sequence once per epoch.
 
@@ -261,7 +262,7 @@ def train_sliding(model: SlidingWindowModel, train_seqs: list[DaySequence],
     return driver.run(train_seqs, val_seqs)
 
 
-def train_piggyback(model: PiggybackModel, train_seqs: list[DaySequence],
+def train_piggyback(model: LayerStack, train_seqs: list[DaySequence],
                     val_seqs: list[DaySequence], cfg: TrainConfig) -> TrainResult:
     """Run the phase selected by the config.
 

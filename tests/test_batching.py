@@ -7,7 +7,7 @@ from egobatch import (
     ConfigError,
     DaySequence,
     DenseLayer,
-    PiggybackModel,
+    LayerStack,
     ShapeError,
     batch_plan,
     build_piggyback,
@@ -233,5 +233,5 @@ class TestCarry:
         # the model enforces when it is built
         rng = np.random.default_rng(0)
         with pytest.raises(ShapeError):
-            PiggybackModel(embed=DenseLayer.create(3, 5, rng),
-                           lstm=self.model.lstm, head=self.model.head)
+            LayerStack(embed=DenseLayer.create(3, 5, rng),
+                       lstm=self.model.lstm, head=self.model.head)

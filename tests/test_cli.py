@@ -5,6 +5,7 @@ import pytest
 from egobatch import (
     Dataset,
     DaySequence,
+    build_baseline,
     build_piggyback,
     load_dataset,
     write_checkpoint,
@@ -115,6 +116,62 @@ class TestDataErrors:
                    "--labels", str(labels),
                    "--out-dir", str(tmp_path / "out"), "--bins", "4",
                    "--test-bins", "1", "--val-bins", "1")
+        assert code == 2
+
+    @pytest.mark.parametrize("bad", ["labels", "manifest", "checkpoint", "split",
+                                     "timelines"])
+    def test_non_utf8_input(self, synth_dir, split_dir, tmp_path, bad):
+        data = load_dataset(synth_dir / "manifest.json", synth_dir / "labels.txt")
+        checkpoint = tmp_path / "model.egomdl"
+        write_checkpoint(build_baseline(data.feature_dim, data.label_set.size).params(),
+                         checkpoint)
+        timelines = tmp_path / "timelines.json"
+        timelines.write_text("[]\n")
+        files = {"labels": synth_dir / "labels.txt",
+                 "manifest": synth_dir / "manifest.json",
+                 "checkpoint": checkpoint, "split": split_dir / "split.json",
+                 "timelines": timelines}
+        broken = tmp_path / "broken"
+        if bad == "checkpoint":
+            # a tensor name that is not UTF-8, same length as "head.W"
+            broken.write_bytes(checkpoint.read_bytes().replace(b"head.W", b"head.\xff"))
+        else:
+            broken.write_bytes(b"\xff\xfe\n")
+        files[bad] = broken
+        if bad in ("labels", "timelines"):
+            argv = ["eval", "--timelines", files["timelines"]]
+        else:
+            argv = ["predict", "--model", files["checkpoint"],
+                    "--manifest", files["manifest"], "--split", files["split"]]
+        argv += ["--labels", files["labels"], "--out-dir", tmp_path / "out"]
+        assert run(*map(str, argv)) == 2
+
+    @pytest.mark.parametrize("ids", [None, [["x"]]])
+    def test_malformed_split_ids(self, synth_dir, split_dir, tmp_path, ids):
+        split = json.loads((split_dir / "split.json").read_text())
+        split["train"] = ids
+        split_path = tmp_path / "split.json"
+        split_path.write_text(json.dumps(split))
+        code = run("train", "--arch", "baseline", "--epochs", "1",
+                   "--manifest", str(synth_dir / "manifest.json"),
+                   "--labels", str(synth_dir / "labels.txt"),
+                   "--split", str(split_path), "--out-dir", str(tmp_path / "out"))
+        assert code == 2
+
+    @pytest.mark.parametrize("damage", ["no_embed_bias", "flat_recurrent_weight"])
+    def test_malformed_checkpoint(self, synth_dir, tmp_path, damage):
+        data = load_dataset(synth_dir / "manifest.json", synth_dir / "labels.txt")
+        params = build_piggyback(data.feature_dim, data.label_set.size, hidden=4).params()
+        if damage == "no_embed_bias":
+            del params["embed.b"]
+        else:
+            params["lstm.W_i"] = params["lstm.W_i"].reshape(-1)
+        checkpoint = tmp_path / "model.egomdl"
+        write_checkpoint(params, checkpoint)
+        code = run("predict", "--model", str(checkpoint),
+                   "--manifest", str(synth_dir / "manifest.json"),
+                   "--labels", str(synth_dir / "labels.txt"),
+                   "--out-dir", str(tmp_path / "out"))
         assert code == 2
 
     def test_phase2_without_checkpoint(self, synth_dir, split_dir, tmp_path):

@@ -8,7 +8,8 @@ from egobatch import (
     DataError,
     DaySequence,
     DenseLayer,
-    FrameBaselineModel,
+    FormatError,
+    LayerStack,
     PredictionTimeline,
     ShapeError,
     build_baseline,
@@ -37,14 +38,14 @@ def random_seq(rng, length, dim, num_classes, sid="s0"):
 class TestBaseline:
     def test_constant_argmax(self):
         # class-0 logit always wins by a large bias margin
-        model = FrameBaselineModel(head=DenseLayer(np.zeros((2, 3)),
-                                                   np.array([5.0, 0.0])))
+        model = LayerStack(head=DenseLayer(np.zeros((2, 3)),
+                                           np.array([5.0, 0.0])))
         seq = random_seq(np.random.default_rng(0), 9, 3, 2)
         timeline = predict_baseline(model, seq)
         assert (timeline.pred_labels == 0).all()
 
     def test_zero_weights_tie_to_lowest_id(self):
-        model = FrameBaselineModel(head=DenseLayer(np.zeros((4, 3)), np.zeros(4)))
+        model = LayerStack(head=DenseLayer(np.zeros((4, 3)), np.zeros(4)))
         seq = random_seq(np.random.default_rng(1), 7, 3, 4)
         timeline = predict_baseline(model, seq)
         assert (timeline.pred_labels == 0).all()
@@ -63,6 +64,14 @@ class TestBaseline:
         seq = random_seq(np.random.default_rng(3), 5, 6, 3)
         with pytest.raises(ShapeError):
             predict_baseline(model, seq)
+
+
+class TestLayerStack:
+    def test_embedding_needs_a_recurrent_layer(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ShapeError):
+            LayerStack(head=DenseLayer.create(5, 3, rng),
+                       embed=DenseLayer.create(4, 5, rng))
 
 
 class TestSlidingPredict:
@@ -247,14 +256,16 @@ class TestDeterminism:
         assert np.array_equal(a.pred_labels, b.pred_labels)
 
     def test_architecture_inference_from_checkpoint(self, tmp_path):
-        for builder, cls_name in [(build_baseline, "FrameBaselineModel"),
-                                  (build_sliding, "SlidingWindowModel"),
-                                  (build_piggyback, "PiggybackModel")]:
+        for builder, architecture in [(build_baseline, "baseline"),
+                                      (build_sliding, "sliding"),
+                                      (build_piggyback, "piggyback")]:
             model = builder(4, 3, seed=1) if builder is build_baseline \
                 else builder(4, 3, hidden=5, seed=1)
             path = tmp_path / "arch.egomdl"
             write_checkpoint(model.params(), path)
-            assert type(model_from_params(read_checkpoint(path))).__name__ == cls_name
+            clone = model_from_params(read_checkpoint(path))
+            assert clone.architecture == architecture
+            assert clone.input_dim == 4
 
     def test_checkpoint_with_missing_tensor_rejected(self, tmp_path):
         model = build_sliding(4, 3, hidden=5, seed=2)
@@ -303,6 +314,19 @@ class TestTimelineJson:
         assert set(obj[0]) == {"sequence_id", "frames"}
         assert set(frame) == {"index", "true", "pred", "probs"}
         assert len(frame["probs"]) == 2
+
+
+class TestMalformedTimelineJson:
+    @pytest.mark.parametrize("frames", [
+        [{"true": 0, "pred": 0, "probs": [1.0, 0.0]},
+         {"true": 1, "pred": 1, "probs": [1.0]}],
+        [{"true": "x", "pred": 0}],
+    ])
+    def test_rejected_as_format_error(self, tmp_path, frames):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps([{"sequence_id": "s", "frames": frames}]))
+        with pytest.raises(FormatError):
+            read_timelines_json(path, 2)
 
 
 class TestTimelineValidation:

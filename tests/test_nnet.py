@@ -25,7 +25,7 @@ from egobatch import (
     softmax_xent,
     write_checkpoint,
 )
-from egobatch.nnet import _masked_xent_rows, _sigmoid, stack_params
+from egobatch.nnet import _masked_xent_rows, _sigmoid
 
 
 def zero_lstm(in_dim, hidden):
@@ -168,7 +168,7 @@ class TestLstmStorage:
     def test_gate_tensors_are_views_of_the_stacks(self):
         model = build_piggyback(5, 3, hidden=4, seed=23)
         lstm = model.lstm
-        for name, w in stack_params(model).items():
+        for name, w in model.params().items():
             if name.startswith("lstm."):
                 stack = {"W": lstm.w_stack, "U": lstm.u_stack,
                          "b": lstm.b_stack}[name[len("lstm."):][0]]
@@ -179,7 +179,7 @@ class TestLstmStorage:
     def test_sgd_update_through_views_moves_the_stacks(self):
         rng = np.random.default_rng(24)
         model = build_sliding(3, 2, hidden=4, seed=25)
-        params = stack_params(model)
+        params = model.params()
         before = {name: getattr(model.lstm, name).copy()
                   for name in ("w_stack", "u_stack", "b_stack")}
         grads = {name: rng.normal(size=w.shape) for name, w in params.items()}
@@ -347,7 +347,7 @@ class TestBackpropWindow:
         _, grads, _ = backprop_window(model, inputs, labels, dropout_rate=0.5,
                                       rng=np.random.default_rng(123), mode="train")
         eps = 1e-6
-        for name, w in stack_params(model).items():
+        for name, w in model.params().items():
             flat = w.reshape(-1)
             gflat = grads[name].reshape(-1)
             sample = np.random.default_rng(12).choice(

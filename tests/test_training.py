@@ -159,6 +159,19 @@ class TestSliding:
         with pytest.raises(ConfigError):
             train_sliding(model, train, val, TrainConfig("baseline"))
 
+    @pytest.mark.parametrize("arch", ["baseline", "piggyback"])
+    def test_stack_must_match_config_architecture(self, arch):
+        _, train, val = desk_data()
+        if arch == "baseline":
+            model = build_baseline(DESK.feature_dim, DESK.num_classes, seed=0)
+        else:
+            model = build_piggyback(DESK.feature_dim, DESK.num_classes, hidden=4, seed=0)
+        before = {name: w.copy() for name, w in model.params().items()}
+        with pytest.raises(ConfigError):
+            train_sliding(model, train, val, TrainConfig("sliding", epochs=1))
+        for name, w in model.params().items():
+            assert np.array_equal(w, before[name]), name
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numeric_failure_reported(self):
         _, train, val = desk_data()
