@@ -4,6 +4,11 @@ All heads consume precomputed per-frame feature vectors. The frame baseline
 classifies frames independently; the sliding-window head runs a recurrent
 layer over fixed-size windows; the piggyback head additionally re-injects the
 previous batch's recurrent outputs at overlapped positions.
+
+A stack keeps its parameters in one vector, `LayerStack.flat`, ordered
+embed | lstm | head, with every layer tensor a view of it; a checkpoint is
+read straight into that layout, and the frozen-embedding sub-stack of phase
+2 training is its tail.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import numpy as np
 from .batching import BatchPlan, batch_plan
 from .datamodel import DaySequence
 from .errors import ConfigError, DataError, FormatError, ShapeError
-from .nnet import GATES, DenseLayer, LstmLayer, run_window, softmax
+from .nnet import GATES, DenseLayer, LstmLayer, flatten_layers, run_window, softmax
 
 DEFAULT_HIDDEN = 256
 RETENTIONS = ("earlier", "later")
@@ -31,6 +36,12 @@ class LayerStack:
     baseline, a recurrent layer before it the sliding-window stack, and an
     affine embedding into the recurrent width before that the piggyback
     stack, whose recurrent outputs can stand in for its recurrent inputs.
+
+    All parameters live in one float64 vector, `flat`, ordered embed | lstm
+    (`w_stack`, `u_stack`, `b_stack`) | head, and every layer tensor is a
+    view of it. Building a stack rebinds its layers to views of its vector;
+    layers whose tensors already lie back to back in one vector keep that
+    storage, so `carry_stage()` shares the tail of `flat`.
     """
 
     head: DenseLayer
@@ -41,14 +52,22 @@ class LayerStack:
         if self.lstm is None:
             if self.embed is not None:
                 raise ShapeError("an embedding needs a recurrent layer after it")
-            return
-        if self.embed is not None and not (
-                self.embed.out_dim == self.lstm.in_dim == self.lstm.hidden):
-            raise ShapeError(
-                "embedding width, recurrent input width and hidden size must all match"
-            )
-        if self.head.in_dim != self.lstm.hidden:
-            raise ShapeError("head input width must equal the recurrent hidden size")
+        else:
+            if self.embed is not None and not (
+                    self.embed.out_dim == self.lstm.in_dim == self.lstm.hidden):
+                raise ShapeError(
+                    "embedding width, recurrent input width and hidden size must all match"
+                )
+            if self.head.in_dim != self.lstm.hidden:
+                raise ShapeError("head input width must equal the recurrent hidden size")
+        self.flat = flatten_layers(
+            [layer for layer in (self.embed, self.lstm, self.head) if layer is not None])
+        # params() lists the tensors in the order they lie in `flat`
+        self._slots = []
+        offset = 0
+        for name, w in self.params().items():
+            self._slots.append((name, offset, offset + w.size, w.shape))
+            offset += w.size
 
     @property
     def architecture(self) -> str:
@@ -62,22 +81,27 @@ class LayerStack:
         return (self.embed or self.lstm or self.head).in_dim
 
     def params(self) -> dict[str, np.ndarray]:
-        """Live parameter tensors, canonically named."""
+        """Live parameter tensors, canonically named, in their `flat` order."""
         out: dict[str, np.ndarray] = {}
         if self.embed is not None:
             out["embed.W"] = self.embed.weight
             out["embed.b"] = self.embed.bias
         if self.lstm is not None:
-            for g in GATES:
-                out[f"lstm.W_{g}"] = self.lstm.w[g]
-                out[f"lstm.U_{g}"] = self.lstm.u[g]
-                out[f"lstm.b_{g}"] = self.lstm.b[g]
+            for kind, gates in zip("WUb", (self.lstm.w, self.lstm.u, self.lstm.b)):
+                for g in GATES:
+                    out[f"lstm.{kind}_{g}"] = gates[g]
         out["head.W"] = self.head.weight
         out["head.b"] = self.head.bias
         return out
 
+    def unflatten(self, vector: np.ndarray) -> dict[str, np.ndarray]:
+        """Views of a vector laid out like `flat`, named like `params()`."""
+        return {name: vector[start:stop].reshape(shape)
+                for name, start, stop, shape in self._slots}
+
     def carry_stage(self) -> "LayerStack":
-        """The sub-stack trained when the embedding is frozen."""
+        """The sub-stack trained when the embedding is frozen; its `flat` is
+        the tail of this stack's, shared, not copied."""
         return LayerStack(self.head, self.lstm)
 
 
@@ -105,25 +129,34 @@ def build_piggyback(feature_dim: int, num_classes: int, hidden: int = DEFAULT_HI
 
 def model_from_params(params: dict[str, np.ndarray]) -> LayerStack:
     """Rebuild a stack from checkpoint tensors; the name prefixes present
-    (`lstm.`, `embed.`) decide which layers it has."""
+    (`lstm.`, `embed.`) decide which layers it has.
+
+    The tensors are copied once, straight into the `flat` layout, which the
+    layers and the stack then adopt without a further copy."""
     layers = {name.split(".", 1)[0] for name in params}
-    expected = {"head.W", "head.b"}
-    if "embed" in layers:
-        expected |= {"embed.W", "embed.b"}
+    expected = ["embed.W", "embed.b"] if "embed" in layers else []
     if "lstm" in layers:
-        expected |= {f"lstm.{k}_{g}" for k in "WUb" for g in GATES}
+        expected += [f"lstm.{k}_{g}" for k in "WUb" for g in GATES]
+    expected += ["head.W", "head.b"]
     names = set(params)
-    if names != expected:
+    if names != set(expected):
         raise ShapeError(
-            f"checkpoint tensors mismatch: missing={sorted(expected - names)} "
-            f"extra={sorted(names - expected)}"
+            f"checkpoint tensors mismatch: missing={sorted(set(expected) - names)} "
+            f"extra={sorted(names - set(expected))}"
         )
+    tensors = {name: np.asarray(params[name], dtype=np.float64) for name in expected}
+    flat = np.empty(sum(w.size for w in tensors.values()))
+    offset = 0
+    for name, w in tensors.items():
+        tensors[name] = flat[offset:offset + w.size].reshape(w.shape)
+        tensors[name][...] = w
+        offset += w.size
     lstm = embed = None
     if "lstm" in layers:
-        lstm = LstmLayer(*({g: params[f"lstm.{k}_{g}"] for g in GATES} for k in "WUb"))
+        lstm = LstmLayer(*({g: tensors[f"lstm.{k}_{g}"] for g in GATES} for k in "WUb"))
     if "embed" in layers:
-        embed = DenseLayer(params["embed.W"], params["embed.b"])
-    return LayerStack(DenseLayer(params["head.W"], params["head.b"]), lstm, embed)
+        embed = DenseLayer(tensors["embed.W"], tensors["embed.b"])
+    return LayerStack(DenseLayer(tensors["head.W"], tensors["head.b"]), lstm, embed)
 
 
 # ---------------------------------------------------------------------------

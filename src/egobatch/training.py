@@ -1,7 +1,8 @@
 """One epoch loop for the three architectures, early stopping, reproducibility.
 
 The loop takes one SGD step per batch of a plan (the gradient is the mean
-over the window's supervised frames), shuffle the day sequences each epoch
+over the window's supervised frames, and one update covers the trained
+stack's whole flat parameter vector), shuffle the day sequences each epoch
 with a seeded permutation, and select the best epoch by validation loss.
 The overlap architecture trains in two phases: phase 1 on non-overlapping
 consecutive batches with the full stack, phase 2 on the overlap plan with
@@ -142,18 +143,16 @@ def validate_model(model, val_seqs: list[DaySequence], predict) -> tuple[float, 
     return total_loss / total_frames, total_correct / total_frames
 
 
-def _clone_params(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    return {name: w.copy() for name, w in params.items()}
-
-
 class _EpochDriver:
     """The epoch/validation/early-stop loop over the batches of a plan.
 
     `plan(length)` tiles each training day; `stage` is the stack that trains
-    (the model unless the embedding is frozen), and only its parameters get
-    optimizer state. With `overlap` m > 0 the batches run in order, the
-    model's embedding turns each batch into recurrent inputs, and the first m
-    of them are replaced by the previous batch's last m recurrent outputs.
+    (the model unless the embedding is frozen). The optimizer state is one
+    velocity vector for the stage's `flat` parameters, and each step updates
+    them with one `sgd_update` over the flat gradient. With `overlap` m > 0
+    the model's (frozen) embedding turns the padded day into recurrent
+    inputs once, the batches run in order, and the first m inputs of each
+    are replaced by the previous batch's last m recurrent outputs.
     """
 
     def __init__(self, model: LayerStack, cfg: TrainConfig, predict, plan,
@@ -171,22 +170,24 @@ class _EpochDriver:
         shuffle_seed, dropout_seed = seq_seed.spawn(2)
         self.shuffle_rng = np.random.default_rng(shuffle_seed)
         self.dropout_rng = np.random.default_rng(dropout_seed)
+        # one-entry dicts: sgd_update updates the whole vector at once
+        self.params = {"flat": self.stage.flat}
         self.opt = OptimizerState.create(
-            self.stage.params(), cfg.learning_rate, cfg.momentum, cfg.weight_decay
+            self.params, cfg.learning_rate, cfg.momentum, cfg.weight_decay
         )
 
     def train_steps(self, seq: DaySequence):
         plan = self.plan(len(seq))
         rows, labels = plan.rows(seq.features), plan.rows(seq.labels)
         m = self.overlap
-        h_prev = None
+        if m:
+            rows = self.model.embed.forward_rows(rows)
         for start in plan.starts:
             batch = slice(start, start + plan.size)
             inputs = rows[batch]
-            if m:
-                inputs = self.model.embed.forward_rows(inputs)
-                if h_prev is not None:
-                    inputs[:m] = h_prev[-m:]
+            if m and start:
+                # overwrites positions the previous batch has already read
+                inputs[:m] = h_prev[-m:]
             loss, grads, fwd = backprop_window(
                 self.stage, inputs, labels[batch], plan.valid[batch],
                 dropout_rate=self.cfg.dropout, rng=self.dropout_rng, mode="train",
@@ -200,7 +201,6 @@ class _EpochDriver:
             raise ConfigError("training needs at least one train and one val sequence")
         cfg = self.cfg
         report = TrainReport()
-        params = self.model.params()
         best_params = None
         best_loss = np.inf
         history: list[float] = []
@@ -212,7 +212,7 @@ class _EpochDriver:
                     for loss, grads in self.train_steps(train_seqs[idx]):
                         if not np.isfinite(loss):
                             raise NumericError("non-finite training loss")
-                        sgd_update(params, grads, self.opt)
+                        sgd_update(self.params, {"flat": grads.vector}, self.opt)
                         step_losses.append(loss)
             except NumericError:
                 report.stop_reason = "numeric_failure"
@@ -223,7 +223,7 @@ class _EpochDriver:
             )
             if val_loss < best_loss - _IMPROVEMENT:
                 best_loss = val_loss
-                best_params = _clone_params(params)
+                best_params = self.model.unflatten(self.model.flat.copy())
                 report.best_epoch = len(report.epochs) - 1
             history.append(val_loss)
             if early_stop_update(history, cfg.patience):

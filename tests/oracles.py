@@ -2,14 +2,16 @@
 
 These deliberately avoid the library's vectorized paths: the recurrent
 reference walks frame by frame through the single-step operations, and the
-split reference enumerates subsets with plain-Python bitmask loops.
+split reference enumerates subsets with plain-Python bitmask loops. The
+backward and SGD references are the plain loops the library's kernels
+replaced; the kernels must match them bit for bit.
 """
 
 import math
 
 import numpy as np
 
-from egobatch.nnet import LstmState
+from egobatch.nnet import GATES, LstmState
 
 
 def unbatched_reference_logits(model, seq, batch_size, overlap,
@@ -93,3 +95,51 @@ def brute_force_split(bin_labels, num_classes, test_bins, val_bins,
         reference = dist(counts_of(remaining))
     val_ids, objective_val = stage(remaining, val_bins, reference)
     return test_ids, val_ids, objective_test, objective_val
+
+
+def reference_lstm_backward(layer, cache, d_outputs):
+    """Truncated-BPTT gradients of one window, one position at a time.
+
+    Returns per-gate gradients keyed `W_i`, `U_i`, `b_i`, ... and dLoss/dinputs.
+    """
+    steps, hid = d_outputs.shape
+    # the window starts from zero state
+    c_prev_rows = np.vstack([np.zeros(hid), cache.c_rows[:-1]])
+    h_prev_rows = np.vstack([np.zeros(hid), cache.h_rows[:-1]])
+    d_pre = np.empty((steps, 4 * hid))
+    dh_next = np.zeros(hid)
+    dc_next = np.zeros(hid)
+    for t in range(steps - 1, -1, -1):
+        gates = cache.gate_rows[t]
+        i, f = gates[:hid], gates[hid:2 * hid]
+        o, g = gates[2 * hid:3 * hid], gates[3 * hid:]
+        tanh_c = cache.tanh_c_rows[t]
+        dh = d_outputs[t] + dh_next
+        do = dh * tanh_c
+        dc = dh * o * (1.0 - tanh_c * tanh_c) + dc_next
+        d_pre[t, :hid] = dc * g * i * (1.0 - i)
+        d_pre[t, hid:2 * hid] = dc * c_prev_rows[t] * f * (1.0 - f)
+        d_pre[t, 2 * hid:3 * hid] = do * o * (1.0 - o)
+        d_pre[t, 3 * hid:] = dc * i * (1.0 - g * g)
+        dc_next = dc * f
+        dh_next = layer.u_stack.T @ d_pre[t]
+    dw_stack = d_pre.T @ cache.inputs
+    du_stack = d_pre.T @ h_prev_rows
+    db_stack = d_pre.sum(axis=0)
+    grads = {}
+    for k, gate in enumerate(GATES):
+        grads[f"W_{gate}"] = dw_stack[k * hid:(k + 1) * hid]
+        grads[f"U_{gate}"] = du_stack[k * hid:(k + 1) * hid]
+        grads[f"b_{gate}"] = db_stack[k * hid:(k + 1) * hid]
+    d_inputs = d_pre @ layer.w_stack
+    return grads, d_inputs
+
+
+def reference_sgd_update(params, grads, opt):
+    """In place, one tensor at a time: v <- mu v - alpha (g + lambda w); w <- w + v."""
+    for name, v in opt.velocity.items():
+        w = params[name]
+        g = grads[name]
+        v *= opt.momentum
+        v -= opt.learning_rate * (g + opt.weight_decay * w)
+        w += v

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import pytest
 
@@ -168,6 +169,19 @@ class TestDataErrors:
             params["lstm.W_i"] = params["lstm.W_i"].reshape(-1)
         checkpoint = tmp_path / "model.egomdl"
         write_checkpoint(params, checkpoint)
+        code = run("predict", "--model", str(checkpoint),
+                   "--manifest", str(synth_dir / "manifest.json"),
+                   "--labels", str(synth_dir / "labels.txt"),
+                   "--out-dir", str(tmp_path / "out"))
+        assert code == 2
+
+    def test_checkpoint_dimensions_that_wrap(self, synth_dir, tmp_path):
+        # 65536^4 elements wrap to 0 in int64; the data is missing, not empty
+        name = b"head.W"
+        checkpoint = tmp_path / "bad.egomdl"
+        checkpoint.write_bytes(b"EGOMDL01" + struct.pack("<I", 1)
+                               + struct.pack("<H", len(name)) + name + bytes([4])
+                               + struct.pack("<I", 65536) * 4)
         code = run("predict", "--model", str(checkpoint),
                    "--manifest", str(synth_dir / "manifest.json"),
                    "--labels", str(synth_dir / "labels.txt"),

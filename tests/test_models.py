@@ -277,6 +277,64 @@ class TestDeterminism:
             model_from_params(read_checkpoint(path))
 
 
+def address(array):
+    return array.__array_interface__["data"][0]
+
+
+def assert_flat_layout(model):
+    """Every params() tensor occupies the next stretch of model.flat."""
+    layers = [name.split(".")[0] for name in model.params()]
+    assert layers == sorted(layers, key=("embed", "lstm", "head").index)
+    offset = 0
+    for name, w in model.params().items():
+        assert w.flags.c_contiguous, name
+        assert address(w) == address(model.flat) + 8 * offset, name
+        assert np.shares_memory(w, model.flat), name
+        offset += w.size
+    assert offset == model.flat.size
+
+
+def all_stacks():
+    return [build_baseline(4, 3, seed=1), build_sliding(4, 3, hidden=5, seed=1),
+            build_piggyback(4, 3, hidden=5, seed=1)]
+
+
+class TestFlatLayout:
+    def test_params_are_views_of_flat_in_layer_order(self):
+        for model in all_stacks():
+            assert_flat_layout(model)
+            assert model.flat.dtype == np.float64 and model.flat.base is None
+            model.flat += 1.0
+            for name, w in model.unflatten(model.flat).items():
+                assert np.array_equal(w, model.params()[name]), name
+
+    def test_carry_stage_is_the_tail_of_the_vector(self):
+        model = build_piggyback(4, 3, hidden=5, seed=2)
+        stage = model.carry_stage()
+        assert_flat_layout(stage)
+        tail = model.flat[model.embed.size:]
+        assert address(stage.flat) == address(tail) and stage.flat.shape == tail.shape
+        embed = model.flat[:model.embed.size].copy()
+        stage.flat -= 0.5
+        assert np.array_equal(model.flat[:model.embed.size], embed)
+        assert np.array_equal(model.lstm.u["o"], stage.params()["lstm.U_o"])
+        assert_flat_layout(model)
+
+    def test_checkpoint_rebuilds_the_flat_layout(self, tmp_path):
+        for model in all_stacks():
+            model.flat[...] = np.random.default_rng(3).normal(size=model.flat.size)
+            path = tmp_path / "m.egomdl"
+            write_checkpoint(model.params(), path)
+            written = path.read_bytes()
+            clone = model_from_params(read_checkpoint(path))
+            assert_flat_layout(clone)
+            assert np.array_equal(clone.flat, model.flat)
+            write_checkpoint(clone.params(), path)
+            assert path.read_bytes() == written
+            write_checkpoint({name: w.copy() for name, w in clone.params().items()}, path)
+            assert path.read_bytes() == written
+
+
 class TestTimelineJson:
     def test_round_trip_with_probs(self, tmp_path):
         rng = np.random.default_rng(16)

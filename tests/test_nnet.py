@@ -1,4 +1,5 @@
 import math
+import struct
 import warnings
 
 import numpy as np
@@ -25,7 +26,8 @@ from egobatch import (
     softmax_xent,
     write_checkpoint,
 )
-from egobatch.nnet import _masked_xent_rows, _sigmoid
+from egobatch.nnet import SGD_CHUNK, _masked_xent_rows, _sigmoid
+from oracles import reference_lstm_backward, reference_sgd_update
 
 
 def zero_lstm(in_dim, hidden):
@@ -193,6 +195,44 @@ class TestLstmStorage:
                                   - 0.1 * grads[f"lstm.W_{g}"])
 
 
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestLstmBackward:
+    def test_equals_the_per_position_loop_bit_for_bit(self):
+        rng = np.random.default_rng(27)
+        for hidden in (1, 3, 32, 64):
+            for steps in range(1, 13):
+                in_dim = int(rng.integers(1, 40))
+                layer = LstmLayer.create(in_dim, hidden, rng)
+                layer.b_stack[...] = rng.normal(size=4 * hidden)
+                _, cache = layer.run(rng.normal(scale=2.0, size=(steps, in_dim)))
+                d_outputs = rng.normal(size=(steps, hidden))
+                grads, d_inputs = layer.backward(cache, d_outputs)
+                want, want_inputs = reference_lstm_backward(layer, cache, d_outputs)
+                w_end, u_end = layer.w_stack.size, layer.w_stack.size + layer.u_stack.size
+                stacked = {"W": grads[:w_end].reshape(layer.w_stack.shape),
+                           "U": grads[w_end:u_end].reshape(layer.u_stack.shape),
+                           "b": grads[u_end:]}
+                for k, gate in enumerate("ifoc"):
+                    for kind, stack in stacked.items():
+                        got = stack[k * hidden:(k + 1) * hidden]
+                        assert same_bits(got, want[f"{kind}_{gate}"]), (hidden, steps, kind)
+                assert same_bits(d_inputs, want_inputs), (hidden, steps)
+
+    def test_writes_into_the_given_vector(self):
+        rng = np.random.default_rng(28)
+        layer = LstmLayer.create(3, 4, rng)
+        _, cache = layer.run(rng.normal(size=(5, 3)))
+        out = np.full(layer.size + 2, np.nan)
+        got, _ = layer.backward(cache, rng.normal(size=(5, 4)), out=out[1:-1])
+        assert np.shares_memory(got, out)
+        assert np.isfinite(out[1:-1]).all()
+        assert np.isnan(out[[0, -1]]).all()
+
+
 class TestSoftmaxXent:
     def test_uniform_21_classes(self):
         loss, dlogits = softmax_xent(np.zeros(21), 0)
@@ -278,6 +318,31 @@ class TestSgd:
         with pytest.raises(ShapeError):
             sgd_update(params, {"w": np.ones(3)}, opt)
 
+    def test_chunked_flat_update_equals_per_tensor_loop_bit_for_bit(self):
+        rng = np.random.default_rng(29)
+        shapes = [(3 * SGD_CHUNK // 200 + 7, 200), (SGD_CHUNK + 5,), (13,), (4, 9)]
+        tensors = {f"t{k}": rng.normal(size=shape) for k, shape in enumerate(shapes)}
+        flat = np.concatenate([w.reshape(-1) for w in tensors.values()])
+        assert flat.size > SGD_CHUNK and flat.size % SGD_CHUNK
+        per_tensor = {name: w.copy() for name, w in tensors.items()}
+        chunked = {name: w.copy() for name, w in tensors.items()}
+        hyper = dict(learning_rate=0.03, momentum=0.9, weight_decay=5e-3)
+        ref_opt = OptimizerState.create(per_tensor, **hyper)
+        dict_opt = OptimizerState.create(chunked, **hyper)
+        flat_opt = OptimizerState.create({"flat": flat}, **hyper)
+        for _ in range(3):
+            grads = {name: rng.normal(size=w.shape) for name, w in tensors.items()}
+            reference_sgd_update(per_tensor, grads, ref_opt)
+            sgd_update(chunked, grads, dict_opt)
+            flat_grads = np.concatenate([g.reshape(-1) for g in grads.values()])
+            sgd_update({"flat": flat}, {"flat": flat_grads}, flat_opt)
+        want = np.concatenate([w.reshape(-1) for w in per_tensor.values()])
+        want_v = np.concatenate([v.reshape(-1) for v in ref_opt.velocity.values()])
+        assert same_bits(flat, want)
+        assert same_bits(flat_opt.velocity["flat"], want_v)
+        for name, w in per_tensor.items():
+            assert same_bits(chunked[name], w), name
+
     def test_hyperparameter_validation(self):
         with pytest.raises(ConfigError):
             OptimizerState.create({}, learning_rate=0.0)
@@ -321,6 +386,23 @@ class TestBackpropWindow:
         with pytest.raises(DataError):
             backprop_window(model, np.zeros((2, 2)), np.zeros(2, dtype=int),
                             np.zeros(2, dtype=bool), mode="train")
+
+    def test_gradients_are_views_of_one_vector_laid_out_like_flat(self):
+        rng = np.random.default_rng(30)
+        for model in (build_baseline(4, 3, seed=1), build_sliding(4, 3, hidden=5, seed=1),
+                      build_piggyback(4, 3, hidden=5, seed=1)):
+            inputs, labels = rng.normal(size=(6, 4)), rng.integers(3, size=6)
+            for mask in (None, np.zeros(6, dtype=bool)):
+                _, grads, _ = backprop_window(model, inputs, labels, mask, mode="eval")
+                assert grads.vector.shape == model.flat.shape
+                assert list(grads) == list(model.params())
+                offset = 0
+                for name, g in grads.items():
+                    assert g.shape == model.params()[name].shape
+                    assert np.shares_memory(g, grads.vector[offset:offset + g.size]), name
+                    assert same_bits(g.reshape(-1), grads.vector[offset:offset + g.size])
+                    offset += g.size
+                assert offset == grads.vector.size
 
     def test_all_masked_eval_gives_zero(self):
         model = build_baseline(2, 2, seed=0)
@@ -492,6 +574,18 @@ class TestCheckpoint:
         write_checkpoint(model.params(), path)
         path.write_bytes(path.read_bytes()[:-4])
         with pytest.raises(FormatError):
+            read_checkpoint(path)
+
+    @pytest.mark.parametrize("dims", [(2 ** 31, 2 ** 31, 4), (65536,) * 4])
+    def test_dimensions_whose_product_wraps_are_truncated_data(self, tmp_path, dims):
+        # in int64 both products wrap to 0 elements
+        name = b"head.W"
+        payload = b"EGOMDL01" + struct.pack("<I", 1)
+        payload += struct.pack("<H", len(name)) + name + bytes([len(dims)])
+        payload += b"".join(struct.pack("<I", d) for d in dims)
+        path = tmp_path / "wrap.egomdl"
+        path.write_bytes(payload)
+        with pytest.raises(FormatError, match="truncated"):
             read_checkpoint(path)
 
     def test_order_enforced(self, tmp_path):

@@ -305,6 +305,27 @@ class TestPiggyback:
         assert model.embed.bias.tobytes() == embed_b
         assert not np.array_equal(model.lstm.w["i"], lstm_before)
 
+    def test_phase2_steps_leave_every_embed_byte_unchanged(self, monkeypatch):
+        _, train, val = desk_data()
+        model = build_piggyback(DESK.feature_dim, DESK.num_classes, hidden=6, seed=2)
+        embed = model.flat[:model.embed.size]
+        frozen = embed.tobytes()
+        tail = model.flat[model.embed.size:].copy()
+        real = training_module.sgd_update
+        steps = []
+
+        def checking(params, grads, opt):
+            real(params, grads, opt)
+            assert embed.tobytes() == frozen
+            steps.append(1)
+
+        monkeypatch.setattr(training_module, "sgd_update", checking)
+        cfg = TrainConfig("piggyback", timestep=5, overlap=2, learning_rate=0.05,
+                          epochs=1, dropout=0.25, seed=0, patience=5, phase=2)
+        train_piggyback(model, train, val, cfg)
+        assert steps
+        assert not np.array_equal(model.flat[model.embed.size:], tail)
+
     def test_phase2_context_helps_ambiguous_frames(self):
         # the carry mechanism must not hurt ambiguous-frame accuracy
         ds = generate_synthetic(SynthConfig(num_sequences=10,

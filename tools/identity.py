@@ -1,0 +1,123 @@
+"""Print SHA-256 digests of trained parameters and predictions.
+
+    python3 tools/identity.py
+
+Trains every architecture on small synthetic days (one of them 3 frames
+long) at three (feature dim, hidden) sizes, then prints one digest per line:
+the last and the best parameters after baseline, sliding (T = 8, dropout
+0.5) and piggyback phase 1 and phase 2 training (n = 10, m = 3), and the
+outputs of `piggyback_logits` and `predict_sliding_sequence`. The package
+is imported from the `src/` next to this directory, so running the script
+in two checkouts and diffing the output shows whether a change keeps the
+trained bytes. The last line digests all the others.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import sys
+from pathlib import Path
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+import numpy as np  # noqa: E402
+
+from egobatch import (  # noqa: E402
+    DaySequence,
+    SynthConfig,
+    TrainConfig,
+    build_baseline,
+    build_piggyback,
+    build_sliding,
+    generate_synthetic,
+    predict_sliding_sequence,
+    train_baseline,
+    train_piggyback,
+    train_sliding,
+)
+from egobatch.models import piggyback_logits  # noqa: E402
+
+SIZES = ((12, 24), (16, 32), (64, 256))
+LENGTHS = (57, 41, 3, 66, 30, 23, 48)  # training days; the 3-frame day is <= m
+VAL_DAYS = 3
+T, N, M = 8, 10, 3
+
+
+def digest_arrays(arrays) -> str:
+    sha = hashlib.sha256()
+    for arr in arrays:
+        arr = np.ascontiguousarray(arr)
+        sha.update(str((arr.dtype.str, arr.shape)).encode())
+        sha.update(arr.tobytes())
+    return sha.hexdigest()
+
+
+def digest_params(params) -> str:
+    if params is None:
+        return "none"
+    sha = hashlib.sha256()
+    for name in sorted(params):
+        sha.update(name.encode())
+        sha.update(digest_arrays([params[name]]).encode())
+    return sha.hexdigest()
+
+
+def days(feature_dim: int):
+    data = generate_synthetic(SynthConfig(feature_dim=feature_dim,
+                                          num_sequences=len(LENGTHS) + VAL_DAYS,
+                                          frames_per_sequence=70, seed=5))
+    seqs = data.sequences
+    train = [DaySequence(s.sequence_id, s.user_id, s.features[:length], s.labels[:length])
+             for s, length in zip(seqs, LENGTHS)]
+    return train, seqs[len(LENGTHS):], data.label_set.size
+
+
+def config(arch: str, **kwargs) -> TrainConfig:
+    return TrainConfig(arch, learning_rate=0.05, epochs=2, patience=5, seed=3, **kwargs)
+
+
+def run_size(feature_dim: int, hidden: int):
+    train, val, classes = days(feature_dim)
+    everything = train + val
+    tag = f"D{feature_dim}-H{hidden}"
+
+    def report(what, result, model):
+        yield f"{tag} {what} last {digest_params(model.params())}"
+        yield f"{tag} {what} best {digest_params(result.best_params)}"
+
+    model = build_baseline(feature_dim, classes, seed=0)
+    yield from report("baseline", train_baseline(model, train, val, config("baseline")),
+                      model)
+
+    model = build_sliding(feature_dim, classes, hidden=hidden, seed=0)
+    result = train_sliding(model, train, val, config("sliding", timestep=T, dropout=0.5))
+    yield from report("sliding", result, model)
+    timelines = [predict_sliding_sequence(model, day, T) for day in everything]
+    outputs = [a for t in timelines for a in (t.probs, t.pred_labels)]
+    yield f"{tag} sliding predict {digest_arrays(outputs)}"
+
+    model = build_piggyback(feature_dim, classes, hidden=hidden, seed=0)
+    for phase, dropout in ((1, 0.5), (2, 0.25)):
+        result = train_piggyback(model, train, val, config(
+            "piggyback", timestep=N, overlap=M, dropout=dropout, phase=phase))
+        yield from report(f"piggyback-phase{phase}", result, model)
+    logits = [piggyback_logits(model, day, N, M) for day in everything]
+    yield f"{tag} piggyback logits {digest_arrays(logits)}"
+
+
+def main() -> int:
+    lines = []
+    for feature_dim, hidden in SIZES:
+        for line in run_size(feature_dim, hidden):
+            print(line, flush=True)
+            lines.append(line)
+    print(f"all {hashlib.sha256(chr(10).join(lines).encode()).hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
