@@ -56,7 +56,6 @@ from .nnet import (
     run_window,
     sgd_update,
     softmax,
-    softmax_xent,
     write_checkpoint,
 )
 from .splitter import Bin, SplitResult, bhattacharyya, combinations, ffd_pack, select_split

@@ -4,11 +4,6 @@ All heads consume precomputed per-frame feature vectors. The frame baseline
 classifies frames independently; the sliding-window head runs a recurrent
 layer over fixed-size windows; the piggyback head additionally re-injects the
 previous batch's recurrent outputs at overlapped positions.
-
-A stack keeps its parameters in one vector, `LayerStack.flat`, ordered
-embed | lstm | head, with every layer tensor a view of it; a checkpoint is
-read straight into that layout, and the frozen-embedding sub-stack of phase
-2 training is its tail.
 """
 
 from __future__ import annotations
@@ -22,7 +17,7 @@ import numpy as np
 from .batching import BatchPlan, batch_plan
 from .datamodel import DaySequence
 from .errors import ConfigError, DataError, FormatError, ShapeError
-from .nnet import GATES, DenseLayer, LstmLayer, flatten_layers, run_window, softmax
+from .nnet import GATES, DenseLayer, LstmLayer, run_window, softmax
 
 DEFAULT_HIDDEN = 256
 RETENTIONS = ("earlier", "later")
@@ -36,12 +31,6 @@ class LayerStack:
     baseline, a recurrent layer before it the sliding-window stack, and an
     affine embedding into the recurrent width before that the piggyback
     stack, whose recurrent outputs can stand in for its recurrent inputs.
-
-    All parameters live in one float64 vector, `flat`, ordered embed | lstm
-    (`w_stack`, `u_stack`, `b_stack`) | head, and every layer tensor is a
-    view of it. Building a stack rebinds its layers to views of its vector;
-    layers whose tensors already lie back to back in one vector keep that
-    storage, so `carry_stage()` shares the tail of `flat`.
     """
 
     head: DenseLayer
@@ -60,14 +49,6 @@ class LayerStack:
                 )
             if self.head.in_dim != self.lstm.hidden:
                 raise ShapeError("head input width must equal the recurrent hidden size")
-        self.flat = flatten_layers(
-            [layer for layer in (self.embed, self.lstm, self.head) if layer is not None])
-        # params() lists the tensors in the order they lie in `flat`
-        self._slots = []
-        offset = 0
-        for name, w in self.params().items():
-            self._slots.append((name, offset, offset + w.size, w.shape))
-            offset += w.size
 
     @property
     def architecture(self) -> str:
@@ -76,12 +57,17 @@ class LayerStack:
         return "baseline" if self.lstm is None else "sliding"
 
     @property
+    def layers(self) -> list:
+        """The layers present, in order: embed, lstm, head."""
+        return [layer for layer in (self.embed, self.lstm, self.head) if layer is not None]
+
+    @property
     def input_dim(self) -> int:
         """Feature width the stack consumes."""
         return (self.embed or self.lstm or self.head).in_dim
 
     def params(self) -> dict[str, np.ndarray]:
-        """Live parameter tensors, canonically named, in their `flat` order."""
+        """Live parameter tensors, canonically named, in `layers` order."""
         out: dict[str, np.ndarray] = {}
         if self.embed is not None:
             out["embed.W"] = self.embed.weight
@@ -95,13 +81,17 @@ class LayerStack:
         return out
 
     def unflatten(self, vector: np.ndarray) -> dict[str, np.ndarray]:
-        """Views of a vector laid out like `flat`, named like `params()`."""
-        return {name: vector[start:stop].reshape(shape)
-                for name, start, stop, shape in self._slots}
+        """Views of a vector laid out like `flatten_layers(self.layers)`,
+        named like `params()`."""
+        views, offset = {}, 0
+        for name, w in self.params().items():
+            views[name] = vector[offset:offset + w.size].reshape(w.shape)
+            offset += w.size
+        return views
 
     def carry_stage(self) -> "LayerStack":
-        """The sub-stack trained when the embedding is frozen; its `flat` is
-        the tail of this stack's, shared, not copied."""
+        """The sub-stack trained when the embedding is frozen; it shares this
+        stack's recurrent layer and head."""
         return LayerStack(self.head, self.lstm)
 
 
@@ -129,10 +119,8 @@ def build_piggyback(feature_dim: int, num_classes: int, hidden: int = DEFAULT_HI
 
 def model_from_params(params: dict[str, np.ndarray]) -> LayerStack:
     """Rebuild a stack from checkpoint tensors; the name prefixes present
-    (`lstm.`, `embed.`) decide which layers it has.
-
-    The tensors are copied once, straight into the `flat` layout, which the
-    layers and the stack then adopt without a further copy."""
+    (`lstm.`, `embed.`) decide which layers it has. The stack shares no
+    memory with `params`."""
     layers = {name.split(".", 1)[0] for name in params}
     expected = ["embed.W", "embed.b"] if "embed" in layers else []
     if "lstm" in layers:
@@ -144,19 +132,19 @@ def model_from_params(params: dict[str, np.ndarray]) -> LayerStack:
             f"checkpoint tensors mismatch: missing={sorted(set(expected) - names)} "
             f"extra={sorted(names - set(expected))}"
         )
-    tensors = {name: np.asarray(params[name], dtype=np.float64) for name in expected}
-    flat = np.empty(sum(w.size for w in tensors.values()))
-    offset = 0
-    for name, w in tensors.items():
-        tensors[name] = flat[offset:offset + w.size].reshape(w.shape)
-        tensors[name][...] = w
-        offset += w.size
+
+    def dense(prefix: str) -> DenseLayer:
+        # DenseLayer keeps float64 arrays it is given, so copy them here
+        return DenseLayer(np.array(params[f"{prefix}.W"], dtype=np.float64),
+                          np.array(params[f"{prefix}.b"], dtype=np.float64))
+
     lstm = embed = None
     if "lstm" in layers:
-        lstm = LstmLayer(*({g: tensors[f"lstm.{k}_{g}"] for g in GATES} for k in "WUb"))
+        # stacking the gates copies them
+        lstm = LstmLayer(*({g: params[f"lstm.{k}_{g}"] for g in GATES} for k in "WUb"))
     if "embed" in layers:
-        embed = DenseLayer(tensors["embed.W"], tensors["embed.b"])
-    return LayerStack(DenseLayer(tensors["head.W"], tensors["head.b"]), lstm, embed)
+        embed = dense("embed")
+    return LayerStack(dense("head"), lstm, embed)
 
 
 # ---------------------------------------------------------------------------

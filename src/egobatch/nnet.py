@@ -5,12 +5,12 @@ A "layer stack" is a `models.LayerStack`: an optional affine `embed`, an
 optional recurrent `lstm` and an affine `head` producing class logits, with
 `params()` naming its tensors. The layers present decide the architecture.
 
-A stack keeps all of its parameters in one vector, `flat` (see
-`flatten_layers`), and every layer tensor is a view of it. `backprop_window`
-writes a window's gradients into one vector with the same layout and returns
-them by name as views of it (`Gradients`), so a training loop can update the
-whole stack with one `sgd_update` over the two vectors, which runs its
-element-wise passes chunk by chunk to stay in cache.
+A training run lays the tensors of the layers it trains back to back in one
+vector (`flatten_layers`), rebinding the layers to views of it.
+`backprop_window` writes a window's gradients into one vector with the same
+layout, so each step updates the whole stack with one `sgd_update` over the
+two vectors, which runs its element-wise passes chunk by chunk to stay in
+cache.
 
 Checkpoints (.egomdl) store named float64 tensors, lexicographically ordered,
 little-endian.
@@ -48,25 +48,10 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def _glorot(rng: np.random.Generator, out_dim: int, in_dim: int) -> np.ndarray:
+    if out_dim < 1 or in_dim < 1:
+        raise ConfigError(f"layer sizes must be positive, got {out_dim} x {in_dim}")
     limit = np.sqrt(6.0 / (in_dim + out_dim))
     return rng.uniform(-limit, limit, size=(out_dim, in_dim))
-
-
-def _joined(parts: list[np.ndarray]) -> np.ndarray:
-    """`np.concatenate(parts)`, but a view instead of a copy when the parts
-    are C-contiguous views lying back to back in one float64 array."""
-    base = parts[0].base
-    start = end = parts[0].__array_interface__["data"][0]
-    for part in parts:
-        if base is None or part.base is not base or not part.flags.c_contiguous \
-                or part.__array_interface__["data"][0] != end:
-            return np.concatenate(parts)
-        end += part.nbytes
-    if base.dtype != np.float64 or not base.flags.c_contiguous:
-        return np.concatenate(parts)
-    offset = (start - base.__array_interface__["data"][0]) // base.itemsize
-    vector = base.reshape(-1)[offset:offset + (end - start) // base.itemsize]
-    return vector.reshape((-1,) + parts[0].shape[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +140,7 @@ class LstmLayer:
 
     The gates live stacked in that order in `w_stack` (4H x D), `u_stack`
     (4H x H) and `b_stack` (4H); `w`, `u` and `b` map each gate to its row
-    block, a view, so updating either name updates both. Gate tensors that
-    already lie back to back in one vector are stacked without a copy.
+    block, a view, so updating either name updates both.
     """
 
     def __init__(self, w: dict[str, np.ndarray], u: dict[str, np.ndarray],
@@ -174,7 +158,7 @@ class LstmLayer:
             if not (np.isfinite(w[g]).all() and np.isfinite(u[g]).all()
                     and np.isfinite(b[g]).all()):
                 raise DataError("recurrent layer parameters must be finite")
-        self._bind(*(_joined([gates[g] for g in GATES]) for gates in (w, u, b)))
+        self._bind(*(np.concatenate([gates[g] for g in GATES]) for gates in (w, u, b)))
 
     def _tensors(self) -> tuple[np.ndarray, ...]:
         return self.w_stack, self.u_stack, self.b_stack
@@ -337,14 +321,12 @@ class LstmLayer:
 
 
 def flatten_layers(layers: list) -> np.ndarray:
-    """One vector holding the tensors of `layers` back to back, in order.
+    """A new vector holding the tensors of `layers` back to back, in order.
 
     Every layer is rebound to views of the vector, so updating the vector
-    updates the layers. Tensors that already lie back to back in one vector,
-    such as the layers of the tail of a stack, keep their storage: the
-    vector returned is then a view of it, not a copy.
+    updates the layers.
     """
-    flat = _joined([t.reshape(-1) for layer in layers for t in layer._tensors()])
+    flat = np.concatenate([t.reshape(-1) for layer in layers for t in layer._tensors()])
     offset = 0
     for layer in layers:
         views = []
@@ -365,21 +347,6 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=-1, keepdims=True)
     ex = np.exp(shifted)
     return ex / ex.sum(axis=-1, keepdims=True)
-
-
-def softmax_xent(logits: np.ndarray, true_label: int) -> tuple[float, np.ndarray]:
-    """Cross-entropy of one frame; returns (loss, dLoss/dlogits)."""
-    logits = np.asarray(logits, dtype=np.float64)
-    if logits.ndim != 1:
-        raise ShapeError("softmax_xent expects a 1-D logit vector")
-    if not 0 <= true_label < logits.shape[0]:
-        raise DataError(f"label {true_label} out of range for {logits.shape[0]} classes")
-    shifted = logits - logits.max()
-    logp = shifted - np.log(np.exp(shifted).sum())
-    loss = -logp[true_label]
-    dlogits = np.exp(logp)
-    dlogits[true_label] -= 1.0
-    return float(loss), dlogits
 
 
 def _masked_xent_rows(logits: np.ndarray, labels: np.ndarray, mask: np.ndarray
@@ -446,25 +413,16 @@ def run_window(model, inputs: np.ndarray, *, dropout_rate: float = 0.0,
                          _lstm_cache=lstm_cache)
 
 
-class Gradients(dict):
-    """Gradients by parameter name, all views of `vector`, which is laid out
-    like the stack's `flat` parameter vector."""
-
-    def __init__(self, named: dict[str, np.ndarray], vector: np.ndarray):
-        super().__init__(named)
-        self.vector = vector
-
-
 def backprop_window(model, inputs: np.ndarray, labels: np.ndarray,
                     loss_mask: np.ndarray | None = None, *,
                     dropout_rate: float = 0.0,
                     rng: np.random.Generator | None = None,
                     mode: str = "train"
-                    ) -> tuple[float, Gradients, WindowForward]:
+                    ) -> tuple[float, np.ndarray, WindowForward]:
     """Loss and exact gradients of the mean masked cross-entropy over a window.
 
-    The gradients are written into one new vector laid out like `model.flat`
-    and returned by parameter name as views of it. Masked-out steps
+    The gradients are one new vector laid out like `flatten_layers` lays out
+    `model.layers`; `model.unflatten` names its parts. Masked-out steps
     contribute nothing to the loss or any gradient. Eval mode disables
     dropout; with an all-false mask it returns zero loss and zero gradients,
     while train mode rejects such a degenerate batch.
@@ -478,12 +436,11 @@ def backprop_window(model, inputs: np.ndarray, labels: np.ndarray,
     if labels.shape != (steps,) or mask.shape != (steps,):
         raise ShapeError("labels and loss mask must have one entry per step")
     train = mode == "train"
+    size = sum(layer.size for layer in model.layers)
     if not mask.any():
         if train:
             raise DataError("degenerate training batch: every step is loss-masked")
-        fwd = run_window(model, inputs)
-        zeros = np.zeros(model.flat.size)
-        return 0.0, Gradients(model.unflatten(zeros), zeros), fwd
+        return 0.0, np.zeros(size), run_window(model, inputs)
     if (labels[mask] >= model.head.out_dim).any() or (labels[mask] < 0).any():
         raise DataError("label id out of range for the head's class count")
 
@@ -492,10 +449,8 @@ def backprop_window(model, inputs: np.ndarray, labels: np.ndarray,
     if not np.isfinite(loss):
         raise NumericError("non-finite window loss")
 
-    vector = np.empty(model.flat.size)
-    grads = Gradients(model.unflatten(vector), vector)
-    np.matmul(dlogits.T, fwd._head_inputs, out=grads["head.W"])
-    np.sum(dlogits, axis=0, out=grads["head.b"])
+    grads = np.empty(size)
+    _dense_grads(dlogits, fwd._head_inputs, grads[size - model.head.size:])
     d_rows = dlogits @ model.head.weight
     if fwd._dropout_scale is not None:
         d_rows = d_rows * fwd._dropout_scale
@@ -503,11 +458,17 @@ def backprop_window(model, inputs: np.ndarray, labels: np.ndarray,
     if model.lstm is not None:
         start = 0 if model.embed is None else model.embed.size
         _, d_rows = model.lstm.backward(fwd._lstm_cache, d_rows,
-                                        out=vector[start:start + model.lstm.size])
+                                        out=grads[start:start + model.lstm.size])
     if model.embed is not None:
-        np.matmul(d_rows.T, fwd._inputs, out=grads["embed.W"])
-        np.sum(d_rows, axis=0, out=grads["embed.b"])
+        _dense_grads(d_rows, fwd._inputs, grads[:model.embed.size])
     return loss, grads, fwd
+
+
+def _dense_grads(d_outputs: np.ndarray, inputs: np.ndarray, out: np.ndarray) -> None:
+    """Write an affine layer's dW | db for a window into `out`."""
+    rows, cols = d_outputs.shape[1], inputs.shape[1]
+    np.matmul(d_outputs.T, inputs, out=out[:rows * cols].reshape(rows, cols))
+    np.sum(d_outputs, axis=0, out=out[rows * cols:])
 
 
 # ---------------------------------------------------------------------------
@@ -516,15 +477,16 @@ def backprop_window(model, inputs: np.ndarray, labels: np.ndarray,
 
 @dataclass
 class OptimizerState:
-    """Velocity buffers plus hyperparameters; only buffered tensors train."""
+    """One velocity vector, as long as the trained parameter vector, plus
+    hyperparameters."""
 
     learning_rate: float
     momentum: float
     weight_decay: float
-    velocity: dict[str, np.ndarray]
+    velocity: np.ndarray
 
     @classmethod
-    def create(cls, params: dict[str, np.ndarray], learning_rate: float,
+    def create(cls, size: int, learning_rate: float,
                momentum: float = 0.0, weight_decay: float = 0.0) -> "OptimizerState":
         if learning_rate <= 0:
             raise ConfigError("learning rate must be positive")
@@ -532,40 +494,32 @@ class OptimizerState:
             raise ConfigError("momentum must lie in [0, 1)")
         if weight_decay < 0:
             raise ConfigError("weight decay must be non-negative")
-        return cls(learning_rate, momentum, weight_decay,
-                   {name: np.zeros_like(w) for name, w in params.items()})
+        return cls(learning_rate, momentum, weight_decay, np.zeros(size))
 
 
-def sgd_update(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-               opt: OptimizerState) -> None:
-    """In place: v <- mu v - alpha (g + lambda w); w <- w + v.
+def sgd_update(params: np.ndarray, grads: np.ndarray, opt: OptimizerState) -> None:
+    """In place over vectors: v <- mu v - alpha (g + lambda w); w <- w + v.
 
-    Parameters without a velocity buffer are frozen and left untouched. Each
-    tensor is updated in chunks of about `SGD_CHUNK` elements along its first
-    axis, each chunk through all six element-wise passes before the next, so
-    one entry holding a whole stack's flat vector is as cheap as it gets.
-    The passes compute the same products and sums as the formula, so the
-    bits do not depend on the chunking.
+    The vectors are updated in chunks of `SGD_CHUNK` elements, each chunk
+    through all six element-wise passes before the next. The passes compute
+    the same products and sums as the formula, so the bits do not depend on
+    the chunking.
     """
-    for name, v in opt.velocity.items():
-        if name not in params or name not in grads:
-            raise ShapeError(f"missing parameter or gradient for {name!r}")
-        w = params[name]
-        g = grads[name]
-        if g.shape != w.shape:
-            raise ShapeError(f"{name!r}: gradient shape {g.shape} != {w.shape}")
-        w, g, v = np.atleast_1d(w, g, v)
-        rows = max(1, SGD_CHUNK * len(w) // max(w.size, 1))
-        scratch = np.empty(w[:rows].shape)
-        for start in range(0, len(w), rows):
-            w_part, v_part = w[start:start + rows], v[start:start + rows]
-            step = scratch[:len(w_part)]
-            np.multiply(w_part, opt.weight_decay, out=step)
-            step += g[start:start + rows]
-            step *= opt.learning_rate
-            v_part *= opt.momentum
-            v_part -= step
-            w_part += v_part
+    v = opt.velocity
+    if params.ndim != 1 or grads.shape != params.shape or v.shape != params.shape:
+        raise ShapeError(f"parameter, gradient and velocity vectors differ: "
+                         f"{params.shape}, {grads.shape} and {v.shape}")
+    scratch = np.empty(min(SGD_CHUNK, params.size))
+    for start in range(0, params.size, SGD_CHUNK):
+        chunk = slice(start, start + SGD_CHUNK)
+        w_part, v_part = params[chunk], v[chunk]
+        step = scratch[:len(w_part)]
+        np.multiply(w_part, opt.weight_decay, out=step)
+        step += grads[chunk]
+        step *= opt.learning_rate
+        v_part *= opt.momentum
+        v_part -= step
+        w_part += v_part
 
 
 # ---------------------------------------------------------------------------
@@ -613,6 +567,7 @@ def grad_check(model, inputs: np.ndarray, labels: np.ndarray,
     labels = np.asarray(labels, dtype=np.int64)
     mask = np.ones(inputs.shape[0], dtype=bool) if loss_mask is None else np.asarray(loss_mask, dtype=bool)
     _, grads, _ = backprop_window(model, inputs, labels, mask, mode="eval")
+    grads = model.unflatten(grads)
     checks = []
     for name, w in sorted(model.params().items()):
         flat = w.reshape(-1)

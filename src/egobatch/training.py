@@ -1,9 +1,10 @@
 """One epoch loop for the three architectures, early stopping, reproducibility.
 
 The loop takes one SGD step per batch of a plan (the gradient is the mean
-over the window's supervised frames, and one update covers the trained
-stack's whole flat parameter vector), shuffle the day sequences each epoch
+over the window's supervised frames), shuffle the day sequences each epoch
 with a seeded permutation, and select the best epoch by validation loss.
+Each run lays the trained layers' tensors out in one vector, so a step is
+one update over that vector and its gradient.
 The overlap architecture trains in two phases: phase 1 on non-overlapping
 consecutive batches with the full stack, phase 2 on the overlap plan with
 carry-over and a frozen embedding.
@@ -27,7 +28,7 @@ from .models import (
     predict_piggyback_sequence,
     predict_sliding_sequence,
 )
-from .nnet import OptimizerState, backprop_window, sgd_update
+from .nnet import OptimizerState, backprop_window, flatten_layers, sgd_update
 
 ARCHITECTURES = ("baseline", "sliding", "piggyback")
 _IMPROVEMENT = 1e-12  # a validation loss must beat the best by more than this
@@ -146,17 +147,18 @@ def validate_model(model, val_seqs: list[DaySequence], predict) -> tuple[float, 
 class _EpochDriver:
     """The epoch/validation/early-stop loop over the batches of a plan.
 
-    `plan(length)` tiles each training day; `stage` is the stack that trains
-    (the model unless the embedding is frozen). The optimizer state is one
-    velocity vector for the stage's `flat` parameters, and each step updates
-    them with one `sgd_update` over the flat gradient. With `overlap` m > 0
-    the model's (frozen) embedding turns the padded day into recurrent
-    inputs once, the batches run in order, and the first m inputs of each
-    are replaced by the previous batch's last m recurrent outputs.
+    `plan(length)` tiles each training day. The stage that trains is the
+    model, or with `overlap` m > 0 its carry stage, whose embedding is
+    frozen. The stage's layers are rebound to views of one new vector, the
+    optimizer state is one velocity vector as long, and each step is one
+    `sgd_update` over the vector and the window's gradient. With m > 0 the
+    frozen embedding turns the padded day into recurrent inputs once, the
+    batches run in order, and the first m inputs of each are replaced by the
+    previous batch's last m recurrent outputs.
     """
 
     def __init__(self, model: LayerStack, cfg: TrainConfig, predict, plan,
-                 stage: LayerStack | None = None, overlap: int = 0):
+                 overlap: int = 0):
         if model.architecture != cfg.architecture:
             raise ConfigError(f"config architecture {cfg.architecture!r} does not "
                               f"match the {model.architecture!r} model")
@@ -164,16 +166,15 @@ class _EpochDriver:
         self.cfg = cfg
         self.predict = predict
         self.plan = plan
-        self.stage = model if stage is None else stage
+        self.stage = model.carry_stage() if overlap else model
         self.overlap = overlap
         seq_seed = np.random.SeedSequence(cfg.seed)
         shuffle_seed, dropout_seed = seq_seed.spawn(2)
         self.shuffle_rng = np.random.default_rng(shuffle_seed)
         self.dropout_rng = np.random.default_rng(dropout_seed)
-        # one-entry dicts: sgd_update updates the whole vector at once
-        self.params = {"flat": self.stage.flat}
+        self.flat = flatten_layers(self.stage.layers)
         self.opt = OptimizerState.create(
-            self.params, cfg.learning_rate, cfg.momentum, cfg.weight_decay
+            self.flat.size, cfg.learning_rate, cfg.momentum, cfg.weight_decay
         )
 
     def train_steps(self, seq: DaySequence):
@@ -212,7 +213,7 @@ class _EpochDriver:
                     for loss, grads in self.train_steps(train_seqs[idx]):
                         if not np.isfinite(loss):
                             raise NumericError("non-finite training loss")
-                        sgd_update(self.params, {"flat": grads.vector}, self.opt)
+                        sgd_update(self.flat, grads, self.opt)
                         step_losses.append(loss)
             except NumericError:
                 report.stop_reason = "numeric_failure"
@@ -223,7 +224,7 @@ class _EpochDriver:
             )
             if val_loss < best_loss - _IMPROVEMENT:
                 best_loss = val_loss
-                best_params = self.model.unflatten(self.model.flat.copy())
+                best_params = {name: w.copy() for name, w in self.model.params().items()}
                 report.best_epoch = len(report.epochs) - 1
             history.append(val_loss)
             if early_stop_update(history, cfg.patience):
@@ -287,5 +288,5 @@ def train_piggyback(model: LayerStack, train_seqs: list[DaySequence],
     driver = _EpochDriver(
         model, cfg, predict,
         plan=lambda length: batch_plan(length, cfg.timestep, cfg.overlap),
-        stage=model.carry_stage(), overlap=cfg.overlap)
+        overlap=cfg.overlap)
     return driver.run(train_seqs, val_seqs)

@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's vectorized paths: the recurrent
 reference walks frame by frame through the single-step operations, and the
-split reference enumerates subsets with plain-Python bitmask loops. The
-backward and SGD references are the plain loops the library's kernels
+split reference enumerates subsets with plain-Python bitmask loops; the
+cross-entropy reference scores one frame at a time. The backward and SGD
+references are the plain loops the library's kernels
 replaced; the kernels must match them bit for bit.
 """
 
@@ -11,7 +12,23 @@ import math
 
 import numpy as np
 
+from egobatch.errors import DataError, ShapeError
 from egobatch.nnet import GATES, LstmState
+
+
+def softmax_xent(logits, true_label):
+    """Cross-entropy of one frame; returns (loss, dLoss/dlogits)."""
+    logits = np.asarray(logits, dtype=np.float64)
+    if logits.ndim != 1:
+        raise ShapeError("softmax_xent expects a 1-D logit vector")
+    if not 0 <= true_label < logits.shape[0]:
+        raise DataError(f"label {true_label} out of range for {logits.shape[0]} classes")
+    shifted = logits - logits.max()
+    logp = shifted - np.log(np.exp(shifted).sum())
+    loss = -logp[true_label]
+    dlogits = np.exp(logp)
+    dlogits[true_label] -= 1.0
+    return float(loss), dlogits
 
 
 def unbatched_reference_logits(model, seq, batch_size, overlap,
@@ -135,9 +152,11 @@ def reference_lstm_backward(layer, cache, d_outputs):
     return grads, d_inputs
 
 
-def reference_sgd_update(params, grads, opt):
-    """In place, one tensor at a time: v <- mu v - alpha (g + lambda w); w <- w + v."""
-    for name, v in opt.velocity.items():
+def reference_sgd_update(params, grads, velocity, opt):
+    """In place, one tensor at a time: v <- mu v - alpha (g + lambda w); w <- w + v.
+
+    `velocity` holds one buffer per name; `opt` gives the hyperparameters."""
+    for name, v in velocity.items():
         w = params[name]
         g = grads[name]
         v *= opt.momentum

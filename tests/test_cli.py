@@ -70,6 +70,19 @@ class TestUsageErrors:
                    "--out-dir", str(tmp_path))
         assert code == 1
 
+    @pytest.mark.parametrize("hidden", ["0", "-1"])
+    def test_non_positive_hidden_size(self, synth_dir, split_dir, tmp_path, hidden,
+                                      capsys):
+        code = run("train", "--arch", "piggyback", "--timestep", "5",
+                   "--overlap", "2", "--hidden", hidden,
+                   "--manifest", str(synth_dir / "manifest.json"),
+                   "--labels", str(synth_dir / "labels.txt"),
+                   "--split", str(split_dir / "split.json"),
+                   "--out-dir", str(tmp_path))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_bad_value_type(self):
         assert run("synth", "--out-dir", "x", "--sequences", "lots") == 1
 

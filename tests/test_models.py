@@ -26,7 +26,7 @@ from egobatch import (
 )
 from egobatch.batching import batch_plan
 from egobatch.models import piggyback_logits
-from egobatch.nnet import softmax
+from egobatch.nnet import flatten_layers, softmax
 from oracles import unbatched_reference_logits
 
 
@@ -72,6 +72,12 @@ class TestLayerStack:
         with pytest.raises(ShapeError):
             LayerStack(head=DenseLayer.create(5, 3, rng),
                        embed=DenseLayer.create(4, 5, rng))
+
+    @pytest.mark.parametrize("hidden", [0, -1])
+    def test_non_positive_hidden_size_is_a_config_error(self, hidden):
+        for build in (build_sliding, build_piggyback):
+            with pytest.raises(ConfigError):
+                build(4, 3, hidden=hidden, seed=0)
 
 
 class TestSlidingPredict:
@@ -281,17 +287,17 @@ def address(array):
     return array.__array_interface__["data"][0]
 
 
-def assert_flat_layout(model):
-    """Every params() tensor occupies the next stretch of model.flat."""
+def assert_flat_layout(model, flat):
+    """Every params() tensor occupies the next stretch of `flat`."""
     layers = [name.split(".")[0] for name in model.params()]
     assert layers == sorted(layers, key=("embed", "lstm", "head").index)
     offset = 0
     for name, w in model.params().items():
         assert w.flags.c_contiguous, name
-        assert address(w) == address(model.flat) + 8 * offset, name
-        assert np.shares_memory(w, model.flat), name
+        assert address(w) == address(flat) + 8 * offset, name
+        assert np.shares_memory(w, flat), name
         offset += w.size
-    assert offset == model.flat.size
+    assert offset == flat.size
 
 
 def all_stacks():
@@ -302,37 +308,53 @@ def all_stacks():
 class TestFlatLayout:
     def test_params_are_views_of_flat_in_layer_order(self):
         for model in all_stacks():
-            assert_flat_layout(model)
-            assert model.flat.dtype == np.float64 and model.flat.base is None
-            model.flat += 1.0
-            for name, w in model.unflatten(model.flat).items():
+            before = {name: w.copy() for name, w in model.params().items()}
+            flat = flatten_layers(model.layers)
+            assert_flat_layout(model, flat)
+            assert flat.dtype == np.float64 and flat.base is None
+            for name, w in model.params().items():
+                assert np.array_equal(w, before[name]), name
+            flat += 1.0
+            for name, w in model.unflatten(flat).items():
                 assert np.array_equal(w, model.params()[name]), name
+                assert np.array_equal(w, before[name] + 1.0), name
 
-    def test_carry_stage_is_the_tail_of_the_vector(self):
+    def test_flattening_the_carry_stage_leaves_the_embedding_alone(self):
         model = build_piggyback(4, 3, hidden=5, seed=2)
+        weight, bias = model.embed.weight, model.embed.bias
+        frozen = weight.tobytes() + bias.tobytes()
         stage = model.carry_stage()
-        assert_flat_layout(stage)
-        tail = model.flat[model.embed.size:]
-        assert address(stage.flat) == address(tail) and stage.flat.shape == tail.shape
-        embed = model.flat[:model.embed.size].copy()
-        stage.flat -= 0.5
-        assert np.array_equal(model.flat[:model.embed.size], embed)
+        flat = flatten_layers(stage.layers)
+        assert stage.lstm is model.lstm and stage.head is model.head
+        assert_flat_layout(stage, flat)
+        assert model.embed.weight is weight and model.embed.bias is bias
+        assert not np.shares_memory(weight, flat) and not np.shares_memory(bias, flat)
+        flat -= 0.5
+        assert model.embed.weight.tobytes() + model.embed.bias.tobytes() == frozen
         assert np.array_equal(model.lstm.u["o"], stage.params()["lstm.U_o"])
-        assert_flat_layout(model)
 
     def test_checkpoint_rebuilds_the_flat_layout(self, tmp_path):
         for model in all_stacks():
-            model.flat[...] = np.random.default_rng(3).normal(size=model.flat.size)
+            flat = flatten_layers(model.layers)
+            flat[...] = np.random.default_rng(3).normal(size=flat.size)
             path = tmp_path / "m.egomdl"
             write_checkpoint(model.params(), path)
             written = path.read_bytes()
             clone = model_from_params(read_checkpoint(path))
-            assert_flat_layout(clone)
-            assert np.array_equal(clone.flat, model.flat)
+            assert np.array_equal(flatten_layers(clone.layers), flat)
             write_checkpoint(clone.params(), path)
             assert path.read_bytes() == written
             write_checkpoint({name: w.copy() for name, w in clone.params().items()}, path)
             assert path.read_bytes() == written
+
+    def test_model_from_params_shares_no_memory_with_its_input(self):
+        for model in all_stacks():
+            params = {name: w.copy() for name, w in model.params().items()}
+            clone = model_from_params(params)
+            for name, w in clone.params().items():
+                assert np.array_equal(w, params[name]), name
+                for given in params.values():
+                    assert not np.shares_memory(w, given), name
 
 
 class TestTimelineJson:

@@ -23,11 +23,10 @@ from egobatch import (
     run_window,
     sgd_update,
     softmax,
-    softmax_xent,
     write_checkpoint,
 )
-from egobatch.nnet import SGD_CHUNK, _masked_xent_rows, _sigmoid
-from oracles import reference_lstm_backward, reference_sgd_update
+from egobatch.nnet import SGD_CHUNK, _masked_xent_rows, _sigmoid, flatten_layers
+from oracles import reference_lstm_backward, reference_sgd_update, softmax_xent
 
 
 def zero_lstm(in_dim, hidden):
@@ -181,18 +180,19 @@ class TestLstmStorage:
     def test_sgd_update_through_views_moves_the_stacks(self):
         rng = np.random.default_rng(24)
         model = build_sliding(3, 2, hidden=4, seed=25)
-        params = model.params()
         before = {name: getattr(model.lstm, name).copy()
                   for name in ("w_stack", "u_stack", "b_stack")}
-        grads = {name: rng.normal(size=w.shape) for name, w in params.items()}
-        sgd_update(params, grads, OptimizerState.create(params, learning_rate=0.1))
+        flat = flatten_layers(model.layers)
+        grads = rng.normal(size=flat.size)
+        sgd_update(flat, grads, OptimizerState.create(flat.size, learning_rate=0.1))
         for name, old in before.items():
             stack = getattr(model.lstm, name)
             assert not np.array_equal(stack, old)
+        named = model.unflatten(grads)
         for k, g in enumerate("ifoc"):
             assert np.array_equal(model.lstm.w_stack[4 * k:4 * (k + 1)],
                                   before["w_stack"][4 * k:4 * (k + 1)]
-                                  - 0.1 * grads[f"lstm.W_{g}"])
+                                  - 0.1 * named[f"lstm.W_{g}"])
 
 
 def same_bits(a, b):
@@ -273,50 +273,44 @@ class TestSoftmaxXent:
 
 class TestSgd:
     def test_plain_step(self):
-        params = {"w": np.array([1.0])}
-        opt = OptimizerState.create(params, learning_rate=0.1)
-        sgd_update(params, {"w": np.array([0.5])}, opt)
-        assert np.allclose(params["w"], [0.95], atol=1e-15)
+        w = np.array([1.0])
+        opt = OptimizerState.create(w.size, learning_rate=0.1)
+        sgd_update(w, np.array([0.5]), opt)
+        assert np.allclose(w, [0.95], atol=1e-15)
 
     def test_momentum_two_steps(self):
-        params = {"w": np.array([1.0])}
-        opt = OptimizerState.create(params, learning_rate=0.1, momentum=0.9)
-        grads = {"w": np.array([0.5])}
-        sgd_update(params, grads, opt)
-        assert np.allclose(opt.velocity["w"], [-0.05], atol=1e-15)
-        assert np.allclose(params["w"], [0.95], atol=1e-15)
-        sgd_update(params, grads, opt)
-        assert np.allclose(opt.velocity["w"], [-0.095], atol=1e-15)
-        assert np.allclose(params["w"], [0.855], atol=1e-15)
+        w = np.array([1.0])
+        opt = OptimizerState.create(w.size, learning_rate=0.1, momentum=0.9)
+        g = np.array([0.5])
+        sgd_update(w, g, opt)
+        assert np.allclose(opt.velocity, [-0.05], atol=1e-15)
+        assert np.allclose(w, [0.95], atol=1e-15)
+        sgd_update(w, g, opt)
+        assert np.allclose(opt.velocity, [-0.095], atol=1e-15)
+        assert np.allclose(w, [0.855], atol=1e-15)
 
     def test_decay_only_step(self):
-        params = {"w": np.array([1.0])}
-        opt = OptimizerState.create(params, learning_rate=0.1, weight_decay=0.01)
-        sgd_update(params, {"w": np.array([0.0])}, opt)
-        assert np.allclose(params["w"], [0.999], atol=1e-15)
+        w = np.array([1.0])
+        opt = OptimizerState.create(w.size, learning_rate=0.1, weight_decay=0.01)
+        sgd_update(w, np.array([0.0]), opt)
+        assert np.allclose(w, [0.999], atol=1e-15)
 
     def test_vanilla_equals_w_minus_alpha_g(self):
         rng = np.random.default_rng(6)
-        w = rng.normal(size=(3, 4))
-        g = rng.normal(size=(3, 4))
-        params = {"w": w.copy()}
-        opt = OptimizerState.create(params, learning_rate=0.37)
-        sgd_update(params, {"w": g}, opt)
-        assert np.array_equal(params["w"], w - 0.37 * g)
-
-    def test_frozen_params_untouched(self):
-        params = {"a": np.ones(2), "b": np.ones(2)}
-        trainable = {"a": params["a"]}
-        opt = OptimizerState.create(trainable, learning_rate=0.5)
-        sgd_update(params, {"a": np.ones(2), "b": np.ones(2)}, opt)
-        assert np.array_equal(params["b"], [1.0, 1.0])
-        assert not np.array_equal(params["a"], [1.0, 1.0])
+        w = rng.normal(size=12)
+        g = rng.normal(size=12)
+        params = w.copy()
+        opt = OptimizerState.create(params.size, learning_rate=0.37)
+        sgd_update(params, g, opt)
+        assert np.array_equal(params, w - 0.37 * g)
 
     def test_shape_mismatch(self):
-        params = {"w": np.ones(2)}
-        opt = OptimizerState.create(params, learning_rate=0.1)
+        w = np.ones(2)
+        opt = OptimizerState.create(w.size, learning_rate=0.1)
         with pytest.raises(ShapeError):
-            sgd_update(params, {"w": np.ones(3)}, opt)
+            sgd_update(w, np.ones(3), opt)
+        with pytest.raises(ShapeError):
+            sgd_update(np.ones(3), np.ones(3), opt)
 
     def test_chunked_flat_update_equals_per_tensor_loop_bit_for_bit(self):
         rng = np.random.default_rng(29)
@@ -325,31 +319,25 @@ class TestSgd:
         flat = np.concatenate([w.reshape(-1) for w in tensors.values()])
         assert flat.size > SGD_CHUNK and flat.size % SGD_CHUNK
         per_tensor = {name: w.copy() for name, w in tensors.items()}
-        chunked = {name: w.copy() for name, w in tensors.items()}
-        hyper = dict(learning_rate=0.03, momentum=0.9, weight_decay=5e-3)
-        ref_opt = OptimizerState.create(per_tensor, **hyper)
-        dict_opt = OptimizerState.create(chunked, **hyper)
-        flat_opt = OptimizerState.create({"flat": flat}, **hyper)
+        velocity = {name: np.zeros_like(w) for name, w in tensors.items()}
+        opt = OptimizerState.create(flat.size, learning_rate=0.03, momentum=0.9,
+                                    weight_decay=5e-3)
         for _ in range(3):
             grads = {name: rng.normal(size=w.shape) for name, w in tensors.items()}
-            reference_sgd_update(per_tensor, grads, ref_opt)
-            sgd_update(chunked, grads, dict_opt)
-            flat_grads = np.concatenate([g.reshape(-1) for g in grads.values()])
-            sgd_update({"flat": flat}, {"flat": flat_grads}, flat_opt)
+            reference_sgd_update(per_tensor, grads, velocity, opt)
+            sgd_update(flat, np.concatenate([g.reshape(-1) for g in grads.values()]), opt)
         want = np.concatenate([w.reshape(-1) for w in per_tensor.values()])
-        want_v = np.concatenate([v.reshape(-1) for v in ref_opt.velocity.values()])
+        want_v = np.concatenate([v.reshape(-1) for v in velocity.values()])
         assert same_bits(flat, want)
-        assert same_bits(flat_opt.velocity["flat"], want_v)
-        for name, w in per_tensor.items():
-            assert same_bits(chunked[name], w), name
+        assert same_bits(opt.velocity, want_v)
 
     def test_hyperparameter_validation(self):
         with pytest.raises(ConfigError):
-            OptimizerState.create({}, learning_rate=0.0)
+            OptimizerState.create(1, learning_rate=0.0)
         with pytest.raises(ConfigError):
-            OptimizerState.create({}, learning_rate=0.1, momentum=1.0)
+            OptimizerState.create(1, learning_rate=0.1, momentum=1.0)
         with pytest.raises(ConfigError):
-            OptimizerState.create({}, learning_rate=0.1, weight_decay=-1.0)
+            OptimizerState.create(1, learning_rate=0.1, weight_decay=-1.0)
 
 
 class TestBackpropWindow:
@@ -387,22 +375,25 @@ class TestBackpropWindow:
             backprop_window(model, np.zeros((2, 2)), np.zeros(2, dtype=int),
                             np.zeros(2, dtype=bool), mode="train")
 
-    def test_gradients_are_views_of_one_vector_laid_out_like_flat(self):
+    def test_gradient_vector_is_laid_out_like_the_flat_layers(self):
+        # an SGD step over flatten_layers' vector and backprop_window's
+        # gradient moves every tensor unflatten names by the gradient it names
         rng = np.random.default_rng(30)
         for model in (build_baseline(4, 3, seed=1), build_sliding(4, 3, hidden=5, seed=1),
                       build_piggyback(4, 3, hidden=5, seed=1)):
             inputs, labels = rng.normal(size=(6, 4)), rng.integers(3, size=6)
             for mask in (None, np.zeros(6, dtype=bool)):
                 _, grads, _ = backprop_window(model, inputs, labels, mask, mode="eval")
-                assert grads.vector.shape == model.flat.shape
-                assert list(grads) == list(model.params())
-                offset = 0
-                for name, g in grads.items():
-                    assert g.shape == model.params()[name].shape
-                    assert np.shares_memory(g, grads.vector[offset:offset + g.size]), name
-                    assert same_bits(g.reshape(-1), grads.vector[offset:offset + g.size])
-                    offset += g.size
-                assert offset == grads.vector.size
+                before = {name: w.copy() for name, w in model.params().items()}
+                flat = flatten_layers(model.layers)
+                assert grads.shape == flat.shape
+                named = model.unflatten(grads)
+                assert list(named) == list(before)
+                sgd_update(flat, grads, OptimizerState.create(flat.size, learning_rate=0.5))
+                for name, w in model.params().items():
+                    assert named[name].shape == w.shape, name
+                    assert same_bits(w, before[name] - 0.5 * named[name]), name
+                    assert np.shares_memory(w, flat), name
 
     def test_all_masked_eval_gives_zero(self):
         model = build_baseline(2, 2, seed=0)
@@ -410,7 +401,7 @@ class TestBackpropWindow:
                                          np.zeros(2, dtype=int),
                                          np.zeros(2, dtype=bool), mode="eval")
         assert loss == 0.0
-        assert all(np.array_equal(g, np.zeros_like(g)) for g in grads.values())
+        assert np.array_equal(grads, np.zeros(model.head.size))
 
     def test_dropout_gradient_with_replayed_mask(self):
         # replaying the rng seed fixes the dropout mask, so central
@@ -428,6 +419,7 @@ class TestBackpropWindow:
 
         _, grads, _ = backprop_window(model, inputs, labels, dropout_rate=0.5,
                                       rng=np.random.default_rng(123), mode="train")
+        grads = model.unflatten(grads)
         eps = 1e-6
         for name, w in model.params().items():
             flat = w.reshape(-1)
@@ -511,7 +503,7 @@ class TestGradCheck:
         assert report.max_rel_error < 1e-7
         _, grads, _ = backprop_window(model, inputs, rng.integers(2, size=4),
                                       mode="eval")
-        assert np.array_equal(grads["head.W"][:, 1], [0.0, 0.0])
+        assert np.array_equal(model.unflatten(grads)["head.W"][:, 1], [0.0, 0.0])
 
     def test_epsilon_range_enforced(self):
         model = build_baseline(2, 2, seed=0)

@@ -308,15 +308,17 @@ class TestPiggyback:
     def test_phase2_steps_leave_every_embed_byte_unchanged(self, monkeypatch):
         _, train, val = desk_data()
         model = build_piggyback(DESK.feature_dim, DESK.num_classes, hidden=6, seed=2)
-        embed = model.flat[:model.embed.size]
-        frozen = embed.tobytes()
-        tail = model.flat[model.embed.size:].copy()
+        weight, bias = model.embed.weight, model.embed.bias
+        frozen = weight.tobytes() + bias.tobytes()
+        stage = model.carry_stage()
+        tail = [w.copy() for w in stage.params().values()]
         real = training_module.sgd_update
         steps = []
 
         def checking(params, grads, opt):
             real(params, grads, opt)
-            assert embed.tobytes() == frozen
+            assert model.embed.weight is weight and model.embed.bias is bias
+            assert weight.tobytes() + bias.tobytes() == frozen
             steps.append(1)
 
         monkeypatch.setattr(training_module, "sgd_update", checking)
@@ -324,7 +326,8 @@ class TestPiggyback:
                           epochs=1, dropout=0.25, seed=0, patience=5, phase=2)
         train_piggyback(model, train, val, cfg)
         assert steps
-        assert not np.array_equal(model.flat[model.embed.size:], tail)
+        moved = np.concatenate([w.ravel() for w in stage.params().values()])
+        assert not np.array_equal(moved, np.concatenate([w.ravel() for w in tail]))
 
     def test_phase2_context_helps_ambiguous_frames(self):
         # the carry mechanism must not hurt ambiguous-frame accuracy

@@ -5,8 +5,11 @@
 Trains every architecture on small synthetic days (one of them 3 frames
 long) at three (feature dim, hidden) sizes, then prints one digest per line:
 the last and the best parameters after baseline, sliding (T = 8, dropout
-0.5) and piggyback phase 1 and phase 2 training (n = 10, m = 3), and the
-outputs of `piggyback_logits` and `predict_sliding_sequence`. The package
+0.5) and piggyback phase 1 and phase 2 training (n = 10, m = 3), the
+outputs of `piggyback_logits` and `predict_sliding_sequence`, and the same
+outputs of the trained sliding and piggyback models after a round trip
+through `write_checkpoint`, `read_checkpoint` and `model_from_params`
+("reloaded"). The package
 is imported from the `src/` next to this directory, so running the script
 in two checkouts and diffing the output shows whether a change keeps the
 trained bytes. The last line digests all the others.
@@ -17,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -34,10 +38,13 @@ from egobatch import (  # noqa: E402
     build_piggyback,
     build_sliding,
     generate_synthetic,
+    model_from_params,
     predict_sliding_sequence,
+    read_checkpoint,
     train_baseline,
     train_piggyback,
     train_sliding,
+    write_checkpoint,
 )
 from egobatch.models import piggyback_logits  # noqa: E402
 
@@ -93,20 +100,32 @@ def run_size(feature_dim: int, hidden: int):
     yield from report("baseline", train_baseline(model, train, val, config("baseline")),
                       model)
 
-    model = build_sliding(feature_dim, classes, hidden=hidden, seed=0)
-    result = train_sliding(model, train, val, config("sliding", timestep=T, dropout=0.5))
-    yield from report("sliding", result, model)
-    timelines = [predict_sliding_sequence(model, day, T) for day in everything]
-    outputs = [a for t in timelines for a in (t.probs, t.pred_labels)]
-    yield f"{tag} sliding predict {digest_arrays(outputs)}"
+    def sliding_outputs(model):
+        timelines = [predict_sliding_sequence(model, day, T) for day in everything]
+        return [a for t in timelines for a in (t.probs, t.pred_labels)]
 
-    model = build_piggyback(feature_dim, classes, hidden=hidden, seed=0)
+    def piggyback_outputs(model):
+        return [piggyback_logits(model, day, N, M) for day in everything]
+
+    sliding = build_sliding(feature_dim, classes, hidden=hidden, seed=0)
+    result = train_sliding(sliding, train, val, config("sliding", timestep=T, dropout=0.5))
+    yield from report("sliding", result, sliding)
+    yield f"{tag} sliding predict {digest_arrays(sliding_outputs(sliding))}"
+
+    piggyback = build_piggyback(feature_dim, classes, hidden=hidden, seed=0)
     for phase, dropout in ((1, 0.5), (2, 0.25)):
-        result = train_piggyback(model, train, val, config(
+        result = train_piggyback(piggyback, train, val, config(
             "piggyback", timestep=N, overlap=M, dropout=dropout, phase=phase))
-        yield from report(f"piggyback-phase{phase}", result, model)
-    logits = [piggyback_logits(model, day, N, M) for day in everything]
-    yield f"{tag} piggyback logits {digest_arrays(logits)}"
+        yield from report(f"piggyback-phase{phase}", result, piggyback)
+    yield f"{tag} piggyback logits {digest_arrays(piggyback_outputs(piggyback))}"
+
+    outputs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.egomdl"
+        for model, predict in ((sliding, sliding_outputs), (piggyback, piggyback_outputs)):
+            write_checkpoint(model.params(), path)
+            outputs += predict(model_from_params(read_checkpoint(path)))
+    yield f"{tag} reloaded {digest_arrays(outputs)}"
 
 
 def main() -> int:
