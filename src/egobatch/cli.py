@@ -194,10 +194,12 @@ def _cmd_train(args) -> int:
     if cfg.architecture == "piggyback" and cfg.phase == 2 and not args.init_from:
         raise SequencingError("phase 2 requires --init-from with a phase-1 checkpoint")
 
-    dataset = load_dataset(args.manifest, args.labels)
     split = _read_split_ids(args.split)
+    dataset = load_dataset(args.manifest, args.labels, split["train"] + split["val"])
     train_seqs = [dataset.by_id(sid) for sid in split["train"]]
     val_seqs = [dataset.by_id(sid) for sid in split["val"]]
+    if not train_seqs or not val_seqs:  # else an empty dataset has no feature dim
+        raise ConfigError("training needs at least one train and one val sequence")
     feature_dim = dataset.feature_dim
     num_classes = dataset.label_set.size
 
@@ -252,17 +254,14 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    dataset = load_dataset(args.manifest, args.labels)
+    ids = _read_split_ids(args.split)[args.subset] if args.split else None
+    dataset = load_dataset(args.manifest, args.labels, ids)
     model = model_from_params(read_checkpoint(args.model))
     if model.head.out_dim != dataset.label_set.size:
         raise ShapeError("model class count does not match the label set")
-    if model.input_dim != dataset.feature_dim:
+    if dataset.sequences and model.input_dim != dataset.feature_dim:
         raise ShapeError("model input width does not match the dataset")
-    if args.split:
-        ids = _read_split_ids(args.split)[args.subset]
-        sequences = [dataset.by_id(sid) for sid in ids]
-    else:
-        sequences = dataset.sequences
+    sequences = dataset.sequences if ids is None else [dataset.by_id(sid) for sid in ids]
 
     arch = model.architecture
     timelines = []

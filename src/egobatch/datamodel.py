@@ -281,8 +281,20 @@ def write_manifest(dataset: Dataset, manifest_path: str | Path, seq_dir: str | P
     manifest_path.write_text(json.dumps(entries, indent=2) + "\n", encoding="utf-8")
 
 
-def load_dataset(manifest_path: str | Path, labels_path: str | Path) -> Dataset:
-    """Load a dataset from a manifest JSON plus labels.txt."""
+def load_dataset(
+    manifest_path: str | Path,
+    labels_path: str | Path,
+    ids: list[str] | None = None,
+) -> Dataset:
+    """Load a dataset from a manifest JSON plus labels.txt.
+
+    The whole manifest is always checked: entry shape and unique ids. Without
+    `ids` every day's .egoseq file is read and validated, as `split` and
+    `predict` without `--split` need. With `ids` only the files of those days
+    are read, each once and in manifest order, as `train` (train + val days)
+    and `predict --split` (one subset) need; an id that the manifest lacks is
+    a `DataError`.
+    """
     manifest_path = Path(manifest_path)
     label_set = read_labels_file(labels_path)
     try:
@@ -291,20 +303,27 @@ def load_dataset(manifest_path: str | Path, labels_path: str | Path) -> Dataset:
         raise FormatError(f"{manifest_path}: invalid JSON ({exc})") from exc
     if not isinstance(entries, list):
         raise FormatError(f"{manifest_path}: manifest must be a JSON array")
-    sequences = []
+    days = {}  # sequence id -> (.egoseq path, user id)
     for entry in entries:
         try:
-            seq_path = manifest_path.parent / entry["path"]
-            sequences.append(
-                read_sequence_file(
-                    seq_path,
-                    label_set,
-                    sequence_id=entry["sequence_id"],
-                    user_id=entry.get("user_id", ""),
-                )
-            )
+            sequence_id = entry["sequence_id"]
+            duplicate = sequence_id in days
+            days[sequence_id] = (manifest_path.parent / entry["path"],
+                                 entry.get("user_id", ""))
         except (KeyError, TypeError) as exc:
             raise FormatError(f"{manifest_path}: bad manifest entry {entry!r}") from exc
+        if duplicate:
+            raise DataError(f"{manifest_path}: duplicate sequence id {sequence_id!r}")
+    if ids is not None:
+        wanted = set(ids)
+        for sequence_id in ids:
+            if sequence_id not in days:
+                raise DataError(f"no sequence with id {sequence_id!r}")
+        days = {sid: day for sid, day in days.items() if sid in wanted}
+    sequences = [
+        read_sequence_file(path, label_set, sequence_id=sid, user_id=user_id)
+        for sid, (path, user_id) in days.items()
+    ]
     return Dataset(label_set=label_set, sequences=sequences)
 
 

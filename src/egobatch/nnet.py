@@ -19,6 +19,7 @@ little-endian.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -441,7 +442,8 @@ def backprop_window(model, inputs: np.ndarray, labels: np.ndarray,
         if train:
             raise DataError("degenerate training batch: every step is loss-masked")
         return 0.0, np.zeros(size), run_window(model, inputs)
-    if (labels[mask] >= model.head.out_dim).any() or (labels[mask] < 0).any():
+    supervised = labels[mask]
+    if supervised.min() < 0 or supervised.max() >= model.head.out_dim:
         raise DataError("label id out of range for the head's class count")
 
     fwd = run_window(model, inputs, dropout_rate=dropout_rate if train else 0.0, rng=rng)
@@ -625,36 +627,41 @@ def write_checkpoint(params: dict[str, np.ndarray], path: str | Path) -> None:
 
 def read_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
     """Parse a checkpoint; enforces magic, ordering and exact payload size."""
+    # Each tensor is read straight into its own array: the file is never
+    # held in memory as a whole.
     path = Path(path)
-    raw = path.read_bytes()
-    if len(raw) < len(CHECKPOINT_MAGIC) or raw[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
-        raise FormatError(f"{path}: bad checkpoint magic")
-    offset = len(CHECKPOINT_MAGIC)
+    with open(path, "rb") as src:
+        file_size = os.fstat(src.fileno()).st_size
 
-    def need(nbytes: int, what: str) -> int:
-        nonlocal offset
-        if len(raw) < offset + nbytes:
-            raise FormatError(f"{path}: truncated {what}")
-        offset += nbytes
-        return offset - nbytes
+        def take(nbytes: int, what: str) -> bytes:
+            data = src.read(nbytes)
+            if len(data) != nbytes:
+                raise FormatError(f"{path}: truncated {what}")
+            return data
 
-    (count,) = struct.unpack_from("<I", raw, need(4, "tensor count"))
-    params: dict[str, np.ndarray] = {}
-    previous = None
-    for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", raw, need(2, "name length"))
-        name = raw[need(name_len, "tensor name"): offset].decode("utf-8")
-        if previous is not None and not name > previous:
-            raise FormatError(f"{path}: tensors out of lexicographic order at {name!r}")
-        previous = name
-        rank = raw[need(1, "rank")]
-        dims = tuple(
-            struct.unpack_from("<I", raw, need(4, "dimension"))[0] for _ in range(rank)
-        )
-        size = math.prod(dims)  # a Python int: np.prod would wrap around
-        data = np.frombuffer(raw, dtype="<f8", count=size,
-                             offset=need(size * 8, f"data of {name!r}"))
-        params[name] = data.reshape(dims).astype(np.float64)
-    if offset != len(raw):
-        raise FormatError(f"{path}: {len(raw) - offset} trailing bytes")
+        if src.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
+            raise FormatError(f"{path}: bad checkpoint magic")
+        (count,) = struct.unpack("<I", take(4, "tensor count"))
+        params: dict[str, np.ndarray] = {}
+        previous = None
+        for _ in range(count):
+            (name_len,) = struct.unpack("<H", take(2, "name length"))
+            name = take(name_len, "tensor name").decode("utf-8")
+            if previous is not None and not name > previous:
+                raise FormatError(
+                    f"{path}: tensors out of lexicographic order at {name!r}")
+            previous = name
+            rank = take(1, "rank")[0]
+            dims = struct.unpack(f"<{rank}I", take(4 * rank, "dimension"))
+            size = math.prod(dims)  # a Python int: np.prod would wrap around
+            # checked before allocating: the dims may promise exabytes
+            if size * 8 > file_size - src.tell():
+                raise FormatError(f"{path}: truncated data of {name!r}")
+            data = np.empty(size, dtype="<f8")
+            if src.readinto(data) != size * 8:
+                raise FormatError(f"{path}: truncated data of {name!r}")
+            params[name] = data.reshape(dims).astype(np.float64, copy=False)
+        trailing = file_size - src.tell()
+        if trailing:
+            raise FormatError(f"{path}: {trailing} trailing bytes")
     return params

@@ -1,4 +1,5 @@
 import json
+import shutil
 import struct
 
 import pytest
@@ -86,10 +87,11 @@ class TestUsageErrors:
     def test_bad_value_type(self):
         assert run("synth", "--out-dir", "x", "--sequences", "lots") == 1
 
-    @pytest.mark.parametrize("empty", ["train", "val"])
+    @pytest.mark.parametrize("empty", ["train", "val", "train+val"])
     def test_empty_split_list(self, synth_dir, split_dir, tmp_path, empty):
         split = json.loads((split_dir / "split.json").read_text())
-        split[empty] = []
+        for key in empty.split("+"):
+            split[key] = []
         split_path = tmp_path / "split.json"
         split_path.write_text(json.dumps(split))
         out = tmp_path / "out"
@@ -338,6 +340,66 @@ class TestPipeline:
             assert code == 0
             outputs.append((out / "best.egomdl").read_bytes())
         assert outputs[0] == outputs[1]
+
+
+class TestSubsetReads:
+    """`predict --split` and `train` read only the days their split names."""
+
+    @pytest.fixture()
+    def data_copy(self, synth_dir, split_dir, tmp_path):
+        data = tmp_path / "data"
+        shutil.copytree(synth_dir, data)
+        split = json.loads((split_dir / "split.json").read_text())
+        model = build_baseline(16, 6, seed=2)
+        checkpoint = tmp_path / "model.egomdl"
+        write_checkpoint(model.params(), checkpoint)
+        return data, split, checkpoint
+
+    def predict(self, data, split_path, checkpoint, out, subset="test"):
+        return run("predict", "--model", str(checkpoint),
+                   "--manifest", str(data / "manifest.json"),
+                   "--labels", str(data / "labels.txt"),
+                   "--split", str(split_path), "--subset", subset,
+                   "--out-dir", str(out))
+
+    def test_corrupt_train_day(self, data_copy, split_dir, tmp_path):
+        data, split, checkpoint = data_copy
+        split_path = split_dir / "split.json"
+        assert self.predict(data, split_path, checkpoint, tmp_path / "intact") == 0
+        (data / "sequences" / f"{split['train'][0]}.egoseq").write_bytes(b"XXXXXXXX")
+        assert self.predict(data, split_path, checkpoint, tmp_path / "corrupt") == 0
+        assert (tmp_path / "corrupt" / "timelines.json").read_bytes() == \
+               (tmp_path / "intact" / "timelines.json").read_bytes()
+        code = run("split", "--manifest", str(data / "manifest.json"),
+                   "--labels", str(data / "labels.txt"),
+                   "--out-dir", str(tmp_path / "split"), "--bins", "6",
+                   "--test-bins", "1", "--val-bins", "1")
+        assert code == 2
+
+    def test_corrupt_test_day_in_training(self, data_copy, split_dir, tmp_path):
+        data, split, _ = data_copy
+        (data / "sequences" / f"{split['test'][0]}.egoseq").write_bytes(b"XXXXXXXX")
+        code = run("train", "--arch", "baseline", "--epochs", "1",
+                   "--manifest", str(data / "manifest.json"),
+                   "--labels", str(data / "labels.txt"),
+                   "--split", str(split_dir / "split.json"),
+                   "--out-dir", str(tmp_path / "run"))
+        assert code == 0
+
+    def test_unknown_split_id(self, data_copy, tmp_path):
+        data, split, checkpoint = data_copy
+        split["test"] = [*split["test"], "nope"]
+        split_path = tmp_path / "split.json"
+        split_path.write_text(json.dumps(split))
+        assert self.predict(data, split_path, checkpoint, tmp_path / "out") == 2
+
+    def test_empty_subset_predicts_nothing(self, data_copy, tmp_path):
+        data, split, checkpoint = data_copy
+        split["test"] = []
+        split_path = tmp_path / "split.json"
+        split_path.write_text(json.dumps(split))
+        assert self.predict(data, split_path, checkpoint, tmp_path / "out") == 0
+        assert json.loads((tmp_path / "out" / "timelines.json").read_text()) == []
 
 
 class TestShortDays:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -182,6 +184,69 @@ class TestManifest:
             assert np.array_equal(theirs.features,
                                   mine.features.astype(np.float32).astype(np.float64))
             assert np.array_equal(theirs.labels, mine.labels)
+
+
+class TestLoadSubset:
+    """`load_dataset(..., ids)` reads only the days it names."""
+
+    @pytest.fixture()
+    def manifest(self, tmp_path):
+        ds = generate_synthetic(SynthConfig(num_sequences=5, frames_per_sequence=8,
+                                            seed=5))
+        write_labels_file(ds.label_set, tmp_path / "labels.txt")
+        write_manifest(ds, tmp_path / "manifest.json", tmp_path / "seqs")
+        return tmp_path / "manifest.json", tmp_path / "labels.txt"
+
+    def test_returns_exactly_those_days(self, manifest):
+        whole = load_dataset(*manifest)
+        part = load_dataset(*manifest, ["synth003", "synth001"])
+        assert [s.sequence_id for s in part.sequences] == ["synth001", "synth003"]
+        for seq in part.sequences:
+            assert np.array_equal(seq.features, whole.by_id(seq.sequence_id).features)
+            assert seq.user_id == whole.by_id(seq.sequence_id).user_id
+        assert load_dataset(*manifest, []).sequences == []
+
+    def test_reads_a_repeated_id_once(self, manifest, monkeypatch):
+        from egobatch import datamodel
+
+        read = []
+
+        def counting(path, *args, **kwargs):
+            read.append(kwargs["sequence_id"])
+            return read_sequence_file(path, *args, **kwargs)
+
+        monkeypatch.setattr(datamodel, "read_sequence_file", counting)
+        part = load_dataset(*manifest, ["synth002", "synth004", "synth002"])
+        assert read == ["synth002", "synth004"]
+        assert len(part.sequences) == 2
+
+    def test_skips_the_files_of_other_days(self, manifest):
+        (manifest[0].parent / "seqs" / "synth000.egoseq").write_bytes(b"XXXXXXXX")
+        assert len(load_dataset(*manifest, ["synth001"]).sequences) == 1
+        with pytest.raises(FormatError):
+            load_dataset(*manifest)
+
+    def test_unknown_id(self, manifest):
+        with pytest.raises(DataError, match="nope"):
+            load_dataset(*manifest, ["synth001", "nope"])
+
+    @pytest.mark.parametrize("ids", [None, ["synth001"]])
+    def test_duplicate_manifest_ids(self, manifest, ids):
+        path, labels = manifest
+        entries = json.loads(path.read_text())
+        entries[3]["sequence_id"] = entries[0]["sequence_id"]
+        path.write_text(json.dumps(entries))
+        with pytest.raises(DataError, match="duplicate"):
+            load_dataset(path, labels, ids)
+
+    @pytest.mark.parametrize("entry", [["synth000"], {"path": "x"},
+                                       {"sequence_id": ["a"], "path": "x"}])
+    def test_bad_manifest_entry(self, manifest, entry):
+        path, labels = manifest
+        entries = json.loads(path.read_text())
+        path.write_text(json.dumps([*entries, entry]))
+        with pytest.raises(FormatError, match="bad manifest entry"):
+            load_dataset(path, labels, ["synth001"])
 
 
 class TestCategoryDistribution:

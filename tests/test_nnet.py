@@ -375,6 +375,18 @@ class TestBackpropWindow:
             backprop_window(model, np.zeros((2, 2)), np.zeros(2, dtype=int),
                             np.zeros(2, dtype=bool), mode="train")
 
+    @pytest.mark.parametrize("bad", [3, -1])
+    def test_supervised_label_out_of_range(self, bad):
+        model = build_sliding(2, 3, hidden=3, seed=0)
+        labels = np.array([0, bad, 2])
+        for mode in ("train", "eval"):
+            with pytest.raises(DataError):
+                backprop_window(model, np.ones((3, 2)), labels, mode=mode)
+        # the same label at a masked-out step is never looked at
+        loss, _, _ = backprop_window(model, np.ones((3, 2)), labels,
+                                     np.array([True, False, True]), mode="eval")
+        assert np.isfinite(loss)
+
     def test_gradient_vector_is_laid_out_like_the_flat_layers(self):
         # an SGD step over flatten_layers' vector and backprop_window's
         # gradient moves every tensor unflatten names by the gradient it names
@@ -566,6 +578,13 @@ class TestCheckpoint:
         write_checkpoint(model.params(), path)
         path.write_bytes(path.read_bytes()[:-4])
         with pytest.raises(FormatError):
+            read_checkpoint(path)
+
+    def test_trailing_bytes(self, tmp_path):
+        path = tmp_path / "t.egomdl"
+        write_checkpoint(build_baseline(2, 2, seed=0).params(), path)
+        path.write_bytes(path.read_bytes() + b"\x00" * 3)
+        with pytest.raises(FormatError, match="3 trailing bytes"):
             read_checkpoint(path)
 
     @pytest.mark.parametrize("dims", [(2 ** 31, 2 ** 31, 4), (65536,) * 4])

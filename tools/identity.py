@@ -9,15 +9,19 @@ the last and the best parameters after baseline, sliding (T = 8, dropout
 outputs of `piggyback_logits` and `predict_sliding_sequence`, and the same
 outputs of the trained sliding and piggyback models after a round trip
 through `write_checkpoint`, `read_checkpoint` and `model_from_params`
-("reloaded"). The package
-is imported from the `src/` next to this directory, so running the script
-in two checkouts and diffing the output shows whether a change keeps the
-trained bytes. The last line digests all the others.
+("reloaded"). The `cli` line digests every file a command-line run writes:
+synth, split, train (baseline, sliding, piggyback phases 1 and 2), predict
+with each trained model on the test split, and eval of each prediction.
+The package is imported from the `src/` next to this directory, so running
+the script in two checkouts and diffing the output shows whether a change
+keeps the trained bytes. The last line digests all the others.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import os
 import sys
 import tempfile
@@ -46,6 +50,7 @@ from egobatch import (  # noqa: E402
     train_sliding,
     write_checkpoint,
 )
+from egobatch.cli import dispatch  # noqa: E402
 from egobatch.models import piggyback_logits  # noqa: E402
 
 SIZES = ((12, 24), (16, 32), (64, 256))
@@ -128,12 +133,67 @@ def run_size(feature_dim: int, hidden: int):
     yield f"{tag} reloaded {digest_arrays(outputs)}"
 
 
+# per model: its train flags, and its predict flags (None: not predicted)
+CLI_MODELS = {
+    "baseline": (["--arch", "baseline"], []),
+    "sliding": (["--arch", "sliding", "--timestep", str(T), "--hidden", "24"],
+                ["--timestep", str(T)]),
+    "pb1": (["--arch", "piggyback", "--timestep", str(N), "--overlap", str(M),
+             "--hidden", "24", "--phase", "1"], None),
+    "pb2": (["--arch", "piggyback", "--timestep", str(N), "--overlap", str(M),
+             "--phase", "2", "--init-from", "pb1/best.egomdl"],
+            ["--timestep", str(N), "--overlap", str(M)]),
+}
+
+
+def cli_run() -> str:
+    """Digest of every file a command-line run writes, by relative path."""
+    data = ["--manifest", "data/manifest.json", "--labels", "data/labels.txt"]
+    commands = [
+        ["synth", "--out-dir", "data", "--sequences", "12", "--frames", "60",
+         "--seed", "9"],
+        ["split", *data, "--bins", "6", "--test-bins", "1", "--val-bins", "1",
+         "--out-dir", "split"],
+    ]
+    for name, (train, predict) in CLI_MODELS.items():
+        commands.append(["train", *train, *data, "--split", "split/split.json",
+                         "--lr", "0.05", "--epochs", "2", "--dropout", "0.25",
+                         "--seed", "3", "--out-dir", name])
+        if predict is not None:
+            commands.append(["predict", "--model", f"{name}/best.egomdl", *predict,
+                             *data, "--split", "split/split.json", "--subset", "test",
+                             "--out-dir", f"{name}/pred"])
+            commands.append(["eval", "--timelines", f"{name}/pred/timelines.json",
+                             "--labels", "data/labels.txt",
+                             "--out-dir", f"{name}/eval"])
+    sha = hashlib.sha256()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)  # relative paths keep the temp dir out of config.json
+        try:
+            for argv in commands:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = dispatch(argv)
+                if code != 0:
+                    raise SystemExit(f"{' '.join(argv)} exited {code}")
+            files = sorted(p for p in Path(".").rglob("*") if p.is_file())
+            for path in files:
+                sha.update(f"{path} {hashlib.sha256(path.read_bytes()).hexdigest()}\n"
+                           .encode())
+        finally:
+            os.chdir(cwd)
+    return f"cli {len(files)} files {sha.hexdigest()}"
+
+
 def main() -> int:
     lines = []
     for feature_dim, hidden in SIZES:
         for line in run_size(feature_dim, hidden):
             print(line, flush=True)
             lines.append(line)
+    line = cli_run()
+    print(line, flush=True)
+    lines.append(line)
     print(f"all {hashlib.sha256(chr(10).join(lines).encode()).hexdigest()}")
     return 0
 
