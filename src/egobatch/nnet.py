@@ -41,11 +41,15 @@ CHECKPOINT_MAGIC = b"EGOMDL01"
 SGD_CHUNK = 32768
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
+def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     # per element the usual two branches, 1/(1+e^-x) for x >= 0 and
-    # e^x/(1+e^x) below, so the same bits; exp sees only -|x| and cannot overflow
-    ex = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, ex) / (1.0 + ex)
+    # e^x/(1+e^x) below, so the same bits; exp sees only -|x|, which copysign
+    # gives in one call, and cannot overflow. `out` may be `x` itself.
+    ex = np.copysign(x, -1.0)
+    np.exp(ex, out=ex)
+    num = np.where(x >= 0, 1.0, ex)
+    ex += 1.0
+    return np.divide(num, ex, out=out)
 
 
 def _glorot(rng: np.random.Generator, out_dim: int, in_dim: int) -> np.ndarray:
@@ -226,23 +230,26 @@ class LstmLayer:
         hid = self.hidden
         gate_rows = (inputs.reshape(batch * steps, -1) @ self.w_stack.T
                      + self.b_stack).reshape(batch, steps, 4 * hid)
-        c_rows = np.empty((batch, steps, hid))
-        tanh_c_rows = np.empty((batch, steps, hid))
-        h_rows = np.empty((batch, steps, hid))
+        # three arrays, not one block: `forward_batch` keeps only the outputs
+        c_rows, tanh_c_rows, h_rows = (np.empty((batch, steps, hid)) for _ in range(3))
         u_t = self.u_stack.T
-        h = np.zeros((batch, hid))
-        c = np.zeros((batch, hid))
-        for t in range(steps):
-            gates = gate_rows[:, t]
+        h = c = np.zeros((batch, hid))
+        i_times_g = np.empty((batch, hid))
+        # each position gets (B, .) views of its rows: all gates, the three
+        # sigmoid gates, i, f, o, g, then cell, tanh of the cell and output
+        by_pos = gate_rows.swapaxes(0, 1)
+        views = [by_pos, by_pos[..., :3 * hid]]
+        views += [by_pos[..., k * hid:(k + 1) * hid] for k in range(4)]
+        views += [rows.swapaxes(0, 1) for rows in (c_rows, tanh_c_rows, h_rows)]
+        for gates, ifo, i, f, o, g, c_out, tanh_c, h_out in zip(*views):
             gates += h @ u_t
-            gates[:, :3 * hid] = _sigmoid(gates[:, :3 * hid])
-            gates[:, 3 * hid:] = np.tanh(gates[:, 3 * hid:])
-            c = gates[:, hid:2 * hid] * c + gates[:, :hid] * gates[:, 3 * hid:]
-            tanh_c = np.tanh(c)
-            h = gates[:, 2 * hid:3 * hid] * tanh_c
-            c_rows[:, t] = c
-            tanh_c_rows[:, t] = tanh_c
-            h_rows[:, t] = h
+            _sigmoid(ifo, out=ifo)
+            np.tanh(g, out=g)
+            np.multiply(f, c, out=c_out)
+            c_out += np.multiply(i, g, out=i_times_g)
+            np.tanh(c_out, out=tanh_c)
+            np.multiply(o, tanh_c, out=h_out)
+            h, c = h_out, c_out
         if not np.isfinite(h_rows).all():
             raise NumericError("non-finite recurrent outputs")
         return gate_rows, c_rows, tanh_c_rows, h_rows
@@ -297,27 +304,27 @@ class LstmLayer:
         c = np.concatenate([1.0 - gates[:, :3 * hid], np.ones((steps, hid))], axis=1)
         d_tanh_c = 1.0 - cache.tanh_c_rows * cache.tanh_c_rows
         d_pre = np.empty((steps, 4 * hid))
-        s = np.empty(4 * hid)
-        dc, dh = s[:hid], s[2 * hid:3 * hid]
+        s = np.empty((4, hid))
+        dc, dh = s[0], s[2]
+        s_flat = s.reshape(-1)
         dh_next = np.zeros(hid)
         dc_next = np.zeros(hid)
         u_t = self.u_stack.T
-        for t in range(steps - 1, -1, -1):
-            np.add(d_outputs[t], dh_next, out=dh)
-            np.multiply(dh, o[t], out=dc)
-            dc *= d_tanh_c[t]
+        for d_out, o_t, d_tanh_t, a_t, b_t, c_t, f_t, row in zip(
+                *(rows[::-1] for rows in (d_outputs, o, d_tanh_c, a, b, c, f, d_pre))):
+            np.add(d_out, dh_next, out=dh)
+            np.multiply(dh, o_t, out=dc)
+            dc *= d_tanh_t
             dc += dc_next
-            s[hid:2 * hid] = dc
-            s[3 * hid:] = dc
-            row = d_pre[t]
-            np.multiply(s, a[t], out=row)
-            row *= b[t]
-            row *= c[t]
-            np.multiply(dc, f[t], out=dc_next)
-            dh_next = u_t @ row
+            s[1::2] = dc
+            np.multiply(s_flat, a_t, out=row)
+            row *= b_t
+            row *= c_t
+            np.multiply(dc, f_t, out=dc_next)
+            np.matmul(u_t, row, out=dh_next)
         np.matmul(d_pre.T, cache.inputs, out=dw)
         np.matmul(d_pre.T, h_prev, out=du)
-        np.sum(d_pre, axis=0, out=db)
+        d_pre.sum(axis=0, out=db)
         return out, d_pre @ self.w_stack
 
 
@@ -356,11 +363,13 @@ def _masked_xent_rows(logits: np.ndarray, labels: np.ndarray, mask: np.ndarray
     shifted = logits - logits.max(axis=1, keepdims=True)
     logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     rows = np.flatnonzero(mask)
+    picked = labels[rows]
     count = len(rows)
-    loss = -logp[rows, labels[rows]].sum() / count
+    loss = -logp[rows, picked].sum() / count
     dlogits = np.exp(logp)
-    dlogits[rows, labels[rows]] -= 1.0
-    dlogits[~mask] = 0.0
+    dlogits[rows, picked] -= 1.0
+    if count < len(mask):  # only a day's padded last batch masks positions
+        dlogits[~mask] = 0.0
     dlogits /= count
     return float(loss), dlogits
 
@@ -470,7 +479,7 @@ def _dense_grads(d_outputs: np.ndarray, inputs: np.ndarray, out: np.ndarray) -> 
     """Write an affine layer's dW | db for a window into `out`."""
     rows, cols = d_outputs.shape[1], inputs.shape[1]
     np.matmul(d_outputs.T, inputs, out=out[:rows * cols].reshape(rows, cols))
-    np.sum(d_outputs, axis=0, out=out[rows * cols:])
+    d_outputs.sum(axis=0, out=out[rows * cols:])
 
 
 # ---------------------------------------------------------------------------

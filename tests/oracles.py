@@ -3,9 +3,9 @@
 These deliberately avoid the library's vectorized paths: the recurrent
 reference walks frame by frame through the single-step operations, and the
 split reference enumerates subsets with plain-Python bitmask loops; the
-cross-entropy reference scores one frame at a time. The backward and SGD
-references are the plain loops the library's kernels
-replaced; the kernels must match them bit for bit.
+cross-entropy reference scores one frame at a time. The recurrence,
+backward, masked cross-entropy and SGD references are the plain loops the
+library's kernels replaced; the kernels must match them bit for bit.
 """
 
 import math
@@ -162,3 +162,54 @@ def reference_sgd_update(params, grads, velocity, opt):
         v *= opt.momentum
         v -= opt.learning_rate * (g + opt.weight_decay * w)
         w += v
+
+
+def reference_masked_xent_rows(logits, labels, mask):
+    """Mean cross-entropy over the rows `mask` selects and its gradient (/M)."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    rows = np.flatnonzero(mask)
+    count = len(rows)
+    loss = -logp[rows, labels[rows]].sum() / count
+    dlogits = np.exp(logp)
+    dlogits[rows, labels[rows]] -= 1.0
+    dlogits[~mask] = 0.0
+    dlogits /= count
+    return float(loss), dlogits
+
+
+def reference_sigmoid(x):
+    """1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below; exp sees only -|x|."""
+    ex = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, ex) / (1.0 + ex)
+
+
+def reference_lstm_recur(layer, inputs):
+    """The recurrence over B x T x D windows, each from zero state, indexing
+    one position at a time.
+
+    Returns the B x T activated gates (4H, laid out like the stacks), cells,
+    tanh of the cells and outputs.
+    """
+    batch, steps, _ = inputs.shape
+    hid = layer.hidden
+    gate_rows = (inputs.reshape(batch * steps, -1) @ layer.w_stack.T
+                 + layer.b_stack).reshape(batch, steps, 4 * hid)
+    c_rows = np.empty((batch, steps, hid))
+    tanh_c_rows = np.empty((batch, steps, hid))
+    h_rows = np.empty((batch, steps, hid))
+    u_t = layer.u_stack.T
+    h = np.zeros((batch, hid))
+    c = np.zeros((batch, hid))
+    for t in range(steps):
+        gates = gate_rows[:, t]
+        gates += h @ u_t
+        gates[:, :3 * hid] = reference_sigmoid(gates[:, :3 * hid])
+        gates[:, 3 * hid:] = np.tanh(gates[:, 3 * hid:])
+        c = gates[:, hid:2 * hid] * c + gates[:, :hid] * gates[:, 3 * hid:]
+        tanh_c = np.tanh(c)
+        h = gates[:, 2 * hid:3 * hid] * tanh_c
+        c_rows[:, t] = c
+        tanh_c_rows[:, t] = tanh_c
+        h_rows[:, t] = h
+    return gate_rows, c_rows, tanh_c_rows, h_rows

@@ -12,6 +12,7 @@ from egobatch import (
     FormatError,
     LstmLayer,
     LstmState,
+    NumericError,
     OptimizerState,
     ShapeError,
     backprop_window,
@@ -26,7 +27,13 @@ from egobatch import (
     write_checkpoint,
 )
 from egobatch.nnet import SGD_CHUNK, _masked_xent_rows, _sigmoid, flatten_layers
-from oracles import reference_lstm_backward, reference_sgd_update, softmax_xent
+from oracles import (
+    reference_lstm_backward,
+    reference_lstm_recur,
+    reference_masked_xent_rows,
+    reference_sgd_update,
+    softmax_xent,
+)
 
 
 def zero_lstm(in_dim, hidden):
@@ -134,6 +141,39 @@ class TestLstmStep:
         with pytest.raises(ShapeError):
             layer.forward_batch(np.zeros((2, 5, 4)))
 
+    def test_non_finite_input_raises_numeric_error_without_warnings(self):
+        rng = np.random.default_rng(31)
+        layer = LstmLayer.create(3, 4, rng)
+        inputs = rng.normal(size=(3, 6, 3))
+        inputs[1, 2, 0] = np.nan  # one bad row in the middle window
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError):
+                layer.run(inputs[1])
+            for batch in (inputs[1:2], inputs):
+                with pytest.raises(NumericError):
+                    layer.forward_batch(batch)
+            with pytest.raises(NumericError):
+                layer.step(inputs[1, 2], LstmState.zeros(4))
+
+
+class TestLstmRecur:
+    def test_equals_the_per_position_loop_bit_for_bit(self):
+        # scales 40 and 800 saturate the gates
+        rng = np.random.default_rng(32)
+        for batch in (1, 4):
+            for hidden in (1, 3, 32, 64):
+                for steps in range(1, 13):
+                    for scale in (1.0, 40.0, 800.0):
+                        in_dim = int(rng.integers(1, 40))
+                        layer = LstmLayer.create(in_dim, hidden, rng)
+                        layer.b_stack[...] = rng.normal(size=4 * hidden)
+                        inputs = rng.normal(scale=scale, size=(batch, steps, in_dim))
+                        got = layer._recur(inputs)
+                        want = reference_lstm_recur(layer, inputs)
+                        for name, a, b in zip(("gates", "c", "tanh c", "h"), got, want):
+                            assert same_bits(a, b), (batch, hidden, steps, scale, name)
+
 
 def masked_sigmoid(x):
     """The two-branch form: each branch's exp sees only non-positive values."""
@@ -163,6 +203,19 @@ class TestSigmoid:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert np.array_equal(_sigmoid(np.array([1000.0, -1000.0])), [1.0, 0.0])
+
+    def test_in_place_equals_allocating_form_bit_for_bit(self):
+        rng = np.random.default_rng(33)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for scale in (1e-8, 1e-3, 1.0, 10.0, 40.0, 800.0):
+                x = np.concatenate([rng.normal(scale=scale, size=300), self.SPECIAL])
+                want, masked = _sigmoid(x), masked_sigmoid(x)
+                got = x.copy()
+                assert _sigmoid(got, out=got) is got
+                assert same_bits(got, want), scale
+                real = ~np.isnan(masked)
+                assert same_bits(got[real], masked[real]), scale
 
 
 class TestLstmStorage:
@@ -616,6 +669,25 @@ class TestCheckpoint:
         path.write_bytes(payload)
         with pytest.raises(FormatError):
             read_checkpoint(path)
+
+
+@pytest.mark.parametrize("kind", ["all", "partial", "single", "one row"])
+def test_masked_xent_rows_equals_the_reference_bit_for_bit(kind):
+    rng = np.random.default_rng(35)
+    for scale in (0.1, 1.0, 30.0):
+        steps = 1 if kind == "one row" else 10
+        logits = rng.normal(scale=scale, size=(steps, 21))
+        labels = rng.integers(21, size=steps)
+        mask = np.ones(steps, dtype=bool)
+        if kind == "partial":
+            mask[7:] = False  # a padded last batch
+        elif kind == "single":
+            mask[:] = False
+            mask[4] = True
+        loss, dlogits = _masked_xent_rows(logits, labels, mask)
+        want_loss, want_dlogits = reference_masked_xent_rows(logits, labels, mask)
+        assert same_bits(loss, want_loss), (kind, scale)
+        assert same_bits(dlogits, want_dlogits), (kind, scale)
 
 
 def test_masked_xent_rows_matches_per_frame():

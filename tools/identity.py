@@ -4,14 +4,16 @@
 
 Trains every architecture on small synthetic days (one of them 3 frames
 long) at three (feature dim, hidden) sizes, then prints one digest per line:
-the last and the best parameters after baseline, sliding (T = 8, dropout
-0.5) and piggyback phase 1 and phase 2 training (n = 10, m = 3), the
-outputs of `piggyback_logits` and `predict_sliding_sequence`, and the same
-outputs of the trained sliding and piggyback models after a round trip
-through `write_checkpoint`, `read_checkpoint` and `model_from_params`
-("reloaded"). The `cli` line digests every file a command-line run writes:
-synth, split, train (baseline, sliding, piggyback phases 1 and 2), predict
-with each trained model on the test split, and eval of each prediction.
+the last and the best parameters and the training report (per-epoch train
+and validation losses, validation accuracy, best epoch and stop reason)
+after baseline, sliding (T = 8, dropout 0.5) and piggyback phase 1 and
+phase 2 training (n = 10, m = 3), the outputs of `piggyback_logits` and
+`predict_sliding_sequence`, and the same outputs of the trained sliding and
+piggyback models after a round trip through `write_checkpoint`,
+`read_checkpoint` and `model_from_params` ("reloaded"). The `cli` line
+digests every file a command-line run writes: synth, split, train
+(baseline, sliding, piggyback phases 1 and 2), predict with each trained
+model on the test split, and eval of each prediction.
 The package is imported from the `src/` next to this directory, so running
 the script in two checkouts and diffing the output shows whether a change
 keeps the trained bytes. The last line digests all the others.
@@ -78,6 +80,15 @@ def digest_params(params) -> str:
     return sha.hexdigest()
 
 
+def digest_report(report) -> str:
+    """Epoch losses and accuracies bit for bit, the best epoch and the stop reason."""
+    stats = np.array([(e.train_loss, e.val_loss, e.val_accuracy) for e in report.epochs],
+                     dtype=np.float64).reshape(-1, 3)
+    sha = hashlib.sha256(f"{report.best_epoch} {report.stop_reason}".encode())
+    sha.update(digest_arrays([stats]).encode())
+    return sha.hexdigest()
+
+
 def days(feature_dim: int):
     data = generate_synthetic(SynthConfig(feature_dim=feature_dim,
                                           num_sequences=len(LENGTHS) + VAL_DAYS,
@@ -100,6 +111,7 @@ def run_size(feature_dim: int, hidden: int):
     def report(what, result, model):
         yield f"{tag} {what} last {digest_params(model.params())}"
         yield f"{tag} {what} best {digest_params(result.best_params)}"
+        yield f"{tag} {what} report {digest_report(result.report)}"
 
     model = build_baseline(feature_dim, classes, seed=0)
     yield from report("baseline", train_baseline(model, train, val, config("baseline")),
