@@ -169,10 +169,15 @@ def _read_split_ids(path: str | Path) -> dict:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: invalid JSON ({exc})") from exc
+    seen: set[str] = set()
     for key in ("test", "val", "train"):
         ids = obj.get(key) if isinstance(obj, dict) else None
         if not isinstance(ids, list) or not all(isinstance(sid, str) for sid in ids):
             raise FormatError(f"{path}: split manifest needs {key!r} as a list of ids")
+        for sid in ids:  # a repeated day would be trained, predicted or scored twice
+            if sid in seen:
+                raise FormatError(f"{path}: split manifest lists {sid!r} more than once")
+            seen.add(sid)
     return obj
 
 

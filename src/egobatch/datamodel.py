@@ -20,6 +20,7 @@ SEQUENCE_MAGIC = b"EGOSEQ01"
 _HEADER = struct.Struct("<II")  # frame count L, feature dim D
 _FLAG_TIMESTAMPS = 0x01
 _MAX_LABEL_ID = 0xFFFF  # label ids are stored as u16
+_MAX_TIMESTAMP = 0xFFFFFFFF  # timestamps are stored as u32
 
 
 @dataclass(frozen=True)
@@ -86,8 +87,8 @@ class DaySequence:
         if self.timestamps is not None:
             if self.timestamps.shape != (feats.shape[0],):
                 raise DataError("timestamps length must equal frame count")
-            if (self.timestamps < 0).any():
-                raise DataError("timestamps must be non-negative minutes")
+            if (self.timestamps < 0).any() or (self.timestamps > _MAX_TIMESTAMP).any():
+                raise DataError("timestamps must be minutes in [0, 2**32 - 1]")
             if (np.diff(self.timestamps) < 0).any():
                 raise DataError("timestamps must be non-decreasing")
 

@@ -72,10 +72,11 @@ class LayerStack:
         if self.embed is not None:
             out["embed.W"] = self.embed.weight
             out["embed.b"] = self.embed.bias
-        if self.lstm is not None:
-            for kind, gates in zip("WUb", (self.lstm.w, self.lstm.u, self.lstm.b)):
-                for g in GATES:
-                    out[f"lstm.{kind}_{g}"] = gates[g]
+        lstm = self.lstm
+        if lstm is not None:  # each gate is a row block of the stacks, a view
+            for kind, stack in zip("WUb", (lstm.w_stack, lstm.u_stack, lstm.b_stack)):
+                for k, g in enumerate(GATES):
+                    out[f"lstm.{kind}_{g}"] = stack[k * lstm.hidden:(k + 1) * lstm.hidden]
         out["head.W"] = self.head.weight
         out["head.b"] = self.head.bias
         return out
@@ -140,8 +141,11 @@ def model_from_params(params: dict[str, np.ndarray]) -> LayerStack:
 
     lstm = embed = None
     if "lstm" in layers:
-        # stacking the gates copies them
-        lstm = LstmLayer(*({g: params[f"lstm.{k}_{g}"] for g in GATES} for k in "WUb"))
+        gates = [[params[f"lstm.{kind}_{g}"] for g in GATES] for kind in "WUb"]
+        if any(t.ndim == 0 or t.shape != same[0].shape for same in gates for t in same):
+            raise ShapeError("the four gates of lstm.W_*, lstm.U_* and lstm.b_* must "
+                             "each be arrays of one shape")
+        lstm = LstmLayer(*map(np.concatenate, gates))  # concatenating copies
     if "embed" in layers:
         embed = dense("embed")
     return LayerStack(dense("head"), lstm, embed)

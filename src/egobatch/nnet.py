@@ -144,48 +144,39 @@ class LstmLayer:
         c' = f * c + i * g                    h' = o * tanh(c')
 
     The gates live stacked in that order in `w_stack` (4H x D), `u_stack`
-    (4H x H) and `b_stack` (4H); `w`, `u` and `b` map each gate to its row
-    block, a view, so updating either name updates both.
+    (4H x H) and `b_stack` (4H), the three arrays the constructor takes.
     """
 
-    def __init__(self, w: dict[str, np.ndarray], u: dict[str, np.ndarray],
-                 b: dict[str, np.ndarray]):
-        w = {g: np.asarray(w[g], dtype=np.float64) for g in GATES}
-        u = {g: np.asarray(u[g], dtype=np.float64) for g in GATES}
-        b = {g: np.asarray(b[g], dtype=np.float64) for g in GATES}
-        if w["i"].ndim != 2:
-            raise ShapeError(f"gate weights must be matrices, got shape {w['i'].shape}")
-        hidden, in_dim = w["i"].shape
-        for g in GATES:
-            if w[g].shape != (hidden, in_dim) or u[g].shape != (hidden, hidden) \
-                    or b[g].shape != (hidden,):
-                raise ShapeError(f"inconsistent parameter shapes for gate {g!r}")
-            if not (np.isfinite(w[g]).all() and np.isfinite(u[g]).all()
-                    and np.isfinite(b[g]).all()):
-                raise DataError("recurrent layer parameters must be finite")
-        self._bind(*(np.concatenate([gates[g] for g in GATES]) for gates in (w, u, b)))
+    def __init__(self, w_stack: np.ndarray, u_stack: np.ndarray, b_stack: np.ndarray):
+        self._bind(*(np.ascontiguousarray(stack, dtype=np.float64)
+                     for stack in (w_stack, u_stack, b_stack)))
+        if self.w_stack.ndim != 2:
+            raise ShapeError(f"gate weights must be a matrix, got shape {self.w_stack.shape}")
+        rows = self.w_stack.shape[0]
+        if rows % 4 or self.u_stack.shape != (rows, rows // 4) \
+                or self.b_stack.shape != (rows,):
+            raise ShapeError(f"inconsistent stacked gate shapes: "
+                             f"{[t.shape for t in self._tensors()]}")
+        if not all(np.isfinite(t).all() for t in self._tensors()):
+            raise DataError("recurrent layer parameters must be finite")
 
     def _tensors(self) -> tuple[np.ndarray, ...]:
         return self.w_stack, self.u_stack, self.b_stack
 
     def _bind(self, w_stack: np.ndarray, u_stack: np.ndarray,
               b_stack: np.ndarray) -> None:
-        hidden = u_stack.shape[1]
         self.w_stack, self.u_stack, self.b_stack = w_stack, u_stack, b_stack
-        self.w, self.u, self.b = (
-            {g: stack[k * hidden:(k + 1) * hidden] for k, g in enumerate(GATES)}
-            for stack in (w_stack, u_stack, b_stack)
-        )
 
     @classmethod
     def create(cls, in_dim: int, hidden: int, rng: np.random.Generator) -> "LstmLayer":
-        """Glorot-uniform matrices, zero biases except the forget gate at 1."""
-        w, u, b = {}, {}, {}
-        for g in GATES:
-            w[g] = _glorot(rng, hidden, in_dim)
-            u[g] = _glorot(rng, hidden, hidden)
-            b[g] = np.ones(hidden) if g == "f" else np.zeros(hidden)
-        return cls(w, u, b)
+        """Glorot-uniform matrices, zero biases except the forget gate at 1.
+
+        The matrices are drawn gate by gate in stack order, W before U."""
+        w, u = zip(*((_glorot(rng, hidden, in_dim), _glorot(rng, hidden, hidden))
+                     for _ in GATES))
+        b = np.zeros(4 * hidden)
+        b[hidden:2 * hidden] = 1.0
+        return cls(np.concatenate(w), np.concatenate(u), b)
 
     @property
     def hidden(self) -> int:
@@ -398,8 +389,6 @@ def run_window(model, inputs: np.ndarray, *, dropout_rate: float = 0.0,
     (activations scaled by 1/(1-rate)), so evaluation, at rate 0, needs no
     rescaling.
     """
-    if not 0.0 <= dropout_rate < 1.0:
-        raise ConfigError("dropout rate must lie in [0, 1)")
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 2:
         raise ShapeError("window inputs must be a T x D matrix")

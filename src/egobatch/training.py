@@ -144,7 +144,9 @@ def validate_model(model, val_seqs: list[DaySequence], predict) -> tuple[float, 
     return total_loss / total_frames, total_correct / total_frames
 
 
-class _EpochDriver:
+def _train(model: LayerStack, train_seqs: list[DaySequence],
+           val_seqs: list[DaySequence], cfg: TrainConfig, predict, plan,
+           overlap: int = 0) -> TrainResult:
     """The epoch/validation/early-stop loop over the batches of a plan.
 
     `plan(length)` tiles each training day. The stage that trains is the
@@ -156,83 +158,62 @@ class _EpochDriver:
     batches run in order, and the first m inputs of each are replaced by the
     previous batch's last m recurrent outputs.
     """
-
-    def __init__(self, model: LayerStack, cfg: TrainConfig, predict, plan,
-                 overlap: int = 0):
-        if model.architecture != cfg.architecture:
-            raise ConfigError(f"config architecture {cfg.architecture!r} does not "
-                              f"match the {model.architecture!r} model")
-        self.model = model
-        self.cfg = cfg
-        self.predict = predict
-        self.plan = plan
-        self.stage = model.carry_stage() if overlap else model
-        self.overlap = overlap
-        seq_seed = np.random.SeedSequence(cfg.seed)
-        shuffle_seed, dropout_seed = seq_seed.spawn(2)
-        self.shuffle_rng = np.random.default_rng(shuffle_seed)
-        self.dropout_rng = np.random.default_rng(dropout_seed)
-        self.flat = flatten_layers(self.stage.layers)
-        self.opt = OptimizerState.create(
-            self.flat.size, cfg.learning_rate, cfg.momentum, cfg.weight_decay
-        )
-
-    def train_steps(self, seq: DaySequence):
-        plan = self.plan(len(seq))
-        rows, labels = plan.rows(seq.features), plan.rows(seq.labels)
-        m = self.overlap
-        if m:
-            rows = self.model.embed.forward_rows(rows)
-        for start in plan.starts:
-            batch = slice(start, start + plan.size)
-            inputs = rows[batch]
-            if m and start:
-                # overwrites positions the previous batch has already read
-                inputs[:m] = h_prev[-m:]
-            loss, grads, fwd = backprop_window(
-                self.stage, inputs, labels[batch], plan.valid[batch],
-                dropout_rate=self.cfg.dropout, rng=self.dropout_rng, mode="train",
-            )
-            h_prev = fwd.lstm_outputs
-            yield loss, grads
-
-    def run(self, train_seqs: list[DaySequence],
-            val_seqs: list[DaySequence]) -> TrainResult:
-        if not train_seqs or not val_seqs:
-            raise ConfigError("training needs at least one train and one val sequence")
-        cfg = self.cfg
-        report = TrainReport()
-        best_params = None
-        best_loss = np.inf
-        history: list[float] = []
-        for _ in range(cfg.epochs):
-            order = self.shuffle_rng.permutation(len(train_seqs))
-            step_losses = []
-            try:
-                for idx in order:
-                    for loss, grads in self.train_steps(train_seqs[idx]):
-                        if not np.isfinite(loss):
-                            raise NumericError("non-finite training loss")
-                        sgd_update(self.flat, grads, self.opt)
-                        step_losses.append(loss)
-            except NumericError:
-                report.stop_reason = "numeric_failure"
-                break
-            val_loss, val_acc = validate_model(self.model, val_seqs, self.predict)
-            report.epochs.append(
-                EpochStats(float(np.mean(step_losses)), val_loss, val_acc)
-            )
-            if val_loss < best_loss - _IMPROVEMENT:
-                best_loss = val_loss
-                best_params = {name: w.copy() for name, w in self.model.params().items()}
-                report.best_epoch = len(report.epochs) - 1
-            history.append(val_loss)
-            if early_stop_update(history, cfg.patience):
-                report.stop_reason = "early_stop"
-                break
-        else:
-            report.stop_reason = "max_epochs"
-        return TrainResult(report=report, best_params=best_params)
+    if model.architecture != cfg.architecture:
+        raise ConfigError(f"config architecture {cfg.architecture!r} does not "
+                          f"match the {model.architecture!r} model")
+    if not train_seqs or not val_seqs:
+        raise ConfigError("training needs at least one train and one val sequence")
+    stage = model.carry_stage() if overlap else model
+    shuffle_seed, dropout_seed = np.random.SeedSequence(cfg.seed).spawn(2)
+    shuffle_rng = np.random.default_rng(shuffle_seed)
+    dropout_rng = np.random.default_rng(dropout_seed)
+    flat = flatten_layers(stage.layers)
+    opt = OptimizerState.create(flat.size, cfg.learning_rate, cfg.momentum,
+                                cfg.weight_decay)
+    report = TrainReport()
+    best_params = None
+    best_loss = np.inf
+    history: list[float] = []
+    for _ in range(cfg.epochs):
+        step_losses = []
+        try:
+            for idx in shuffle_rng.permutation(len(train_seqs)):
+                seq = train_seqs[idx]
+                day = plan(len(seq))
+                rows, labels = day.rows(seq.features), day.rows(seq.labels)
+                if overlap:
+                    rows = model.embed.forward_rows(rows)
+                for start in day.starts:
+                    batch = slice(start, start + day.size)
+                    inputs = rows[batch]
+                    if overlap and start:
+                        # overwrites positions the previous batch has already read
+                        inputs[:overlap] = h_prev[-overlap:]
+                    loss, grads, fwd = backprop_window(
+                        stage, inputs, labels[batch], day.valid[batch],
+                        dropout_rate=cfg.dropout, rng=dropout_rng, mode="train",
+                    )
+                    if not np.isfinite(loss):
+                        raise NumericError("non-finite training loss")
+                    sgd_update(flat, grads, opt)
+                    step_losses.append(loss)
+                    h_prev = fwd.lstm_outputs
+        except NumericError:
+            report.stop_reason = "numeric_failure"
+            break
+        val_loss, val_acc = validate_model(model, val_seqs, predict)
+        report.epochs.append(EpochStats(float(np.mean(step_losses)), val_loss, val_acc))
+        if val_loss < best_loss - _IMPROVEMENT:
+            best_loss = val_loss
+            best_params = {name: w.copy() for name, w in model.params().items()}
+            report.best_epoch = len(report.epochs) - 1
+        history.append(val_loss)
+        if early_stop_update(history, cfg.patience):
+            report.stop_reason = "early_stop"
+            break
+    else:
+        report.stop_reason = "max_epochs"
+    return TrainResult(report=report, best_params=best_params)
 
 
 def train_baseline(model: LayerStack, train_seqs: list[DaySequence],
@@ -240,9 +221,8 @@ def train_baseline(model: LayerStack, train_seqs: list[DaySequence],
     """One SGD step per frame, sequences shuffled each epoch."""
     if cfg.architecture != "baseline":
         raise ConfigError("config architecture must be 'baseline'")
-    driver = _EpochDriver(model, cfg, predict_baseline,
-                          plan=lambda length: sliding_plan(length, 1))
-    return driver.run(train_seqs, val_seqs)
+    return _train(model, train_seqs, val_seqs, cfg, predict_baseline,
+                  lambda length: sliding_plan(length, 1))
 
 
 def train_sliding(model: LayerStack, train_seqs: list[DaySequence],
@@ -258,9 +238,8 @@ def train_sliding(model: LayerStack, train_seqs: list[DaySequence],
     def predict(mdl, seq):
         return predict_sliding_sequence(mdl, seq, cfg.timestep)
 
-    driver = _EpochDriver(model, cfg, predict,
-                          plan=lambda length: sliding_plan(length, cfg.timestep))
-    return driver.run(train_seqs, val_seqs)
+    return _train(model, train_seqs, val_seqs, cfg, predict,
+                  lambda length: sliding_plan(length, cfg.timestep))
 
 
 def train_piggyback(model: LayerStack, train_seqs: list[DaySequence],
@@ -278,15 +257,12 @@ def train_piggyback(model: LayerStack, train_seqs: list[DaySequence],
         def predict(mdl, seq):
             return predict_sliding_sequence(mdl, seq, cfg.timestep)
 
-        driver = _EpochDriver(model, cfg, predict,
-                              plan=lambda length: batch_plan(length, cfg.timestep))
-        return driver.run(train_seqs, val_seqs)
+        return _train(model, train_seqs, val_seqs, cfg, predict,
+                      lambda length: batch_plan(length, cfg.timestep))
 
     def predict(mdl, seq):
         return predict_piggyback_sequence(mdl, seq, cfg.timestep, cfg.overlap)
 
-    driver = _EpochDriver(
-        model, cfg, predict,
-        plan=lambda length: batch_plan(length, cfg.timestep, cfg.overlap),
-        overlap=cfg.overlap)
-    return driver.run(train_seqs, val_seqs)
+    return _train(model, train_seqs, val_seqs, cfg, predict,
+                  lambda length: batch_plan(length, cfg.timestep, cfg.overlap),
+                  cfg.overlap)

@@ -2,6 +2,7 @@ import json
 import shutil
 import struct
 
+import numpy as np
 import pytest
 
 from egobatch import (
@@ -174,14 +175,21 @@ class TestDataErrors:
                    "--split", str(split_path), "--out-dir", str(tmp_path / "out"))
         assert code == 2
 
-    @pytest.mark.parametrize("damage", ["no_embed_bias", "flat_recurrent_weight"])
+    @pytest.mark.parametrize("damage", ["no_embed_bias", "flat_recurrent_weight",
+                                        "mismatched_gate_rows"])
     def test_malformed_checkpoint(self, synth_dir, tmp_path, damage):
         data = load_dataset(synth_dir / "manifest.json", synth_dir / "labels.txt")
         params = build_piggyback(data.feature_dim, data.label_set.size, hidden=4).params()
         if damage == "no_embed_bias":
             del params["embed.b"]
-        else:
+        elif damage == "flat_recurrent_weight":
             params["lstm.W_i"] = params["lstm.W_i"].reshape(-1)
+        else:
+            # 3 + 5 + 4 + 4 rows stack like a valid H = 4 layer
+            for kind in "WUb":
+                i, f = params[f"lstm.{kind}_i"], params[f"lstm.{kind}_f"]
+                params[f"lstm.{kind}_i"] = i[:3]
+                params[f"lstm.{kind}_f"] = np.concatenate([f, i[3:]])
         checkpoint = tmp_path / "model.egomdl"
         write_checkpoint(params, checkpoint)
         code = run("predict", "--model", str(checkpoint),
@@ -392,6 +400,31 @@ class TestSubsetReads:
         split_path = tmp_path / "split.json"
         split_path.write_text(json.dumps(split))
         assert self.predict(data, split_path, checkpoint, tmp_path / "out") == 2
+
+    def test_repeated_split_id_in_predict(self, data_copy, tmp_path):
+        # a test day listed twice would be predicted, and then scored, twice
+        data, split, checkpoint = data_copy
+        split["test"] = [split["test"][0]] * 2
+        split_path = tmp_path / "split.json"
+        split_path.write_text(json.dumps(split))
+        assert self.predict(data, split_path, checkpoint, tmp_path / "out") == 2
+        assert not (tmp_path / "out" / "timelines.json").exists()
+
+    @pytest.mark.parametrize("where", ["within_train", "train_and_val"])
+    def test_repeated_split_id_in_train(self, data_copy, tmp_path, where):
+        data, split, _ = data_copy
+        if where == "within_train":
+            split["train"] = [*split["train"], split["train"][0]]
+        else:
+            split["val"] = [*split["val"], split["train"][0]]
+        split_path = tmp_path / "split.json"
+        split_path.write_text(json.dumps(split))
+        code = run("train", "--arch", "baseline", "--epochs", "1",
+                   "--manifest", str(data / "manifest.json"),
+                   "--labels", str(data / "labels.txt"),
+                   "--split", str(split_path), "--out-dir", str(tmp_path / "run"))
+        assert code == 2
+        assert not (tmp_path / "run").exists()
 
     def test_empty_subset_predicts_nothing(self, data_copy, tmp_path):
         data, split, checkpoint = data_copy

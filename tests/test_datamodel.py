@@ -82,6 +82,18 @@ class TestDaySequence:
         with pytest.raises(DataError):
             make_seq([[1.0], [2.0]], [0, 0], timestamps=[10, 5])
 
+    def test_rejects_timestamps_beyond_u32(self, tmp_path):
+        # .egoseq stores u32 minutes: 2**32 + 7 would be written as 7
+        with pytest.raises(DataError):
+            make_seq([[1.0], [2.0]], [0, 0], timestamps=[5, 2**32 + 7])
+        seq = make_seq([[1.0], [2.0]], [0, 0], timestamps=[5, 2**32 - 1])
+        write_sequence_file(seq, tmp_path / "s.egoseq")
+        back = read_sequence_file(tmp_path / "s.egoseq", LABELS_AB)
+        assert back.timestamps.tolist() == [5, 2**32 - 1]
+        seq.timestamps[-1] = 2**32 + 7  # validate runs again before writing
+        with pytest.raises(DataError):
+            write_sequence_file(seq, tmp_path / "s.egoseq")
+
 
 class TestSequenceFile:
     def test_round_trip_bit_exact(self, tmp_path):

@@ -282,6 +282,14 @@ class TestDeterminism:
         with pytest.raises(ShapeError):
             model_from_params(read_checkpoint(path))
 
+    def test_scalar_gate_tensors_rejected(self):
+        # a checkpoint may hold rank-0 tensors, which cannot be stacked
+        params = build_sliding(4, 3, hidden=5, seed=2).params()
+        for g in "ifoc":
+            params[f"lstm.b_{g}"] = np.array(0.0)
+        with pytest.raises(ShapeError):
+            model_from_params(params)
+
 
 def address(array):
     return array.__array_interface__["data"][0]
@@ -331,7 +339,7 @@ class TestFlatLayout:
         assert not np.shares_memory(weight, flat) and not np.shares_memory(bias, flat)
         flat -= 0.5
         assert model.embed.weight.tobytes() + model.embed.bias.tobytes() == frozen
-        assert np.array_equal(model.lstm.u["o"], stage.params()["lstm.U_o"])
+        assert np.array_equal(model.params()["lstm.U_o"], stage.params()["lstm.U_o"])
 
     def test_checkpoint_rebuilds_the_flat_layout(self, tmp_path):
         for model in all_stacks():

@@ -37,10 +37,8 @@ from oracles import (
 
 
 def zero_lstm(in_dim, hidden):
-    zeros_w = {g: np.zeros((hidden, in_dim)) for g in "ifoc"}
-    zeros_u = {g: np.zeros((hidden, hidden)) for g in "ifoc"}
-    zeros_b = {g: np.zeros(hidden) for g in "ifoc"}
-    return LstmLayer(zeros_w, zeros_u, zeros_b)
+    return LstmLayer(np.zeros((4 * hidden, in_dim)), np.zeros((4 * hidden, hidden)),
+                     np.zeros(4 * hidden))
 
 
 class TestDense:
@@ -76,7 +74,7 @@ class TestLstmStep:
     def test_scalar_hand_case(self):
         # only the candidate input weight is live: i = o = 0.5, g = tanh(1)
         layer = zero_lstm(1, 1)
-        layer.w["c"][0, 0] = 1.0
+        layer.w_stack[3, 0] = 1.0  # W_c, the fourth row block
         state = layer.step(np.array([1.0]), LstmState.zeros(1))
         g = math.tanh(1.0)
         c = 0.5 * g
@@ -93,9 +91,9 @@ class TestLstmStep:
             hidden = int(rng.integers(1, 6))
             in_dim = int(rng.integers(1, 6))
             layer = LstmLayer(
-                {g: rng.normal(scale=20.0, size=(hidden, in_dim)) for g in "ifoc"},
-                {g: rng.normal(scale=20.0, size=(hidden, hidden)) for g in "ifoc"},
-                {g: rng.normal(scale=5.0, size=hidden) for g in "ifoc"},
+                rng.normal(scale=20.0, size=(4 * hidden, in_dim)),
+                rng.normal(scale=20.0, size=(4 * hidden, hidden)),
+                rng.normal(scale=5.0, size=4 * hidden),
             )
             state = LstmState(rng.uniform(-1, 1, hidden), rng.normal(size=hidden))
             for _ in range(4):
@@ -227,8 +225,9 @@ class TestLstmStorage:
                 stack = {"W": lstm.w_stack, "U": lstm.u_stack,
                          "b": lstm.b_stack}[name[len("lstm."):][0]]
                 assert np.shares_memory(w, stack), name
+        params = model.params()
         assert np.array_equal(lstm.w_stack, np.concatenate(
-            [lstm.w[g] for g in "ifoc"]))
+            [params[f"lstm.W_{g}"] for g in "ifoc"]))
 
     def test_sgd_update_through_views_moves_the_stacks(self):
         rng = np.random.default_rng(24)

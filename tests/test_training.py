@@ -297,13 +297,13 @@ class TestPiggyback:
         train_piggyback(model, train, val, cfg1)
         embed_w = model.embed.weight.tobytes()
         embed_b = model.embed.bias.tobytes()
-        lstm_before = model.lstm.w["i"].copy()
+        lstm_before = model.params()["lstm.W_i"].copy()
         cfg2 = TrainConfig("piggyback", timestep=5, overlap=2, learning_rate=0.05,
                            epochs=2, dropout=0.25, seed=0, patience=5, phase=2)
         train_piggyback(model, train, val, cfg2)
         assert model.embed.weight.tobytes() == embed_w
         assert model.embed.bias.tobytes() == embed_b
-        assert not np.array_equal(model.lstm.w["i"], lstm_before)
+        assert not np.array_equal(model.params()["lstm.W_i"], lstm_before)
 
     def test_phase2_steps_leave_every_embed_byte_unchanged(self, monkeypatch):
         _, train, val = desk_data()

@@ -4,7 +4,9 @@
 
 Trains every architecture on small synthetic days (one of them 3 frames
 long) at three (feature dim, hidden) sizes, then prints one digest per line:
-the last and the best parameters and the training report (per-epoch train
+the freshly built baseline, sliding and piggyback parameters ("init"), so a
+change to initialisation shows apart from a change to training; the last
+and the best parameters and the training report (per-epoch train
 and validation losses, validation accuracy, best epoch and stop reason)
 after baseline, sliding (T = 8, dropout 0.5) and piggyback phase 1 and
 phase 2 training (n = 10, m = 3), the outputs of `piggyback_logits` and
@@ -114,6 +116,11 @@ def run_size(feature_dim: int, hidden: int):
         yield f"{tag} {what} report {digest_report(result.report)}"
 
     model = build_baseline(feature_dim, classes, seed=0)
+    sliding = build_sliding(feature_dim, classes, hidden=hidden, seed=0)
+    piggyback = build_piggyback(feature_dim, classes, hidden=hidden, seed=0)
+    fresh = " ".join(digest_params(m.params()) for m in (model, sliding, piggyback))
+    yield f"{tag} init {hashlib.sha256(fresh.encode()).hexdigest()}"
+
     yield from report("baseline", train_baseline(model, train, val, config("baseline")),
                       model)
 
@@ -124,12 +131,10 @@ def run_size(feature_dim: int, hidden: int):
     def piggyback_outputs(model):
         return [piggyback_logits(model, day, N, M) for day in everything]
 
-    sliding = build_sliding(feature_dim, classes, hidden=hidden, seed=0)
     result = train_sliding(sliding, train, val, config("sliding", timestep=T, dropout=0.5))
     yield from report("sliding", result, sliding)
     yield f"{tag} sliding predict {digest_arrays(sliding_outputs(sliding))}"
 
-    piggyback = build_piggyback(feature_dim, classes, hidden=hidden, seed=0)
     for phase, dropout in ((1, 0.5), (2, 0.25)):
         result = train_piggyback(piggyback, train, val, config(
             "piggyback", timestep=N, overlap=M, dropout=dropout, phase=phase))
