@@ -37,9 +37,11 @@ from .models import (
     build_baseline,
     build_piggyback,
     build_sliding,
+    build_stack,
     model_from_params,
     predict_baseline,
     predict_piggyback_sequence,
+    predict_sequence,
     predict_sliding_sequence,
     read_timelines_json,
     write_timelines_json,

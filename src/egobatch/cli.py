@@ -40,13 +40,10 @@ from .evaluation import (
     write_confusion_normalized_csv,
 )
 from .models import (
-    build_baseline,
-    build_piggyback,
-    build_sliding,
+    ARCHITECTURES,
+    build_stack,
     model_from_params,
-    predict_baseline,
-    predict_piggyback_sequence,
-    predict_sliding_sequence,
+    predict_sequence,
     read_timelines_json,
     write_timelines_json,
 )
@@ -97,6 +94,12 @@ def _write_config(out_dir: Path, payload: dict) -> None:
                                          encoding="utf-8")
 
 
+def _parsed_flags(args) -> dict:
+    """The command and its flags, without --out-dir, in parser order:
+    argparse fills the namespace in the order the flags were added."""
+    return {k: v for k, v in vars(args).items() if k not in ("out_dir", "handler")}
+
+
 def _out_dir(args) -> Path:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -125,19 +128,7 @@ def _cmd_synth(args) -> int:
     out = _out_dir(args)
     write_labels_file(dataset.label_set, out / "labels.txt")
     write_manifest(dataset, out / "manifest.json", out / "sequences")
-    _write_config(out, {
-        "command": "synth",
-        "classes": cfg.num_classes,
-        "feature_dim": cfg.feature_dim,
-        "ambiguous": list(cfg.ambiguous_pair),
-        "context": [cfg.context_map[c] for c in cfg.ambiguous_pair],
-        "self_transition": cfg.self_transition_prob,
-        "noise_sigma": cfg.noise_sigma,
-        "mean_scale": cfg.mean_scale,
-        "sequences": cfg.num_sequences,
-        "frames": cfg.frames_per_sequence,
-        "seed": cfg.seed,
-    })
+    _write_config(out, _parsed_flags(args))
     print(f"wrote {len(dataset.sequences)} sequences under {out}")
     return EXIT_OK
 
@@ -149,16 +140,7 @@ def _cmd_split(args) -> int:
                           stage2_reference=args.stage2_reference)
     out = _out_dir(args)
     result.write_json(out / "split.json")
-    _write_config(out, {
-        "command": "split",
-        "manifest": str(args.manifest),
-        "labels": str(args.labels),
-        "bins": args.bins,
-        "test_bins": args.test_bins,
-        "val_bins": args.val_bins,
-        "capacity": args.capacity,
-        "stage2_reference": args.stage2_reference,
-    })
+    _write_config(out, _parsed_flags(args))
     print(f"split objectives: test={result.objective_test:.6f} "
           f"val={result.objective_val:.6f}")
     return EXIT_OK
@@ -219,14 +201,9 @@ def _cmd_train(args) -> int:
             raise ShapeError("checkpoint class count does not match the label set")
         if model.input_dim != feature_dim:
             raise ShapeError("checkpoint input width does not match the dataset")
-    elif cfg.architecture == "baseline":
-        model = build_baseline(feature_dim, num_classes, seed=cfg.seed)
-    elif cfg.architecture == "sliding":
-        model = build_sliding(feature_dim, num_classes, hidden=args.hidden,
-                              seed=cfg.seed)
     else:
-        model = build_piggyback(feature_dim, num_classes, hidden=args.hidden,
-                                seed=cfg.seed)
+        model = build_stack(cfg.architecture, feature_dim, num_classes,
+                            hidden=args.hidden, seed=cfg.seed)
 
     trainers = {"baseline": train_baseline, "sliding": train_sliding,
                 "piggyback": train_piggyback}
@@ -268,16 +245,8 @@ def _cmd_predict(args) -> int:
         raise ShapeError("model input width does not match the dataset")
     sequences = dataset.sequences if ids is None else [dataset.by_id(sid) for sid in ids]
 
-    arch = model.architecture
-    timelines = []
-    for seq in sequences:
-        if arch == "baseline":
-            timelines.append(predict_baseline(model, seq))
-        elif arch == "sliding":
-            timelines.append(predict_sliding_sequence(model, seq, args.timestep))
-        else:
-            timelines.append(predict_piggyback_sequence(
-                model, seq, args.timestep, args.overlap, retention=args.retention))
+    timelines = [predict_sequence(model, seq, args.timestep, args.overlap,
+                                  retention=args.retention) for seq in sequences]
 
     out = _out_dir(args)
     write_timelines_json(timelines, out / "timelines.json",
@@ -289,7 +258,7 @@ def _cmd_predict(args) -> int:
         "labels": str(args.labels),
         "split": str(args.split) if args.split else None,
         "subset": args.subset,
-        "architecture": arch,
+        "architecture": model.architecture,
         "timestep": args.timestep,
         "overlap": args.overlap,
         "retention": args.retention,
@@ -309,11 +278,7 @@ def _cmd_eval(args) -> int:
     write_confusion_csv(matrix, label_set, out / "confusion.csv")
     write_confusion_normalized_csv(matrix, label_set,
                                    out / "confusion_normalized.csv")
-    _write_config(out, {
-        "command": "eval",
-        "timelines": str(args.timelines),
-        "labels": str(args.labels),
-    })
+    _write_config(out, _parsed_flags(args))
     print(f"accuracy={report.accuracy:.4f} macro_f1={report.macro_f1:.4f}")
     return EXIT_OK
 
@@ -323,17 +288,10 @@ def _cmd_gradcheck(args) -> int:
     feature_dim, hidden, num_classes, steps = 6, 5, 4, 8
     results = []
     worst = 0.0
-    for name, seed_seq in zip(("baseline", "sliding", "piggyback"), root.spawn(3)):
+    for name, seed_seq in zip(ARCHITECTURES, root.spawn(len(ARCHITECTURES))):
         data_rng = np.random.default_rng(seed_seq)
-        model_seed = int(data_rng.integers(2 ** 31))
-        if name == "baseline":
-            model = build_baseline(feature_dim, num_classes, seed=model_seed)
-        elif name == "sliding":
-            model = build_sliding(feature_dim, num_classes, hidden=hidden,
-                                  seed=model_seed)
-        else:
-            model = build_piggyback(feature_dim, num_classes, hidden=hidden,
-                                    seed=model_seed)
+        model = build_stack(name, feature_dim, num_classes, hidden=hidden,
+                            seed=int(data_rng.integers(2 ** 31)))
         # scale 2 keeps gradient magnitudes above the finite-difference
         # noise floor for most seeds (see README on near-zero coordinates)
         inputs = data_rng.normal(size=(steps, feature_dim)) * 2.0
@@ -360,8 +318,7 @@ def _cmd_gradcheck(args) -> int:
             json.dumps({"max_rel_error": worst, "tolerance": args.tolerance,
                         "passed": passed, "architectures": results}, indent=2) + "\n",
             encoding="utf-8")
-        _write_config(out, {"command": "gradcheck", "seed": args.seed,
-                            "epsilon": args.epsilon, "tolerance": args.tolerance})
+        _write_config(out, _parsed_flags(args))
     if not passed:
         raise NumericError(f"gradient check failed: {worst:.3e} >= {args.tolerance:.1e}")
     return EXIT_OK
@@ -409,8 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_split)
 
     p = sub.add_parser("train", help="train one architecture")
-    p.add_argument("--arch", required=True,
-                   choices=("baseline", "sliding", "piggyback"))
+    p.add_argument("--arch", required=True, choices=ARCHITECTURES)
     p.add_argument("--manifest", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--split", required=True, help="split manifest JSON")

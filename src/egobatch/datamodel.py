@@ -307,14 +307,16 @@ def load_dataset(
     days = {}  # sequence id -> (.egoseq path, user id)
     for entry in entries:
         try:
-            sequence_id = entry["sequence_id"]
-            duplicate = sequence_id in days
-            days[sequence_id] = (manifest_path.parent / entry["path"],
-                                 entry.get("user_id", ""))
+            sequence_id, user_id = entry["sequence_id"], entry.get("user_id", "")
+            path = manifest_path.parent / entry["path"]
         except (KeyError, TypeError) as exc:
             raise FormatError(f"{manifest_path}: bad manifest entry {entry!r}") from exc
-        if duplicate:
+        if not (isinstance(sequence_id, str) and isinstance(user_id, str)):
+            raise FormatError(f"{manifest_path}: bad manifest entry {entry!r}: "
+                              "sequence and user ids must be strings")
+        if sequence_id in days:
             raise DataError(f"{manifest_path}: duplicate sequence id {sequence_id!r}")
+        days[sequence_id] = (path, user_id)
     if ids is not None:
         wanted = set(ids)
         for sequence_id in ids:

@@ -19,6 +19,7 @@ from .datamodel import DaySequence
 from .errors import ConfigError, DataError, FormatError, ShapeError
 from .nnet import GATES, DenseLayer, LstmLayer, run_window, softmax
 
+ARCHITECTURES = ("baseline", "sliding", "piggyback")
 DEFAULT_HIDDEN = 256
 RETENTIONS = ("earlier", "later")
 
@@ -96,26 +97,34 @@ class LayerStack:
         return LayerStack(self.head, self.lstm)
 
 
-def build_baseline(feature_dim: int, num_classes: int, seed: int = 0) -> LayerStack:
+def build_stack(architecture: str, feature_dim: int, num_classes: int,
+                hidden: int = DEFAULT_HIDDEN, seed: int = 0) -> LayerStack:
+    """A new stack of the named architecture. Its embed, lstm and head draw
+    from one generator in that order; the baseline ignores `hidden`."""
+    if architecture not in ARCHITECTURES:
+        raise ConfigError(f"architecture must be one of {ARCHITECTURES}")
     rng = np.random.default_rng(seed)
-    return LayerStack(DenseLayer.create(feature_dim, num_classes, rng))
+    embed = lstm = None
+    if architecture == "piggyback":
+        embed = DenseLayer.create(feature_dim, hidden, rng)
+    if architecture != "baseline":
+        lstm = LstmLayer.create(feature_dim if embed is None else hidden, hidden, rng)
+    head = DenseLayer.create(feature_dim if lstm is None else hidden, num_classes, rng)
+    return LayerStack(head, lstm, embed)
+
+
+def build_baseline(feature_dim: int, num_classes: int, seed: int = 0) -> LayerStack:
+    return build_stack("baseline", feature_dim, num_classes, seed=seed)
 
 
 def build_sliding(feature_dim: int, num_classes: int, hidden: int = DEFAULT_HIDDEN,
                   seed: int = 0) -> LayerStack:
-    rng = np.random.default_rng(seed)
-    lstm = LstmLayer.create(feature_dim, hidden, rng)
-    head = DenseLayer.create(hidden, num_classes, rng)
-    return LayerStack(head, lstm)
+    return build_stack("sliding", feature_dim, num_classes, hidden, seed)
 
 
 def build_piggyback(feature_dim: int, num_classes: int, hidden: int = DEFAULT_HIDDEN,
                     seed: int = 0) -> LayerStack:
-    rng = np.random.default_rng(seed)
-    embed = DenseLayer.create(feature_dim, hidden, rng)
-    lstm = LstmLayer.create(hidden, hidden, rng)
-    head = DenseLayer.create(hidden, num_classes, rng)
-    return LayerStack(head, lstm, embed)
+    return build_stack("piggyback", feature_dim, num_classes, hidden, seed)
 
 
 def model_from_params(params: dict[str, np.ndarray]) -> LayerStack:
@@ -281,6 +290,18 @@ def predict_piggyback_sequence(model: LayerStack, seq: DaySequence,
         seq, piggyback_logits(model, seq, batch_size, overlap, retention))
 
 
+def predict_sequence(model: LayerStack, seq: DaySequence, timestep: int, overlap: int,
+                     retention: str = "earlier") -> PredictionTimeline:
+    """Predict a day as the stack's layers call for: the baseline frame by
+    frame, a sliding stack over windows of `timestep` frames, a piggyback
+    stack over carried batches of n = `timestep` with overlap m = `overlap`."""
+    if model.lstm is None:
+        return predict_baseline(model, seq)
+    if model.embed is None:
+        return predict_sliding_sequence(model, seq, timestep)
+    return predict_piggyback_sequence(model, seq, timestep, overlap, retention=retention)
+
+
 # ---------------------------------------------------------------------------
 # Timeline JSON export / import
 # ---------------------------------------------------------------------------
@@ -318,16 +339,21 @@ def read_timelines_json(path: str | Path, num_classes: int) -> list[PredictionTi
     for obj in objs:
         try:
             frames = obj["frames"]
+            if not all(type(f[key]) is int for f in frames for key in ("true", "pred")):
+                raise FormatError(f"{path}: frame labels must be JSON integers")
             true_labels = np.asarray([f["true"] for f in frames], dtype=np.int64)
             pred_labels = np.asarray([f["pred"] for f in frames], dtype=np.int64)
             if frames and "probs" in frames[0]:
-                probs = np.asarray([f["probs"] for f in frames], dtype=np.float64)
+                rows = [f["probs"] for f in frames]
+                if not all(type(p) in (int, float) for row in rows for p in row):
+                    raise FormatError(f"{path}: probabilities must be JSON numbers")
+                probs = np.asarray(rows, dtype=np.float64)
             else:
                 probs = np.zeros((len(frames), num_classes))
                 probs[np.arange(len(frames)), pred_labels] = 1.0
             timelines.append(
                 PredictionTimeline(obj["sequence_id"], true_labels, pred_labels, probs)
             )
-        except (KeyError, TypeError, IndexError, ValueError) as exc:
+        except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
             raise FormatError(f"{path}: malformed timeline entry") from exc
     return timelines

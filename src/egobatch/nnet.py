@@ -608,7 +608,7 @@ def write_checkpoint(params: dict[str, np.ndarray], path: str | Path) -> None:
     # written from the tensors' own memory: no in-memory copy of the model.
     parts = [CHECKPOINT_MAGIC, struct.pack("<I", len(params))]
     for name in sorted(params):
-        arr = np.ascontiguousarray(params[name], dtype="<f8")
+        arr = np.asarray(params[name], dtype="<f8", order="C")  # keeps rank 0
         if not np.isfinite(arr).all():
             raise DataError(f"refusing to write non-finite tensor {name!r}")
         encoded = name.encode("utf-8")

@@ -22,15 +22,14 @@ from .batching import batch_plan, sliding_plan
 from .datamodel import DaySequence
 from .errors import ConfigError, NumericError
 from .models import (
+    ARCHITECTURES,
     LayerStack,
     PredictionTimeline,
-    predict_baseline,
-    predict_piggyback_sequence,
+    predict_sequence,
     predict_sliding_sequence,
 )
 from .nnet import OptimizerState, backprop_window, flatten_layers, sgd_update
 
-ARCHITECTURES = ("baseline", "sliding", "piggyback")
 _IMPROVEMENT = 1e-12  # a validation loss must beat the best by more than this
 
 
@@ -145,24 +144,41 @@ def validate_model(model, val_seqs: list[DaySequence], predict) -> tuple[float, 
 
 
 def _train(model: LayerStack, train_seqs: list[DaySequence],
-           val_seqs: list[DaySequence], cfg: TrainConfig, predict, plan,
-           overlap: int = 0) -> TrainResult:
+           val_seqs: list[DaySequence], cfg: TrainConfig,
+           architecture: str) -> TrainResult:
     """The epoch/validation/early-stop loop over the batches of a plan.
 
-    `plan(length)` tiles each training day. The stage that trains is the
-    model, or with `overlap` m > 0 its carry stage, whose embedding is
-    frozen. The stage's layers are rebound to views of one new vector, the
-    optimizer state is one velocity vector as long, and each step is one
-    `sgd_update` over the vector and the window's gradient. With m > 0 the
-    frozen embedding turns the padded day into recurrent inputs once, the
-    batches run in order, and the first m inputs of each are replaced by the
+    The config decides the plan that tiles each training day and the
+    validation predictor: stride-1 windows of one frame (baseline) or of T
+    frames (sliding), or consecutive batches of n frames (piggyback), with
+    overlap m and carry-over in phase 2 only. The stage that trains is the
+    model, or in phase 2 its carry stage, whose embedding is frozen. The
+    stage's layers are rebound to views of one new vector, the optimizer
+    state is one velocity vector as long, and each step is one `sgd_update`
+    over the vector and the window's gradient. In phase 2 the frozen
+    embedding turns the padded day into recurrent inputs once, the batches
+    run in order, and the first m inputs of each are replaced by the
     previous batch's last m recurrent outputs.
     """
+    if cfg.architecture != architecture:
+        raise ConfigError(f"config architecture must be {architecture!r}")
     if model.architecture != cfg.architecture:
         raise ConfigError(f"config architecture {cfg.architecture!r} does not "
                           f"match the {model.architecture!r} model")
     if not train_seqs or not val_seqs:
         raise ConfigError("training needs at least one train and one val sequence")
+    piggyback = architecture == "piggyback"
+    size = 1 if architecture == "baseline" else cfg.timestep
+    overlap = cfg.overlap if piggyback and cfg.phase == 2 else 0
+
+    def plan(length):
+        return batch_plan(length, size, overlap) if piggyback else sliding_plan(length, size)
+
+    def predict(mdl, seq):
+        if piggyback and not overlap:  # phase 1 validates carry-free, as it trains
+            return predict_sliding_sequence(mdl, seq, size)
+        return predict_sequence(mdl, seq, size, overlap)
+
     stage = model.carry_stage() if overlap else model
     shuffle_seed, dropout_seed = np.random.SeedSequence(cfg.seed).spawn(2)
     shuffle_rng = np.random.default_rng(shuffle_seed)
@@ -219,10 +235,7 @@ def _train(model: LayerStack, train_seqs: list[DaySequence],
 def train_baseline(model: LayerStack, train_seqs: list[DaySequence],
                    val_seqs: list[DaySequence], cfg: TrainConfig) -> TrainResult:
     """One SGD step per frame, sequences shuffled each epoch."""
-    if cfg.architecture != "baseline":
-        raise ConfigError("config architecture must be 'baseline'")
-    return _train(model, train_seqs, val_seqs, cfg, predict_baseline,
-                  lambda length: sliding_plan(length, 1))
+    return _train(model, train_seqs, val_seqs, cfg, "baseline")
 
 
 def train_sliding(model: LayerStack, train_seqs: list[DaySequence],
@@ -232,14 +245,7 @@ def train_sliding(model: LayerStack, train_seqs: list[DaySequence],
     Windows run in ascending start order within a sequence; validation uses
     the non-overlapping inference tiling.
     """
-    if cfg.architecture != "sliding":
-        raise ConfigError("config architecture must be 'sliding'")
-
-    def predict(mdl, seq):
-        return predict_sliding_sequence(mdl, seq, cfg.timestep)
-
-    return _train(model, train_seqs, val_seqs, cfg, predict,
-                  lambda length: sliding_plan(length, cfg.timestep))
+    return _train(model, train_seqs, val_seqs, cfg, "sliding")
 
 
 def train_piggyback(model: LayerStack, train_seqs: list[DaySequence],
@@ -251,18 +257,4 @@ def train_piggyback(model: LayerStack, train_seqs: list[DaySequence],
     (bit-identical before and after), trains the recurrent stage on the
     overlap plan with carry-over, and validates with carried inference.
     """
-    if cfg.architecture != "piggyback":
-        raise ConfigError("config architecture must be 'piggyback'")
-    if cfg.phase == 1:
-        def predict(mdl, seq):
-            return predict_sliding_sequence(mdl, seq, cfg.timestep)
-
-        return _train(model, train_seqs, val_seqs, cfg, predict,
-                      lambda length: batch_plan(length, cfg.timestep))
-
-    def predict(mdl, seq):
-        return predict_piggyback_sequence(mdl, seq, cfg.timestep, cfg.overlap)
-
-    return _train(model, train_seqs, val_seqs, cfg, predict,
-                  lambda length: batch_plan(length, cfg.timestep, cfg.overlap),
-                  cfg.overlap)
+    return _train(model, train_seqs, val_seqs, cfg, "piggyback")

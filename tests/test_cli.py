@@ -494,3 +494,64 @@ class TestGradcheckCommand:
 
     def test_impossible_tolerance_fails_with_exit_3(self):
         assert run("gradcheck", "--seed", "0", "--tolerance", "1e-18") == 3
+
+
+class TestArchitectureBoundaries:
+    def test_predict_overlap_zero_on_piggyback_is_usage_error(self, synth_dir, tmp_path):
+        data = load_dataset(synth_dir / "manifest.json", synth_dir / "labels.txt")
+        checkpoint = tmp_path / "model.egomdl"
+        write_checkpoint(build_piggyback(data.feature_dim, data.label_set.size,
+                                         hidden=4).params(), checkpoint)
+        code = run("predict", "--model", str(checkpoint), "--overlap", "0",
+                   "--manifest", str(synth_dir / "manifest.json"),
+                   "--labels", str(synth_dir / "labels.txt"),
+                   "--out-dir", str(tmp_path / "out"))
+        assert code == 1
+        assert not (tmp_path / "out" / "timelines.json").exists()
+
+
+class TestConfigJson:
+    """`synth`, `split`, `eval` and `gradcheck` record the command and their
+    flags in parser order, without --out-dir."""
+
+    @staticmethod
+    def config(out):
+        return list(json.loads((out / "config.json").read_text()).items())
+
+    def test_parsed_flags(self, tmp_path):
+        data, split, scored = tmp_path / "data", tmp_path / "split", tmp_path / "eval"
+        assert run("synth", "--out-dir", str(data), "--seed", "4", "--frames", "12",
+                   "--sequences", "6", "--classes", "5", "--feature-dim", "4",
+                   "--ambiguous", "2", "3", "--context", "1", "0",
+                   "--self-transition", "0.7", "--noise-sigma", "0.2",
+                   "--mean-scale", "1.5") == 0
+        assert self.config(data) == [
+            ("command", "synth"), ("classes", 5), ("feature_dim", 4),
+            ("ambiguous", [2, 3]), ("context", [1, 0]), ("self_transition", 0.7),
+            ("noise_sigma", 0.2), ("mean_scale", 1.5), ("sequences", 6),
+            ("frames", 12), ("seed", 4)]
+
+        manifest, labels = str(data / "manifest.json"), str(data / "labels.txt")
+        assert run("split", "--stage2-reference", "rest", "--capacity", "30",
+                   "--val-bins", "1", "--test-bins", "1", "--bins", "3",
+                   "--out-dir", str(split), "--labels", labels,
+                   "--manifest", manifest) == 0
+        assert self.config(split) == [
+            ("command", "split"), ("manifest", manifest), ("labels", labels),
+            ("bins", 3), ("test_bins", 1), ("val_bins", 1), ("capacity", 30),
+            ("stage2_reference", "rest")]
+
+        timelines = tmp_path / "timelines.json"
+        timelines.write_text(json.dumps([{"sequence_id": "s", "frames": [
+            {"index": 0, "true": 0, "pred": 1}]}]))
+        assert run("eval", "--out-dir", str(scored), "--labels", labels,
+                   "--timelines", str(timelines)) == 0
+        assert self.config(scored) == [
+            ("command", "eval"), ("timelines", str(timelines)), ("labels", labels)]
+
+    def test_gradcheck_flags(self, tmp_path):
+        assert run("gradcheck", "--out-dir", str(tmp_path), "--tolerance", "1e-4",
+                   "--epsilon", "2e-5", "--seed", "3") == 0
+        assert self.config(tmp_path) == [
+            ("command", "gradcheck"), ("seed", 3), ("epsilon", 2e-5),
+            ("tolerance", 1e-4)]

@@ -252,7 +252,10 @@ class TestLoadSubset:
             load_dataset(path, labels, ids)
 
     @pytest.mark.parametrize("entry", [["synth000"], {"path": "x"},
-                                       {"sequence_id": ["a"], "path": "x"}])
+                                       {"sequence_id": ["a"], "path": "x"},
+                                       {"sequence_id": 5, "path": "x"},
+                                       {"sequence_id": "z", "user_id": 7, "path": "x"},
+                                       {"sequence_id": "z", "user_id": None, "path": "x"}])
     def test_bad_manifest_entry(self, manifest, entry):
         path, labels = manifest
         entries = json.loads(path.read_text())

@@ -25,8 +25,8 @@ from egobatch import (
     write_timelines_json,
 )
 from egobatch.batching import batch_plan
-from egobatch.models import piggyback_logits
-from egobatch.nnet import flatten_layers, softmax
+from egobatch.models import ARCHITECTURES, build_stack, piggyback_logits, predict_sequence
+from egobatch.nnet import LstmLayer, flatten_layers, softmax
 from oracles import unbatched_reference_logits
 
 
@@ -291,6 +291,58 @@ class TestDeterminism:
             model_from_params(params)
 
 
+class TestBuildStack:
+    @pytest.mark.parametrize("architecture", ARCHITECTURES)
+    def test_matches_the_named_builder(self, architecture):
+        named = {"baseline": build_baseline(5, 3, seed=4),
+                 "sliding": build_sliding(5, 3, hidden=6, seed=4),
+                 "piggyback": build_piggyback(5, 3, hidden=6, seed=4)}[architecture]
+        stack = build_stack(architecture, 5, 3, hidden=6, seed=4)
+        assert stack.architecture == architecture
+        assert list(stack.params()) == list(named.params())
+        for name, w in named.params().items():
+            assert stack.params()[name].tobytes() == w.tobytes()
+
+    def test_draws_embed_lstm_head_from_one_generator(self):
+        rng = np.random.default_rng(4)
+        embed = DenseLayer.create(5, 6, rng)
+        lstm = LstmLayer.create(6, 6, rng)
+        head = DenseLayer.create(6, 3, rng)
+        expected = LayerStack(head, lstm, embed).params()
+        stack = build_stack("piggyback", 5, 3, hidden=6, seed=4)
+        for name, w in stack.params().items():
+            assert w.tobytes() == expected[name].tobytes()
+
+    def test_unknown_architecture(self):
+        with pytest.raises(ConfigError, match="architecture"):
+            build_stack("windowed", 5, 3)
+
+
+class TestPredictSequence:
+    @pytest.mark.parametrize("architecture", ARCHITECTURES)
+    def test_matches_the_architecture_predictor(self, architecture):
+        rng = np.random.default_rng(23)
+        model = build_stack(architecture, 4, 3, hidden=5, seed=2)
+        seq = random_seq(rng, 29, 4, 3)
+        if architecture == "baseline":
+            direct = predict_baseline(model, seq)
+        elif architecture == "sliding":
+            direct = predict_sliding_sequence(model, seq, 6)
+        else:
+            direct = predict_piggyback_sequence(model, seq, 6, 2, retention="later")
+        got = predict_sequence(model, seq, 6, 2, retention="later")
+        assert got.sequence_id == direct.sequence_id
+        assert np.array_equal(got.true_labels, direct.true_labels)
+        assert np.array_equal(got.pred_labels, direct.pred_labels)
+        assert got.probs.tobytes() == direct.probs.tobytes()
+
+    def test_piggyback_without_overlap(self):
+        model = build_stack("piggyback", 4, 3, hidden=5, seed=2)
+        seq = random_seq(np.random.default_rng(23), 12, 4, 3)
+        with pytest.raises(ConfigError, match="overlap"):
+            predict_sequence(model, seq, 6, 0)
+
+
 def address(array):
     return array.__array_interface__["data"][0]
 
@@ -403,12 +455,27 @@ class TestTimelineJson:
         assert set(frame) == {"index", "true", "pred", "probs"}
         assert len(frame["probs"]) == 2
 
+    def test_integer_probabilities_accepted(self, tmp_path):
+        path = tmp_path / "ok.json"
+        path.write_text(json.dumps([{"sequence_id": "s", "frames": [
+            {"true": 0, "pred": 1, "probs": [0, 1]}]}]))
+        (timeline,) = read_timelines_json(path, 2)
+        assert np.array_equal(timeline.probs, [[0.0, 1.0]])
+
 
 class TestMalformedTimelineJson:
     @pytest.mark.parametrize("frames", [
         [{"true": 0, "pred": 0, "probs": [1.0, 0.0]},
          {"true": 1, "pred": 1, "probs": [1.0]}],
         [{"true": "x", "pred": 0}],
+        # labels are JSON integers and probabilities JSON numbers, never coerced
+        [{"true": 1.7, "pred": 0}],
+        [{"true": 0, "pred": "1"}],
+        [{"true": True, "pred": 0}],
+        [{"true": 0, "pred": False}],
+        [{"true": 2 ** 70, "pred": 0}],
+        [{"true": 0, "pred": 1, "probs": ["0.5", 0.5]}],
+        [{"true": 0, "pred": 1, "probs": [True, 0]}],
     ])
     def test_rejected_as_format_error(self, tmp_path, frames):
         path = tmp_path / "bad.json"

@@ -595,6 +595,19 @@ class TestCheckpoint:
         for name, w in model.params().items():
             assert np.array_equal(back[name], w)
 
+    def test_round_trip_keeps_every_rank(self, tmp_path):
+        params = {f"t{rank}": np.arange(1.0, 1.0 + 2 ** rank).reshape((2,) * rank)
+                  for rank in range(4)}
+        path = tmp_path / "ranks.egomdl"
+        write_checkpoint(params, path)
+        back = read_checkpoint(path)
+        for name, w in params.items():
+            assert back[name].shape == w.shape
+            assert np.array_equal(back[name], w)
+        first = path.read_bytes()
+        write_checkpoint(back, path)
+        assert path.read_bytes() == first
+
     def test_fuzz_round_trip(self, tmp_path):
         rng = np.random.default_rng(19)
         for _ in range(15):
