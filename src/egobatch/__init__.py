@@ -3,13 +3,16 @@
 from .batching import BatchPlan, batch_plan, sliding_plan
 from .datamodel import (
     Dataset,
+    DayLabels,
     DaySequence,
     LabelSet,
+    Manifest,
     SynthConfig,
     category_distribution,
     generate_synthetic,
     load_dataset,
     read_labels_file,
+    read_manifest,
     read_sequence_file,
     write_labels_file,
     write_manifest,

@@ -21,6 +21,7 @@ from .datamodel import (
     generate_synthetic,
     load_dataset,
     read_labels_file,
+    read_manifest,
     write_labels_file,
     write_manifest,
 )
@@ -134,7 +135,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_split(args) -> int:
-    dataset = load_dataset(args.manifest, args.labels)
+    # every day is validated, but only its id, length and labels are kept
+    dataset = load_dataset(args.manifest, args.labels, features=False)
     result = select_split(dataset, args.bins, args.test_bins, args.val_bins,
                           capacity=args.capacity,
                           stage2_reference=args.stage2_reference)
@@ -237,16 +239,21 @@ def _cmd_train(args) -> int:
 
 def _cmd_predict(args) -> int:
     ids = _read_split_ids(args.split)[args.subset] if args.split else None
-    dataset = load_dataset(args.manifest, args.labels, ids)
+    manifest = read_manifest(args.manifest, args.labels)
     model = model_from_params(read_checkpoint(args.model))
-    if model.head.out_dim != dataset.label_set.size:
+    if model.head.out_dim != manifest.label_set.size:
         raise ShapeError("model class count does not match the label set")
-    if dataset.sequences and model.input_dim != dataset.feature_dim:
-        raise ShapeError("model input width does not match the dataset")
-    sequences = dataset.sequences if ids is None else [dataset.by_id(sid) for sid in ids]
 
-    timelines = [predict_sequence(model, seq, args.timestep, args.overlap,
-                                  retention=args.retention) for seq in sequences]
+    # each day is predicted as it is read; only its timeline is kept
+    predicted = {}
+    for seq in manifest.days(ids):
+        if seq.feature_dim != model.input_dim:
+            raise ShapeError(f"model input width does not match sequence "
+                             f"{seq.sequence_id!r}")
+        predicted[seq.sequence_id] = predict_sequence(
+            model, seq, args.timestep, args.overlap, retention=args.retention)
+    # days are read in manifest order and written in the split's order
+    timelines = [predicted[sid] for sid in (predicted if ids is None else ids)]
 
     out = _out_dir(args)
     write_timelines_json(timelines, out / "timelines.json",

@@ -11,6 +11,7 @@ import json
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -48,6 +49,32 @@ class LabelSet:
         return self.names.index(name)
 
 
+def _check_day(name, features, labels, timestamps) -> None:
+    """The invariants of one day, on arrays of any numeric dtype: a non-empty
+    finite L x D matrix, L label ids in [0, 65535] and, when present, L
+    non-decreasing timestamps in [0, 2**32 - 1]."""
+    if features.ndim != 2 or features.shape[0] < 1 or features.shape[1] < 1:
+        raise DataError(
+            f"features must be a non-empty 2-D matrix, got shape {features.shape}"
+        )
+    if not np.isfinite(features).all():
+        raise DataError(f"sequence {name!r} has non-finite features")
+    if labels.shape != (features.shape[0],):
+        raise DataError(
+            f"labels length {labels.shape} must equal frame count {features.shape[0]}"
+        )
+    if (labels < 0).any() or (labels > _MAX_LABEL_ID).any():
+        raise DataError("label ids must be in [0, 65535]")
+    if timestamps is not None:
+        if timestamps.shape != (features.shape[0],):
+            raise DataError("timestamps length must equal frame count")
+        if (timestamps < 0).any() or (timestamps > _MAX_TIMESTAMP).any():
+            raise DataError("timestamps must be minutes in [0, 2**32 - 1]")
+        # compared, not differenced: a difference of unsigned values wraps
+        if (timestamps[1:] < timestamps[:-1]).any():
+            raise DataError("timestamps must be non-decreasing")
+
+
 @dataclass
 class DaySequence:
     """One day's ordered frames: an L x D feature matrix plus per-frame labels.
@@ -71,26 +98,7 @@ class DaySequence:
 
     def validate(self) -> None:
         """Re-check invariants; cheap, called again before serialization."""
-        feats = self.features
-        if feats.ndim != 2 or feats.shape[0] < 1 or feats.shape[1] < 1:
-            raise DataError(
-                f"features must be a non-empty 2-D matrix, got shape {feats.shape}"
-            )
-        if not np.isfinite(feats).all():
-            raise DataError(f"sequence {self.sequence_id!r} has non-finite features")
-        if self.labels.shape != (feats.shape[0],):
-            raise DataError(
-                f"labels length {self.labels.shape} must equal frame count {len(self)}"
-            )
-        if (self.labels < 0).any() or (self.labels > _MAX_LABEL_ID).any():
-            raise DataError("label ids must be in [0, 65535]")
-        if self.timestamps is not None:
-            if self.timestamps.shape != (feats.shape[0],):
-                raise DataError("timestamps length must equal frame count")
-            if (self.timestamps < 0).any() or (self.timestamps > _MAX_TIMESTAMP).any():
-                raise DataError("timestamps must be minutes in [0, 2**32 - 1]")
-            if (np.diff(self.timestamps) < 0).any():
-                raise DataError("timestamps must be non-decreasing")
+        _check_day(self.sequence_id, self.features, self.labels, self.timestamps)
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -101,16 +109,32 @@ class DaySequence:
 
 
 @dataclass
+class DayLabels:
+    """One day's id, frame labels and feature width, without its features:
+    all that splitting a dataset needs. Read by `read_sequence_file(...,
+    features=False)` after the same checks as a `DaySequence`."""
+
+    sequence_id: str
+    labels: np.ndarray
+    feature_dim: int
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+
+@dataclass
 class Dataset:
     """A label set plus the day sequences annotated with it.
 
-    Sequence ids are indexed at construction; `by_id` does not see sequences
-    added or renamed afterwards.
+    The days are `DaySequence`s, or `DayLabels` when only their labels were
+    read. Sequence ids are indexed at construction; `by_id` does not see
+    sequences added or renamed afterwards.
     """
 
     label_set: LabelSet
-    sequences: list[DaySequence]
-    _by_id: dict[str, DaySequence] = field(init=False, repr=False, compare=False)
+    sequences: list[DaySequence | DayLabels]
+    _by_id: dict[str, DaySequence | DayLabels] = field(init=False, repr=False,
+                                                       compare=False)
 
     def __post_init__(self):
         self._by_id = {seq.sequence_id: seq for seq in self.sequences}
@@ -131,14 +155,15 @@ class Dataset:
             raise DataError("empty dataset has no feature dim")
         return self.sequences[0].feature_dim
 
-    def by_id(self, sequence_id: str) -> DaySequence:
+    def by_id(self, sequence_id: str) -> DaySequence | DayLabels:
         try:
             return self._by_id[sequence_id]
         except KeyError:
             raise DataError(f"no sequence with id {sequence_id!r}") from None
 
 
-def category_distribution(sequences: list[DaySequence], num_classes: int) -> np.ndarray:
+def category_distribution(sequences: list[DaySequence | DayLabels],
+                          num_classes: int) -> np.ndarray:
     """Per-class frame frequency over the given sequences; sums to 1."""
     total = sum(len(seq) for seq in sequences)
     if total == 0:
@@ -183,11 +208,14 @@ def read_sequence_file(
     label_set: LabelSet,
     sequence_id: str | None = None,
     user_id: str = "",
-) -> DaySequence:
+    features: bool = True,
+) -> DaySequence | DayLabels:
     """Parse a .egoseq file and validate it against the label set.
 
     The file carries no identifiers; `sequence_id` defaults to the file stem
-    (dataset manifests override both ids).
+    (dataset manifests override both ids). With `features=False` the
+    features are checked as read (float32) and dropped, and the day is
+    returned as `DayLabels`; otherwise they are widened to float64.
     """
     path = Path(path)
     raw = path.read_bytes()
@@ -224,14 +252,18 @@ def read_sequence_file(
     if offset != len(raw):
         raise FormatError(f"{path}: {len(raw) - offset} trailing bytes")
 
-    if not np.isfinite(feats).all():
-        raise DataError(f"{path}: non-finite feature value")
     if (labels >= label_set.size).any():
         raise DataError(
             f"{path}: label id {int(labels.max())} >= K={label_set.size}"
         )
+    if sequence_id is None:
+        sequence_id = path.stem
+    if not features:
+        _check_day(sequence_id, feats, labels, timestamps)
+        return DayLabels(sequence_id, labels.astype(np.int64), dim)
+    # DaySequence runs the same checks, once, on the widened copy
     return DaySequence(
-        sequence_id=sequence_id if sequence_id is not None else path.stem,
+        sequence_id=sequence_id,
         user_id=user_id,
         features=feats.astype(np.float64),
         labels=labels.astype(np.int64),
@@ -282,20 +314,39 @@ def write_manifest(dataset: Dataset, manifest_path: str | Path, seq_dir: str | P
     manifest_path.write_text(json.dumps(entries, indent=2) + "\n", encoding="utf-8")
 
 
-def load_dataset(
-    manifest_path: str | Path,
-    labels_path: str | Path,
-    ids: list[str] | None = None,
-) -> Dataset:
-    """Load a dataset from a manifest JSON plus labels.txt.
+@dataclass
+class Manifest:
+    """A checked dataset manifest and its label set; no day is read yet.
 
-    The whole manifest is always checked: entry shape and unique ids. Without
-    `ids` every day's .egoseq file is read and validated, as `split` and
-    `predict` without `--split` need. With `ids` only the files of those days
-    are read, each once and in manifest order, as `train` (train + val days)
-    and `predict --split` (one subset) need; an id that the manifest lacks is
-    a `DataError`.
+    `entries` maps each sequence id, in manifest order, to its .egoseq path
+    and user id.
     """
+
+    label_set: LabelSet
+    entries: dict[str, tuple[Path, str]]
+
+    def days(self, ids: list[str] | None = None,
+             features: bool = True) -> Iterator[DaySequence | DayLabels]:
+        """Read and validate the named days (every day without `ids`) one at a
+        time, each once and in manifest order; a caller that drops each day
+        before the next holds one at a time. An id that the manifest lacks is
+        a `DataError`, raised before any day is read. `features` is passed to
+        `read_sequence_file`."""
+        if ids is not None:
+            for sequence_id in ids:
+                if sequence_id not in self.entries:
+                    raise DataError(f"no sequence with id {sequence_id!r}")
+            ids = set(ids)
+        for sequence_id, (path, user_id) in self.entries.items():
+            if ids is None or sequence_id in ids:
+                yield read_sequence_file(path, self.label_set, sequence_id=sequence_id,
+                                         user_id=user_id, features=features)
+
+
+def read_manifest(manifest_path: str | Path, labels_path: str | Path) -> Manifest:
+    """Read labels.txt and a manifest JSON and check the whole manifest:
+    entry shape, string ids, unique sequence ids. Paths in the manifest are
+    relative to its directory."""
     manifest_path = Path(manifest_path)
     label_set = read_labels_file(labels_path)
     try:
@@ -317,17 +368,26 @@ def load_dataset(
         if sequence_id in days:
             raise DataError(f"{manifest_path}: duplicate sequence id {sequence_id!r}")
         days[sequence_id] = (path, user_id)
-    if ids is not None:
-        wanted = set(ids)
-        for sequence_id in ids:
-            if sequence_id not in days:
-                raise DataError(f"no sequence with id {sequence_id!r}")
-        days = {sid: day for sid, day in days.items() if sid in wanted}
-    sequences = [
-        read_sequence_file(path, label_set, sequence_id=sid, user_id=user_id)
-        for sid, (path, user_id) in days.items()
-    ]
-    return Dataset(label_set=label_set, sequences=sequences)
+    return Manifest(label_set, days)
+
+
+def load_dataset(
+    manifest_path: str | Path,
+    labels_path: str | Path,
+    ids: list[str] | None = None,
+    features: bool = True,
+) -> Dataset:
+    """Load a dataset from a manifest JSON plus labels.txt.
+
+    The whole manifest is always checked: entry shape and unique ids. Without
+    `ids` every day's .egoseq file is read and validated, as `split` needs.
+    With `ids` only the files of those days are read, each once and in
+    manifest order, as `train` (train + val days) needs; an id that the
+    manifest lacks is a `DataError`. With `features=False` the days are
+    `DayLabels`, validated like whole days but holding only their labels.
+    """
+    manifest = read_manifest(manifest_path, labels_path)
+    return Dataset(manifest.label_set, list(manifest.days(ids, features)))
 
 
 # ---------------------------------------------------------------------------

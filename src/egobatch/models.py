@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -306,24 +307,35 @@ def predict_sequence(model: LayerStack, seq: DaySequence, timestep: int, overlap
 # Timeline JSON export / import
 # ---------------------------------------------------------------------------
 
-def timeline_to_obj(timeline: PredictionTimeline, include_probs: bool = False) -> dict:
-    frames = []
-    for idx in range(len(timeline)):
-        frame = {
-            "index": idx,
-            "true": int(timeline.true_labels[idx]),
-            "pred": int(timeline.pred_labels[idx]),
-        }
-        if include_probs:
-            frame["probs"] = [float(p) for p in timeline.probs[idx]]
-        frames.append(frame)
-    return {"sequence_id": timeline.sequence_id, "frames": frames}
+# One frame as `json.dumps(..., indent=2)` lays it out inside a timeline.
+_FRAME = ('      {\n        "index": %d,\n        "true": %d,\n'
+          '        "pred": %d\n      }')
+_FRAME_PROBS = ('      {\n        "index": %d,\n        "true": %d,\n        "pred": %d,\n'
+                '        "probs": [\n          %s\n        ]\n      }')
 
 
 def write_timelines_json(timelines: list[PredictionTimeline], path: str | Path,
                          include_probs: bool = False) -> None:
-    objs = [timeline_to_obj(t, include_probs) for t in timelines]
-    Path(path).write_text(json.dumps(objs, indent=2) + "\n", encoding="utf-8")
+    """Write the timelines as a JSON array of `{"sequence_id", "frames"}`,
+    each frame `{"index", "true", "pred"}` plus `"probs"` on request.
+
+    The bytes are those of `json.dumps(objs, indent=2) + "\n"`, but each
+    frame is formatted directly: `indent` turns off json's C encoder, and
+    its pure-Python one dominated the write. Ids are escaped as json escapes
+    them and probabilities written with `float.__repr__`, as json does."""
+    days = []
+    for timeline in timelines:
+        columns = [range(len(timeline)), timeline.true_labels.tolist(),
+                   timeline.pred_labels.tolist()]
+        if include_probs:
+            columns.append([",\n          ".join(map(float.__repr__, row))
+                            for row in timeline.probs.tolist()])
+        frame = _FRAME_PROBS if include_probs else _FRAME
+        days.append('  {\n    "sequence_id": %s,\n    "frames": [\n%s\n    ]\n  }' % (
+            encode_basestring_ascii(timeline.sequence_id),
+            ",\n".join([frame % values for values in zip(*columns)])))
+    text = "[\n" + ",\n".join(days) + "\n]\n" if days else "[]\n"
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def read_timelines_json(path: str | Path, num_classes: int) -> list[PredictionTimeline]:

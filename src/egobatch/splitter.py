@@ -173,7 +173,8 @@ def select_split(dataset: Dataset, num_bins: int, test_bins: int, val_bins: int,
     `val_bins` from the remainder the same way. `stage2_reference` switches
     the stage-2 reference distribution between the whole dataset ("whole",
     the default) and the remaining pool ("rest"). Ties always go to the
-    lexicographically smallest bin-id set.
+    lexicographically smallest bin-id set. Only each day's id, length and
+    labels are read, so the days may be `DayLabels`.
     """
     if stage2_reference not in ("whole", "rest"):
         raise ConfigError("stage2_reference must be 'whole' or 'rest'")

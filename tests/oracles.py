@@ -5,7 +5,9 @@ reference walks frame by frame through the single-step operations, and the
 split reference enumerates subsets with plain-Python bitmask loops; the
 cross-entropy reference scores one frame at a time. The recurrence,
 backward, masked cross-entropy and SGD references are the plain loops the
-library's kernels replaced; the kernels must match them bit for bit.
+library's kernels replaced; the kernels must match them bit for bit. The
+timeline reference builds the objects that `json.dumps` writes, which the
+direct timelines writer must match byte for byte.
 """
 
 import math
@@ -14,6 +16,22 @@ import numpy as np
 
 from egobatch.errors import DataError, ShapeError
 from egobatch.nnet import GATES, LstmState
+
+
+def timeline_to_obj(timeline, include_probs=False):
+    """One timeline as the JSON object `write_timelines_json` writes, built
+    frame by frame with plain Python numbers."""
+    frames = []
+    for idx in range(len(timeline)):
+        frame = {
+            "index": idx,
+            "true": int(timeline.true_labels[idx]),
+            "pred": int(timeline.pred_labels[idx]),
+        }
+        if include_probs:
+            frame["probs"] = [float(p) for p in timeline.probs[idx]]
+        frames.append(frame)
+    return {"sequence_id": timeline.sequence_id, "frames": frames}
 
 
 def softmax_xent(logits, true_label):

@@ -11,9 +11,13 @@ from egobatch import (
     build_baseline,
     build_piggyback,
     load_dataset,
+    read_sequence_file,
+    select_split,
     write_checkpoint,
     write_manifest,
+    write_sequence_file,
 )
+from egobatch import datamodel
 from egobatch.cli import dispatch
 
 
@@ -219,6 +223,48 @@ class TestDataErrors:
                    "--split", str(split_dir / "split.json"),
                    "--out-dir", str(tmp_path))
         assert code == 2
+
+
+def bad_day(path, damage):
+    """Overwrite the day stored at `path` with a well-formed file that
+    breaks one check; the frame count is kept."""
+    length = struct.unpack_from("<I", path.read_bytes(), 8)[0]
+    rng = np.random.default_rng(0)
+    features = rng.normal(size=(length, 8 if damage == "feature_dim" else 16))
+    labels = np.zeros(length, dtype=np.int64)
+    if damage == "label_beyond_k":
+        labels[-1] = 6  # the synthetic label set has K = 6
+    timestamps = np.arange(length) if damage == "decreasing_timestamps" else None
+    write_sequence_file(DaySequence("x", "u", features, labels, timestamps), path)
+    blob = bytearray(path.read_bytes())
+    if damage == "nan_feature":
+        blob[17:21] = struct.pack("<f", float("nan"))  # after magic, L, D, flags
+    elif damage == "decreasing_timestamps":
+        blob[-8:] = struct.pack("<II", 5, 3)  # the last two u32 minutes
+    path.write_bytes(bytes(blob))
+
+
+class TestSplitChecks:
+    """`split` keeps only each day's labels but still checks every day."""
+
+    @pytest.mark.parametrize("damage", ["nan_feature", "label_beyond_k",
+                                        "decreasing_timestamps", "feature_dim"])
+    def test_damaged_day_exits_2(self, synth_dir, tmp_path, damage):
+        data = tmp_path / "data"
+        shutil.copytree(synth_dir, data)
+        bad_day(data / "sequences" / "synth003.egoseq", damage)
+        out = tmp_path / "split"
+        code = run("split", "--manifest", str(data / "manifest.json"),
+                   "--labels", str(data / "labels.txt"), "--out-dir", str(out),
+                   "--bins", "6", "--test-bins", "1", "--val-bins", "1")
+        assert code == 2
+        assert not (out / "split.json").exists()
+
+    def test_same_split_as_whole_days(self, synth_dir, split_dir):
+        data = load_dataset(synth_dir / "manifest.json", synth_dir / "labels.txt")
+        result = select_split(data, 6, 1, 1)
+        assert (split_dir / "split.json").read_text() == \
+            json.dumps(result.to_json_obj(), indent=2) + "\n"
 
 
 class TestPipeline:
@@ -433,6 +479,61 @@ class TestSubsetReads:
         split_path.write_text(json.dumps(split))
         assert self.predict(data, split_path, checkpoint, tmp_path / "out") == 0
         assert json.loads((tmp_path / "out" / "timelines.json").read_text()) == []
+
+    @staticmethod
+    def reordered_split(tmp_path, test):
+        """A split whose test days are `test`, in that order."""
+        ids = [f"synth{k:03d}" for k in range(8)]
+        rest = [sid for sid in ids if sid not in test]
+        split_path = tmp_path / "reordered.json"
+        split_path.write_text(json.dumps({"test": test, "val": rest[:1],
+                                          "train": rest[1:]}))
+        return split_path
+
+    def test_timelines_follow_the_split_order(self, data_copy, tmp_path):
+        data, _, checkpoint = data_copy
+        test = ["synth006", "synth001", "synth004"]
+        split_path = self.reordered_split(tmp_path, test)
+        assert self.predict(data, split_path, checkpoint, tmp_path / "out") == 0
+        got = json.loads((tmp_path / "out" / "timelines.json").read_text())
+        assert [t["sequence_id"] for t in got] == test
+        # each day's timeline is the one `predict` without --split writes
+        assert run("predict", "--model", str(checkpoint),
+                   "--manifest", str(data / "manifest.json"),
+                   "--labels", str(data / "labels.txt"),
+                   "--out-dir", str(tmp_path / "all")) == 0
+        every = json.loads((tmp_path / "all" / "timelines.json").read_text())
+        assert [t["sequence_id"] for t in every] == [f"synth{k:03d}" for k in range(8)]
+        by_id = {t["sequence_id"]: t for t in every}
+        assert got == [by_id[sid] for sid in test]
+
+    def test_subset_day_of_another_feature_dim(self, data_copy, tmp_path):
+        # the last day read is the bad one: the others are already predicted
+        data, _, checkpoint = data_copy
+        split_path = self.reordered_split(tmp_path, ["synth006", "synth001", "synth004"])
+        bad_day(data / "sequences" / "synth006.egoseq", "feature_dim")
+        out = tmp_path / "out"
+        assert self.predict(data, split_path, checkpoint, out) == 2
+        assert not (out / "timelines.json").exists()
+
+    def test_reads_only_the_subset(self, data_copy, tmp_path, monkeypatch):
+        data, split, checkpoint = data_copy
+        split_path = tmp_path / "split.json"
+        split_path.write_text(json.dumps(split))
+        assert self.predict(data, split_path, checkpoint, tmp_path / "intact") == 0
+        for sid in split["train"] + split["val"]:
+            (data / "sequences" / f"{sid}.egoseq").write_bytes(b"XXXXXXXX")
+        read = []
+
+        def counting(path, *args, **kwargs):
+            read.append(kwargs["sequence_id"])
+            return read_sequence_file(path, *args, **kwargs)
+
+        monkeypatch.setattr(datamodel, "read_sequence_file", counting)
+        assert self.predict(data, split_path, checkpoint, tmp_path / "corrupt") == 0
+        assert sorted(read) == sorted(split["test"])
+        assert (tmp_path / "corrupt" / "timelines.json").read_bytes() == \
+               (tmp_path / "intact" / "timelines.json").read_bytes()
 
 
 class TestShortDays:

@@ -6,6 +6,7 @@ import pytest
 from egobatch import (
     ConfigError,
     DataError,
+    DayLabels,
     DaySequence,
     FormatError,
     LabelSet,
@@ -262,6 +263,46 @@ class TestLoadSubset:
         path.write_text(json.dumps([*entries, entry]))
         with pytest.raises(FormatError, match="bad manifest entry"):
             load_dataset(path, labels, ["synth001"])
+
+
+class TestLabelsOnly:
+    """`features=False` runs every check of a whole-day read but keeps only
+    each day's id, labels and feature width."""
+
+    def test_same_days_without_features(self, tmp_path):
+        ds = generate_synthetic(SynthConfig(num_sequences=4, frames_per_sequence=9,
+                                            seed=5))
+        write_labels_file(ds.label_set, tmp_path / "labels.txt")
+        write_manifest(ds, tmp_path / "manifest.json", tmp_path / "seqs")
+        whole = load_dataset(tmp_path / "manifest.json", tmp_path / "labels.txt")
+        lean = load_dataset(tmp_path / "manifest.json", tmp_path / "labels.txt",
+                            ["synth002", "synth000"], features=False)
+        assert [type(day) for day in lean.sequences] == [DayLabels, DayLabels]
+        assert [day.sequence_id for day in lean.sequences] == ["synth000", "synth002"]
+        for day in lean.sequences:
+            full = whole.by_id(day.sequence_id)
+            assert len(day) == len(full)
+            assert day.feature_dim == full.feature_dim == 16
+            assert day.labels.dtype == np.int64
+            assert np.array_equal(day.labels, full.labels)
+
+    @pytest.mark.parametrize("features", [True, False])
+    def test_decreasing_timestamps_in_a_file(self, tmp_path, features):
+        # u32 minutes 5, 3: a difference of unsigned values would wrap positive
+        path = tmp_path / "s.egoseq"
+        write_sequence_file(make_seq([[1.0], [2.0]], [0, 1], timestamps=[5, 6]), path)
+        path.write_bytes(path.read_bytes()[:-8] + np.array([5, 3], "<u4").tobytes())
+        with pytest.raises(DataError, match="non-decreasing"):
+            read_sequence_file(path, LABELS_AB, features=features)
+
+    @pytest.mark.parametrize("features", [True, False])
+    def test_non_finite_feature_in_a_file(self, tmp_path, features):
+        path = tmp_path / "s.egoseq"
+        write_sequence_file(make_seq([[1.0], [2.0]], [0, 1]), path)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:17] + np.array([np.inf], "<f4").tobytes() + blob[21:])
+        with pytest.raises(DataError, match="non-finite"):
+            read_sequence_file(path, LABELS_AB, features=features)
 
 
 class TestCategoryDistribution:

@@ -1,7 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from egobatch import (
     ConfigError,
@@ -27,7 +30,7 @@ from egobatch import (
 from egobatch.batching import batch_plan
 from egobatch.models import ARCHITECTURES, build_stack, piggyback_logits, predict_sequence
 from egobatch.nnet import LstmLayer, flatten_layers, softmax
-from oracles import unbatched_reference_logits
+from oracles import timeline_to_obj, unbatched_reference_logits
 
 
 def random_seq(rng, length, dim, num_classes, sid="s0"):
@@ -461,6 +464,65 @@ class TestTimelineJson:
             {"true": 0, "pred": 1, "probs": [0, 1]}]}]))
         (timeline,) = read_timelines_json(path, 2)
         assert np.array_equal(timeline.probs, [[0.0, 1.0]])
+
+
+# quotes, backslashes, control characters and non-ASCII, escaped by json
+ID_CHARS = st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001f600'),
+                     st.characters())
+# the smallest subnormal, a probability json writes in exponent form, and 0
+SPECIAL_PROBS = st.sampled_from((0.0, 5e-324, 1e-05))
+
+
+@st.composite
+def timeline_lists(draw):
+    """(class count, timelines); each probability row sums to 1, and a row
+    whose other entries are all 0 holds 1.0."""
+    classes = draw(st.integers(1, 4))
+    timelines = []
+    for _ in range(draw(st.integers(0, 3))):
+        length = draw(st.integers(1, 4))
+        rows = []
+        for _ in range(length):
+            row = draw(st.lists(st.one_of(SPECIAL_PROBS, st.floats(0.0, 1.0 / classes)),
+                                min_size=classes - 1, max_size=classes - 1))
+            row.insert(draw(st.integers(0, classes - 1)), 1.0 - math.fsum(row))
+            rows.append(row)
+        probs = np.array(rows)
+        true = draw(st.lists(st.integers(0, classes - 1), min_size=length,
+                             max_size=length))
+        timelines.append(PredictionTimeline(draw(st.text(ID_CHARS, max_size=8)), true,
+                                            probs.argmax(axis=1), probs))
+    return classes, timelines
+
+
+class TestTimelineWriter:
+    """`write_timelines_json` formats frames itself; its bytes must be those
+    of `json.dumps(..., indent=2)` over the reference objects."""
+
+    @settings(derandomize=True, max_examples=300,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(timeline_lists(), st.booleans())
+    def test_matches_json_dumps_and_reads_back(self, tmp_path, drawn, include_probs):
+        classes, timelines = drawn
+        path = tmp_path / "timelines.json"
+        write_timelines_json(timelines, path, include_probs=include_probs)
+        objs = [timeline_to_obj(t, include_probs) for t in timelines]
+        assert path.read_bytes() == (json.dumps(objs, indent=2) + "\n").encode()
+        back = read_timelines_json(path, classes)
+        assert len(back) == len(timelines)
+        for mine, theirs in zip(timelines, back):
+            assert theirs.sequence_id == mine.sequence_id
+            assert np.array_equal(theirs.true_labels, mine.true_labels)
+            assert np.array_equal(theirs.pred_labels, mine.pred_labels)
+            if include_probs:
+                assert np.array_equal(theirs.probs, mine.probs)
+
+    @pytest.mark.parametrize("include_probs", [False, True])
+    def test_empty_list(self, tmp_path, include_probs):
+        path = tmp_path / "timelines.json"
+        write_timelines_json([], path, include_probs=include_probs)
+        assert path.read_bytes() == b"[]\n"
+        assert read_timelines_json(path, 2) == []
 
 
 class TestMalformedTimelineJson:

@@ -15,7 +15,9 @@ piggyback models after a round trip through `write_checkpoint`,
 `read_checkpoint` and `model_from_params` ("reloaded"). The `cli` line
 digests every file a command-line run writes: synth, split, train
 (baseline, sliding, piggyback phases 1 and 2), predict with each trained
-model on the test split, eval of each prediction, and gradcheck.
+model on the test split, eval of each prediction, predict with the phase-2
+model again with `--include-probs` (so both timeline layouts are digested),
+and gradcheck.
 The package is imported from the `src/` next to this directory, so running
 the script in two checkouts and diffing the output shows whether a change
 keeps the trained bytes. The last line digests all the others.
@@ -183,6 +185,9 @@ def cli_run() -> str:
             commands.append(["eval", "--timelines", f"{name}/pred/timelines.json",
                              "--labels", "data/labels.txt",
                              "--out-dir", f"{name}/eval"])
+    commands.append(["predict", "--model", "pb2/best.egomdl", *CLI_MODELS["pb2"][1],
+                     *data, "--split", "split/split.json", "--subset", "test",
+                     "--include-probs", "--out-dir", "pb2/pred-probs"])
     commands.append(["gradcheck", "--seed", "0", "--out-dir", "gradcheck"])
     sha = hashlib.sha256()
     cwd = os.getcwd()
