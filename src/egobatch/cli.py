@@ -9,6 +9,7 @@ fully describes the run.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -427,9 +428,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """`build_parser()`, built once per process and shared by every
+    `dispatch`: parsing leaves it unchanged, and its handlers are the module's
+    `_cmd_*` functions, which nothing rebinds."""
+    return build_parser()
+
+
 def dispatch(argv: list[str]) -> int:
     """Parse and run one invocation, mapping errors to exit codes."""
-    parser = build_parser()
+    parser = _shared_parser()
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:

@@ -279,9 +279,13 @@ def read_labels_file(path: str | Path) -> LabelSet:
     """labels.txt: one UTF-8 category name per line, line index = label id.
 
     A blank line would shift every later id, so it is a format error; a
-    final newline is not a blank line.
+    final newline is not a blank line. Lines end only at "\n" ("\r\n" and
+    "\r" are read as "\n"), so a name may hold any other character that
+    `str.splitlines` would break at, such as U+2028 or a form feed.
     """
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = Path(path).read_text(encoding="utf-8").split("\n")
+    if lines[-1] == "":
+        lines.pop()
     for number, line in enumerate(lines, start=1):
         if not line.strip():
             raise FormatError(f"{path}: blank line {number} in the label file")

@@ -339,7 +339,8 @@ def write_timelines_json(timelines: list[PredictionTimeline], path: str | Path,
 
 
 def read_timelines_json(path: str | Path, num_classes: int) -> list[PredictionTimeline]:
-    """Load exported timelines; missing probabilities become one-hot rows."""
+    """Load exported timelines, each `sequence_id` a string listed once;
+    missing probabilities become one-hot rows."""
     path = Path(path)
     try:
         objs = json.loads(path.read_text(encoding="utf-8"))
@@ -348,8 +349,15 @@ def read_timelines_json(path: str | Path, num_classes: int) -> list[PredictionTi
     if not isinstance(objs, list):
         raise FormatError(f"{path}: expected a JSON array of timelines")
     timelines = []
+    seen: set[str] = set()
     for obj in objs:
         try:
+            sid = obj["sequence_id"]
+            if not isinstance(sid, str):
+                raise FormatError(f"{path}: sequence_id must be a JSON string")
+            if sid in seen:  # a repeated day would be scored twice
+                raise FormatError(f"{path}: timelines list {sid!r} more than once")
+            seen.add(sid)
             frames = obj["frames"]
             if not all(type(f[key]) is int for f in frames for key in ("true", "pred")):
                 raise FormatError(f"{path}: frame labels must be JSON integers")
@@ -364,7 +372,7 @@ def read_timelines_json(path: str | Path, num_classes: int) -> list[PredictionTi
                 probs = np.zeros((len(frames), num_classes))
                 probs[np.arange(len(frames)), pred_labels] = 1.0
             timelines.append(
-                PredictionTimeline(obj["sequence_id"], true_labels, pred_labels, probs)
+                PredictionTimeline(sid, true_labels, pred_labels, probs)
             )
         except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
             raise FormatError(f"{path}: malformed timeline entry") from exc

@@ -113,10 +113,17 @@ def bhattacharyya(p: Sequence[float], q: Sequence[float]) -> float:
     if p.shape != q.shape or p.ndim != 1:
         raise DataError("distributions must be 1-D vectors of equal length")
     for vec in (p, q):
+        if not np.isfinite(vec).all():
+            raise DataError("distribution entries must be finite")
         if (vec < 0).any():
             raise DataError("distribution entries must be non-negative")
         if abs(vec.sum() - 1.0) > 1e-9:
             raise DataError(f"distribution sums to {vec.sum()}, not 1")
+    return _distance(p, q)
+
+
+def _distance(p: np.ndarray, q: np.ndarray) -> float:
+    """`bhattacharyya` without its checks, for distributions built here."""
     coefficient = float(np.sqrt(p * q).sum())
     if coefficient <= 0.0:
         return math.inf
@@ -124,37 +131,24 @@ def bhattacharyya(p: Sequence[float], q: Sequence[float]) -> float:
     return max(0.0, -math.log(min(coefficient, 1.0)))
 
 
-def _distribution(counts: np.ndarray) -> np.ndarray | None:
-    total = counts.sum()
-    return None if total == 0 else counts / float(total)
-
-
-def _pair_objective(subset_counts: np.ndarray, rest_counts: np.ndarray,
-                    reference: np.ndarray) -> float:
-    """Sum of distances of (subset, rest) distributions to the reference."""
-    total = 0.0
-    for counts in (subset_counts, rest_counts):
-        dist = _distribution(counts)
-        if dist is None:
-            return math.inf
-        total += bhattacharyya(dist, reference)
-    return total
-
-
-def _best_subset(bin_counts: list[np.ndarray], candidates: Sequence[int],
-                 choose: int, reference: np.ndarray) -> tuple[tuple[int, ...], float]:
-    """Arg-min over `choose`-subsets of `candidates`; lexicographic tie-break.
+def _best_subset(counts: np.ndarray, candidates: list[int], choose: int,
+                 reference: np.ndarray) -> tuple[tuple[int, ...], float]:
+    """Arg-min of d(subset, reference) + d(rest, reference) over the
+    `choose`-subsets of the `candidates` rows of the bins x K class `counts`;
+    lexicographic tie-break.
 
     Iteration is already lexicographic over sorted candidate ids, so keeping
     the first strict minimum implements the tie rule.
     """
-    pool = np.sum([bin_counts[b] for b in candidates], axis=0)
+    pool = counts[candidates].sum(axis=0)
     best_ids: tuple[int, ...] | None = None
     best_value = math.inf
     for picks in combinations(len(candidates), choose):
         ids = tuple(candidates[i] for i in picks)
-        subset = np.sum([bin_counts[b] for b in ids], axis=0)
-        value = _pair_objective(subset, pool - subset, reference)
+        subset = counts[list(ids)].sum(axis=0)
+        rest = pool - subset
+        value = (_distance(subset / float(subset.sum()), reference)
+                 + _distance(rest / float(rest.sum()), reference))
         if best_ids is None or value < best_value:
             best_ids = ids
             best_value = value
@@ -189,34 +183,32 @@ def select_split(dataset: Dataset, num_bins: int, test_bins: int, val_bins: int,
     if (whole == 0).any():
         raise DataError("every class must appear somewhere in the dataset")
 
-    sizes = [len(seq) for seq in dataset.sequences]
+    days = dataset.sequences
+    sizes = [len(seq) for seq in days]
     if capacity is None:
         capacity = math.ceil(1.1 * sum(sizes) / num_bins)
-    bins = ffd_pack(sizes, capacity, ids=[s.sequence_id for s in dataset.sequences])
-    if test_bins + val_bins >= len(bins):
+    packed = ffd_pack(sizes, capacity)  # ids are day indices here
+    if test_bins + val_bins >= len(packed):
         raise ConfigError(
-            f"packing produced {len(bins)} bins; need test_bins + val_bins < bins"
+            f"packing produced {len(packed)} bins; need test_bins + val_bins < bins"
         )
-
-    by_id = {seq.sequence_id: seq for seq in dataset.sequences}
-    bin_counts = []
-    for b in bins:
-        counts = np.zeros(num_classes, dtype=np.int64)
-        for sid in b.sequence_ids:
-            counts += np.bincount(by_id[sid].labels, minlength=num_classes)
-        bin_counts.append(counts)
+    day_counts = np.array([np.bincount(seq.labels, minlength=num_classes)
+                           for seq in days], dtype=np.int64)
+    # every bin holds a day of at least one frame, and each stage leaves at
+    # least one bin on both sides, so no distribution below is of zero frames
+    counts = np.array([day_counts[b.sequence_ids].sum(axis=0) for b in packed])
+    bins = [Bin([days[i].sequence_id for i in b.sequence_ids], b.total_frames)
+            for b in packed]
 
     all_ids = list(range(len(bins)))
-    test_ids, objective_test = _best_subset(bin_counts, all_ids, test_bins, whole)
+    test_ids, objective_test = _best_subset(counts, all_ids, test_bins, whole)
     remaining = [b for b in all_ids if b not in test_ids]
     if stage2_reference == "rest":
-        rest_counts = np.sum([bin_counts[b] for b in remaining], axis=0)
-        reference = _distribution(rest_counts)
-        if reference is None:
-            raise DataError("remaining bins hold no frames")
+        rest = counts[remaining].sum(axis=0)
+        reference = rest / float(rest.sum())
     else:
         reference = whole
-    val_ids, objective_val = _best_subset(bin_counts, remaining, val_bins, reference)
+    val_ids, objective_val = _best_subset(counts, remaining, val_bins, reference)
     train_ids = tuple(b for b in remaining if b not in val_ids)
     return SplitResult(
         test_bin_ids=test_ids,

@@ -4,18 +4,20 @@ These deliberately avoid the library's vectorized paths: the recurrent
 reference walks frame by frame through the single-step operations, and the
 split reference enumerates subsets with plain-Python bitmask loops; the
 cross-entropy reference scores one frame at a time. The recurrence,
-backward, masked cross-entropy and SGD references are the plain loops the
-library's kernels replaced; the kernels must match them bit for bit. The
-timeline reference builds the objects that `json.dumps` writes, which the
-direct timelines writer must match byte for byte.
+backward, masked cross-entropy, SGD and split-stage references are the plain
+loops the library's kernels replaced; the kernels must match them bit for
+bit. The timeline reference builds the objects that `json.dumps` writes,
+which the direct timelines writer must match byte for byte.
 """
 
+import itertools
 import math
 
 import numpy as np
 
 from egobatch.errors import DataError, ShapeError
 from egobatch.nnet import GATES, LstmState
+from egobatch.splitter import bhattacharyya
 
 
 def timeline_to_obj(timeline, include_probs=False):
@@ -130,6 +132,39 @@ def brute_force_split(bin_labels, num_classes, test_bins, val_bins,
         reference = dist(counts_of(remaining))
     val_ids, objective_val = stage(remaining, val_bins, reference)
     return test_ids, val_ids, objective_test, objective_val
+
+
+def reference_best_subset(bin_counts, candidates, choose, reference):
+    """The split search's stage as it scored subsets before the count matrix:
+    per-bin class-count vectors summed per subset, each distribution checked
+    by the public `bhattacharyya`, and a subset or rest of zero frames scored
+    inf. `splitter._best_subset` must return the same ids and objective bit
+    for bit."""
+
+    def distribution(counts):
+        total = counts.sum()
+        return None if total == 0 else counts / float(total)
+
+    def pair_objective(subset_counts, rest_counts):
+        total = 0.0
+        for counts in (subset_counts, rest_counts):
+            dist = distribution(counts)
+            if dist is None:
+                return math.inf
+            total += bhattacharyya(dist, reference)
+        return total
+
+    pool = np.sum([bin_counts[b] for b in candidates], axis=0)
+    best_ids = None
+    best_value = math.inf
+    for picks in itertools.combinations(range(len(candidates)), choose):
+        ids = tuple(candidates[i] for i in picks)
+        subset = np.sum([bin_counts[b] for b in ids], axis=0)
+        value = pair_objective(subset, pool - subset)
+        if best_ids is None or value < best_value:
+            best_ids = ids
+            best_value = value
+    return best_ids, best_value
 
 
 def reference_lstm_backward(layer, cache, d_outputs):

@@ -1,10 +1,15 @@
 import json
+import os
 import shutil
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import egobatch
 from egobatch import (
     Dataset,
     DaySequence,
@@ -17,7 +22,7 @@ from egobatch import (
     write_manifest,
     write_sequence_file,
 )
-from egobatch import datamodel
+from egobatch import cli, datamodel
 from egobatch.cli import dispatch
 
 
@@ -138,6 +143,17 @@ class TestDataErrors:
                    "--out-dir", str(tmp_path / "out"), "--bins", "4",
                    "--test-bins", "1", "--val-bins", "1")
         assert code == 2
+
+    @pytest.mark.parametrize("ids", [["s0", "s1", "s0"], ["s0", 3]])
+    def test_eval_of_a_repeated_or_non_string_day(self, synth_dir, tmp_path, ids):
+        timelines = tmp_path / "timelines.json"
+        timelines.write_text(json.dumps([{"sequence_id": sid, "frames": [
+            {"index": 0, "true": 0, "pred": 1}]} for sid in ids]))
+        code = run("eval", "--timelines", str(timelines),
+                   "--labels", str(synth_dir / "labels.txt"),
+                   "--out-dir", str(tmp_path / "eval"))
+        assert code == 2
+        assert not (tmp_path / "eval" / "report.json").exists()
 
     @pytest.mark.parametrize("bad", ["labels", "manifest", "checkpoint", "split",
                                      "timelines"])
@@ -609,6 +625,37 @@ class TestArchitectureBoundaries:
                    "--out-dir", str(tmp_path / "out"))
         assert code == 1
         assert not (tmp_path / "out" / "timelines.json").exists()
+
+
+class TestRepeatedDispatch:
+    def test_each_dispatch_exits_as_a_fresh_process_would(self, synth_dir, tmp_path,
+                                                          monkeypatch):
+        """One process builds one parser for all its dispatches: a run with
+        non-default flags, then a usage error part-way through parsing, then a
+        run with the defaults each exit and write as in a fresh process."""
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        cli._shared_parser.cache_clear()
+        split = ["split", "--manifest", str(synth_dir / "manifest.json"),
+                 "--labels", str(synth_dir / "labels.txt"), "--bins", "6",
+                 "--test-bins", "1", "--val-bins", "1"]
+        runs = [split + ["--stage2-reference", "rest", "--capacity", "120"],
+                split + ["--bins", "six"],
+                split]
+        env = dict(os.environ, PYTHONPATH=str(Path(egobatch.__file__).parents[1]))
+        for number, argv in enumerate(runs):
+            here, fresh = tmp_path / f"here{number}", tmp_path / f"fresh{number}"
+            code = run(*argv, "--out-dir", str(here))
+            done = subprocess.run([sys.executable, "-m", "egobatch", *argv,
+                                   "--out-dir", str(fresh)], env=env,
+                                  capture_output=True, timeout=120)
+            assert code == done.returncode == (1 if number == 1 else 0)
+            for name in ("split.json", "config.json"):
+                assert (here / name).exists() == (fresh / name).exists()
+                if (here / name).exists():
+                    assert (here / name).read_bytes() == (fresh / name).read_bytes()
+        assert len(built) == 1
 
 
 class TestConfigJson:

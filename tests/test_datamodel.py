@@ -55,6 +55,16 @@ class TestLabelSet:
         write_labels_file(ls, path)
         assert read_labels_file(path) == ls
 
+    def test_labels_file_breaks_lines_only_at_newline(self, tmp_path):
+        # str.splitlines would also break at each of these inside a name
+        ls = LabelSet(("walk\u2028ing", "cook\x0cing", "eat", "a\x0bb\x85c",
+                       "x\x1cy\x1dz\x1e", "line\u2029sep"))
+        path = tmp_path / "labels.txt"
+        write_labels_file(ls, path)
+        back = read_labels_file(path)
+        assert back == ls
+        assert back.id_of("eat") == 2
+
     def test_labels_file_trailing_newline_optional(self, tmp_path):
         path = tmp_path / "labels.txt"
         for text in ("a\nb\nc\n", "a\nb\nc"):

@@ -475,11 +475,11 @@ SPECIAL_PROBS = st.sampled_from((0.0, 5e-324, 1e-05))
 
 @st.composite
 def timeline_lists(draw):
-    """(class count, timelines); each probability row sums to 1, and a row
-    whose other entries are all 0 holds 1.0."""
+    """(class count, timelines) with distinct ids; each probability row sums
+    to 1, and a row whose other entries are all 0 holds 1.0."""
     classes = draw(st.integers(1, 4))
     timelines = []
-    for _ in range(draw(st.integers(0, 3))):
+    for sid in draw(st.lists(st.text(ID_CHARS, max_size=8), max_size=3, unique=True)):
         length = draw(st.integers(1, 4))
         rows = []
         for _ in range(length):
@@ -490,8 +490,7 @@ def timeline_lists(draw):
         probs = np.array(rows)
         true = draw(st.lists(st.integers(0, classes - 1), min_size=length,
                              max_size=length))
-        timelines.append(PredictionTimeline(draw(st.text(ID_CHARS, max_size=8)), true,
-                                            probs.argmax(axis=1), probs))
+        timelines.append(PredictionTimeline(sid, true, probs.argmax(axis=1), probs))
     return classes, timelines
 
 
@@ -542,6 +541,15 @@ class TestMalformedTimelineJson:
     def test_rejected_as_format_error(self, tmp_path, frames):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps([{"sequence_id": "s", "frames": frames}]))
+        with pytest.raises(FormatError):
+            read_timelines_json(path, 2)
+
+    @pytest.mark.parametrize("ids", [["a", "b", "a"], ["x", "x"], [7], [None],
+                                     [["a"]], ["a", 1]])
+    def test_repeated_or_non_string_ids_rejected(self, tmp_path, ids):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps([{"sequence_id": sid, "frames": [
+            {"true": 0, "pred": 0}]} for sid in ids]))
         with pytest.raises(FormatError):
             read_timelines_json(path, 2)
 

@@ -16,7 +16,9 @@ from egobatch import (
     combinations,
     ffd_pack,
     select_split,
+    splitter,
 )
+from oracles import brute_force_split, reference_best_subset
 
 
 def seq_with_labels(labels, sid, length_pad=None):
@@ -150,9 +152,69 @@ class TestBhattacharyya:
             bhattacharyya([0.7, 0.7], [0.5, 0.5])
         with pytest.raises(DataError):
             bhattacharyya([-0.1, 1.1], [0.5, 0.5])
+        with pytest.raises(DataError):
+            bhattacharyya([math.nan, 1.0], [0.5, 0.5])
+        with pytest.raises(DataError):
+            bhattacharyya([0.5, 0.5], [1.0, math.nan])
 
 
-from oracles import brute_force_split
+def random_counts(rng, bins, classes):
+    """A bins x K count matrix whose every row holds at least one frame;
+    a bin holds a few frames of each class, or hundreds as real days do."""
+    counts = rng.integers(0, rng.choice([6, 400]), size=(bins, classes))
+    counts[np.arange(bins), rng.integers(0, classes, size=bins)] += 1
+    return counts
+
+
+class TestBestSubset:
+    """The count-matrix search against the per-subset loop it replaced."""
+
+    def check(self, counts, candidates, choose, reference):
+        ids, value = splitter._best_subset(counts, candidates, choose, reference)
+        expect_ids, expect_value = reference_best_subset(list(counts), candidates,
+                                                         choose, reference)
+        assert ids == expect_ids
+        assert value.hex() == expect_value.hex()
+        return value
+
+    def test_equals_the_reference_bit_for_bit_on_random_counts(self):
+        rng = np.random.default_rng(11)
+        for case in range(150):
+            classes = int(rng.integers(2, 6))
+            count = int(rng.integers(2, 10))
+            counts = random_counts(rng, count, classes)
+            if case % 3 == 0:  # repeated rows tie whole subsets
+                counts[rng.integers(0, count, size=count // 2)] = counts[0]
+            candidates = sorted(rng.choice(count, size=int(rng.integers(2, count + 1)),
+                                           replace=False).tolist())
+            choose = int(rng.integers(1, len(candidates)))
+            reference = rng.dirichlet(np.ones(classes))
+            self.check(counts, candidates, choose, reference)
+
+    def test_ties_go_to_the_lexicographically_first_subset(self):
+        counts = np.array([[3, 1], [1, 3], [1, 3], [3, 1], [2, 2]])
+        whole = counts.sum(axis=0) / float(counts.sum())
+        ids, _ = splitter._best_subset(counts, [0, 1, 2, 3, 4], 2, whole)
+        assert ids == (0, 1)
+        self.check(counts, [0, 1, 2, 3, 4], 2, whole)
+        self.check(counts, [1, 2, 3, 4], 1, whole)
+
+    def test_rest_reference_with_a_zero_class_gives_inf_distances(self):
+        # the last class is absent from the reference; bins 0 and 3 hold only it
+        reference = np.array([0.5, 0.5, 0.0])
+        counts = np.array([[0, 0, 3], [1, 1, 0], [2, 0, 1], [0, 0, 5], [1, 2, 0]])
+        assert self.check(counts, [0, 1, 2, 3, 4], 2, reference) < math.inf
+        assert self.check(counts, [0, 3, 1], 2, reference) == math.inf
+        assert self.check(counts, [0, 3], 1, reference) == math.inf
+        rng = np.random.default_rng(12)
+        for _ in range(60):
+            count = int(rng.integers(3, 9))
+            counts = random_counts(rng, count, 3)
+            counts[rng.random(count) < 0.4, :2] = 0  # some bins of the absent class
+            counts[counts.sum(axis=1) == 0, 2] = 1
+            reference = np.append(rng.dirichlet(np.ones(2)), 0.0)
+            self.check(counts, list(range(count)), int(rng.integers(1, count)),
+                       reference)
 
 
 def build_dataset(label_lists):
@@ -162,6 +224,13 @@ def build_dataset(label_lists):
     names = tuple(chr(ord("a") + k) for k in
                   range(int(max(max(ls) for ls in label_lists)) + 1))
     return Dataset(LabelSet(names), sequences)
+
+
+def build_named_dataset(label_lists, num_classes):
+    """Day i is "s{i}" with the given labels, over classes c0..c{K-1}."""
+    sequences = [seq_with_labels(labels, f"s{i}") for i, labels in
+                 enumerate(label_lists)]
+    return Dataset(LabelSet(tuple(f"c{k}" for k in range(num_classes))), sequences)
 
 
 class TestSelectSplit:
@@ -257,6 +326,57 @@ class TestSplitOracle:
                 assert abs(result.objective_test - expect[2]) < 1e-9
             if math.isfinite(expect[3]):
                 assert abs(result.objective_val - expect[3]) < 1e-9
+
+    def test_matches_brute_force_with_several_days_per_bin(self):
+        rng = np.random.default_rng(13)
+        shared = 0
+        for case in range(30):
+            num_classes = int(rng.integers(2, 5))
+            lengths = rng.integers(1, 9, size=int(rng.integers(8, 16))).tolist()
+            label_lists = [rng.integers(0, num_classes, size=n).tolist()
+                           for n in lengths]
+            if len({label for ls in label_lists for label in ls}) < num_classes:
+                continue
+            capacity = int(rng.integers(9, 17))
+            bin_count = len(ffd_pack(lengths, capacity))
+            if bin_count < 3:
+                continue
+            test_bins = int(rng.integers(1, min(3, bin_count - 1)))
+            val_bins = int(rng.integers(1, bin_count - test_bins))
+            ds = build_named_dataset(label_lists, num_classes)
+            ref = "whole" if case % 2 == 0 else "rest"
+            result = select_split(ds, bin_count, test_bins, val_bins,
+                                  capacity=capacity, stage2_reference=ref)
+            shared += sum(len(b.sequence_ids) > 1 for b in result.bins)
+            by_id = {f"s{i}": labels for i, labels in enumerate(label_lists)}
+            oracle_bins = [[label for sid in b.sequence_ids for label in by_id[sid]]
+                           for b in result.bins]
+            expect = brute_force_split(oracle_bins, num_classes, test_bins,
+                                       val_bins, stage2_reference=ref)
+            assert result.test_bin_ids == expect[0]
+            assert result.val_bin_ids == expect[1]
+            assert abs(result.objective_test - expect[2]) < 1e-9
+            assert abs(result.objective_val - expect[3]) < 1e-9
+        assert shared > 50
+
+    def test_takes_one_combination_per_scored_subset(self, monkeypatch):
+        taken = []
+        enumerate_subsets = splitter.combinations
+
+        def counted(count, choose):
+            for picks in enumerate_subsets(count, choose):
+                taken.append(picks)
+                yield picks
+
+        monkeypatch.setattr(splitter, "combinations", counted)
+        rng = np.random.default_rng(14)
+        label_lists = [rng.integers(0, 3, size=n).tolist()
+                       for n in (9, 7, 7, 6, 5, 5, 4, 3, 3, 2, 2, 1)]
+        result = select_split(build_named_dataset(label_lists, 3), 6, 2, 2,
+                              capacity=10)
+        count = len(result.bins)
+        assert count > 4 and any(len(b.sequence_ids) > 1 for b in result.bins)
+        assert len(taken) == math.comb(count, 2) + math.comb(count - 2, 2)
 
 
 class TestSplitJson:

@@ -12,7 +12,11 @@ after baseline, sliding (T = 8, dropout 0.5) and piggyback phase 1 and
 phase 2 training (n = 10, m = 3), the outputs of `piggyback_logits` and
 `predict_sliding_sequence`, and the same outputs of the trained sliding and
 piggyback models after a round trip through `write_checkpoint`,
-`read_checkpoint` and `model_from_params` ("reloaded"). The `cli` line
+`read_checkpoint` and `model_from_params` ("reloaded"). The `split` line
+digests `select_split` (2 test and 2 val bins) on the training and
+validation days of the smallest size, packed several to a bin into 7 and
+into 6 bins, with both stage-2 references: the bins, the chosen bin ids and
+the `repr` of both objectives. The `cli` line
 digests every file a command-line run writes: synth, split, train
 (baseline, sliding, piggyback phases 1 and 2), predict with each trained
 model on the test split, eval of each prediction, predict with the phase-2
@@ -41,7 +45,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np  # noqa: E402
 
 from egobatch import (  # noqa: E402
+    Dataset,
     DaySequence,
+    LabelSet,
     SynthConfig,
     TrainConfig,
     build_baseline,
@@ -51,6 +57,7 @@ from egobatch import (  # noqa: E402
     model_from_params,
     predict_sliding_sequence,
     read_checkpoint,
+    select_split,
     train_baseline,
     train_piggyback,
     train_sliding,
@@ -152,6 +159,21 @@ def run_size(feature_dim: int, hidden: int):
     yield f"{tag} reloaded {digest_arrays(outputs)}"
 
 
+def split_run() -> str:
+    train, val, classes = days(SIZES[0][0])
+    dataset = Dataset(LabelSet(tuple(f"c{k}" for k in range(classes))), train + val)
+    sha = hashlib.sha256()
+    for capacity in (75, 100):  # 7 and 6 bins
+        for reference in ("whole", "rest"):
+            result = select_split(dataset, 6, 2, 2, capacity=capacity,
+                                  stage2_reference=reference)
+            sha.update(repr(([(b.sequence_ids, b.total_frames) for b in result.bins],
+                             result.test_bin_ids, result.val_bin_ids,
+                             result.train_bin_ids, repr(result.objective_test),
+                             repr(result.objective_val))).encode())
+    return f"split {sha.hexdigest()}"
+
+
 # per model: its train flags, and its predict flags (None: not predicted)
 CLI_MODELS = {
     "baseline": (["--arch", "baseline"], []),
@@ -214,9 +236,9 @@ def main() -> int:
         for line in run_size(feature_dim, hidden):
             print(line, flush=True)
             lines.append(line)
-    line = cli_run()
-    print(line, flush=True)
-    lines.append(line)
+    for line in (split_run(), cli_run()):
+        print(line, flush=True)
+        lines.append(line)
     print(f"all {hashlib.sha256(chr(10).join(lines).encode()).hexdigest()}")
     return 0
 
