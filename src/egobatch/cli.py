@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -23,6 +22,7 @@ from .datamodel import (
     load_dataset,
     read_labels_file,
     read_manifest,
+    write_json,
     write_labels_file,
     write_manifest,
 )
@@ -50,7 +50,7 @@ from .models import (
     write_timelines_json,
 )
 from .nnet import grad_check, read_checkpoint, write_checkpoint
-from .splitter import select_split
+from .splitter import read_split_ids, select_split
 from .training import (
     TrainConfig,
     train_baseline,
@@ -91,11 +91,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _write_config(out_dir: Path, payload: dict) -> None:
-    (out_dir / "config.json").write_text(json.dumps(payload, indent=2) + "\n",
-                                         encoding="utf-8")
-
-
 def _parsed_flags(args) -> dict:
     """The command and its flags, without --out-dir, in parser order:
     argparse fills the namespace in the order the flags were added."""
@@ -130,7 +125,7 @@ def _cmd_synth(args) -> int:
     out = _out_dir(args)
     write_labels_file(dataset.label_set, out / "labels.txt")
     write_manifest(dataset, out / "manifest.json", out / "sequences")
-    _write_config(out, _parsed_flags(args))
+    write_json(out / "config.json", _parsed_flags(args))
     print(f"wrote {len(dataset.sequences)} sequences under {out}")
     return EXIT_OK
 
@@ -143,27 +138,10 @@ def _cmd_split(args) -> int:
                           stage2_reference=args.stage2_reference)
     out = _out_dir(args)
     result.write_json(out / "split.json")
-    _write_config(out, _parsed_flags(args))
+    write_json(out / "config.json", _parsed_flags(args))
     print(f"split objectives: test={result.objective_test:.6f} "
           f"val={result.objective_val:.6f}")
     return EXIT_OK
-
-
-def _read_split_ids(path: str | Path) -> dict:
-    try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: invalid JSON ({exc})") from exc
-    seen: set[str] = set()
-    for key in ("test", "val", "train"):
-        ids = obj.get(key) if isinstance(obj, dict) else None
-        if not isinstance(ids, list) or not all(isinstance(sid, str) for sid in ids):
-            raise FormatError(f"{path}: split manifest needs {key!r} as a list of ids")
-        for sid in ids:  # a repeated day would be trained, predicted or scored twice
-            if sid in seen:
-                raise FormatError(f"{path}: split manifest lists {sid!r} more than once")
-            seen.add(sid)
-    return obj
 
 
 def _cmd_train(args) -> int:
@@ -184,7 +162,7 @@ def _cmd_train(args) -> int:
     if cfg.architecture == "piggyback" and cfg.phase == 2 and not args.init_from:
         raise SequencingError("phase 2 requires --init-from with a phase-1 checkpoint")
 
-    split = _read_split_ids(args.split)
+    split = read_split_ids(args.split)
     dataset = load_dataset(args.manifest, args.labels, split["train"] + split["val"])
     train_seqs = [dataset.by_id(sid) for sid in split["train"]]
     val_seqs = [dataset.by_id(sid) for sid in split["val"]]
@@ -213,7 +191,7 @@ def _cmd_train(args) -> int:
     result = trainers[cfg.architecture](model, train_seqs, val_seqs, cfg)
 
     out = _out_dir(args)
-    _write_config(out, {
+    write_json(out / "config.json", {
         "command": "train",
         "manifest": str(args.manifest),
         "labels": str(args.labels),
@@ -239,7 +217,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    ids = _read_split_ids(args.split)[args.subset] if args.split else None
+    ids = read_split_ids(args.split)[args.subset] if args.split else None
     manifest = read_manifest(args.manifest, args.labels)
     model = model_from_params(read_checkpoint(args.model))
     if model.head.out_dim != manifest.label_set.size:
@@ -259,7 +237,7 @@ def _cmd_predict(args) -> int:
     out = _out_dir(args)
     write_timelines_json(timelines, out / "timelines.json",
                          include_probs=args.include_probs)
-    _write_config(out, {
+    write_json(out / "config.json", {
         "command": "predict",
         "model": str(args.model),
         "manifest": str(args.manifest),
@@ -286,7 +264,7 @@ def _cmd_eval(args) -> int:
     write_confusion_csv(matrix, label_set, out / "confusion.csv")
     write_confusion_normalized_csv(matrix, label_set,
                                    out / "confusion_normalized.csv")
-    _write_config(out, _parsed_flags(args))
+    write_json(out / "config.json", _parsed_flags(args))
     print(f"accuracy={report.accuracy:.4f} macro_f1={report.macro_f1:.4f}")
     return EXIT_OK
 
@@ -322,11 +300,10 @@ def _cmd_gradcheck(args) -> int:
           f"-> {'PASS' if passed else 'FAIL'}")
     if args.out_dir:
         out = _out_dir(args)
-        (out / "gradcheck.json").write_text(
-            json.dumps({"max_rel_error": worst, "tolerance": args.tolerance,
-                        "passed": passed, "architectures": results}, indent=2) + "\n",
-            encoding="utf-8")
-        _write_config(out, _parsed_flags(args))
+        write_json(out / "gradcheck.json",
+                   {"max_rel_error": worst, "tolerance": args.tolerance,
+                    "passed": passed, "architectures": results})
+        write_json(out / "config.json", _parsed_flags(args))
     if not passed:
         raise NumericError(f"gradient check failed: {worst:.3e} >= {args.tolerance:.1e}")
     return EXIT_OK

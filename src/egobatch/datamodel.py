@@ -36,8 +36,11 @@ class LabelSet:
             raise DataError("a label set needs at least two categories")
         if len(self.names) > _MAX_LABEL_ID + 1:
             raise DataError("at most 65536 categories (u16 label ids)")
-        if any(not name for name in self.names):
-            raise DataError("category names must be non-empty")
+        for name in self.names:  # each name is one line of labels.txt
+            if not name.strip():
+                raise DataError(f"category name {name!r} is blank")
+            if "\n" in name or "\r" in name:
+                raise DataError(f"category name {name!r} holds a line break")
         if len(set(self.names)) != len(self.names):
             raise DataError("category names must be unique")
 
@@ -192,15 +195,13 @@ def write_sequence_file(seq: DaySequence, path: str | Path) -> None:
         raise DataError("feature value overflows float32 storage")
     length, dim = seq.features.shape
     flags = _FLAG_TIMESTAMPS if seq.timestamps is not None else 0
-    blob = bytearray()
-    blob += SEQUENCE_MAGIC
-    blob += _HEADER.pack(length, dim)
-    blob.append(flags)
-    blob += feats32.tobytes()
-    blob += np.ascontiguousarray(seq.labels, dtype="<u2").tobytes()
+    arrays = [feats32, np.ascontiguousarray(seq.labels, dtype="<u2")]
     if seq.timestamps is not None:
-        blob += np.ascontiguousarray(seq.timestamps, dtype="<u4").tobytes()
-    Path(path).write_bytes(bytes(blob))
+        arrays.append(np.ascontiguousarray(seq.timestamps, dtype="<u4"))
+    # written from the arrays' own memory: no in-memory copy of the day
+    with open(path, "wb") as out:
+        out.write(SEQUENCE_MAGIC + _HEADER.pack(length, dim) + bytes([flags]))
+        out.writelines(memoryview(arr).cast("B") for arr in arrays)
 
 
 def read_sequence_file(
@@ -272,8 +273,22 @@ def read_sequence_file(
 
 
 # ---------------------------------------------------------------------------
-# Label files and dataset manifests
+# JSON files, label files and dataset manifests
 # ---------------------------------------------------------------------------
+
+def read_json(path: str | Path):
+    """Parse a UTF-8 JSON file; malformed JSON is a `FormatError` naming it."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{path}: invalid JSON ({exc})") from exc
+
+
+def write_json(path: str | Path, obj) -> None:
+    """Write `obj` as UTF-8 JSON indented by two spaces, with a final newline:
+    the layout of every JSON file the package writes."""
+    Path(path).write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
+
 
 def read_labels_file(path: str | Path) -> LabelSet:
     """labels.txt: one UTF-8 category name per line, line index = label id.
@@ -315,7 +330,7 @@ def write_manifest(dataset: Dataset, manifest_path: str | Path, seq_dir: str | P
                 "path": str(rel.relative_to(manifest_path.parent)),
             }
         )
-    manifest_path.write_text(json.dumps(entries, indent=2) + "\n", encoding="utf-8")
+    write_json(manifest_path, entries)
 
 
 @dataclass
@@ -353,10 +368,7 @@ def read_manifest(manifest_path: str | Path, labels_path: str | Path) -> Manifes
     relative to its directory."""
     manifest_path = Path(manifest_path)
     label_set = read_labels_file(labels_path)
-    try:
-        entries = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{manifest_path}: invalid JSON ({exc})") from exc
+    entries = read_json(manifest_path)
     if not isinstance(entries, list):
         raise FormatError(f"{manifest_path}: manifest must be a JSON array")
     days = {}  # sequence id -> (.egoseq path, user id)

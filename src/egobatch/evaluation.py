@@ -7,13 +7,12 @@ the evaluated frames; every exported report states this convention.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .datamodel import LabelSet
+from .datamodel import LabelSet, write_json
 from .errors import DataError
 from .models import PredictionTimeline
 
@@ -34,9 +33,7 @@ class MetricsReport:
     per_class_f1: tuple[float, ...]
 
     def write_json(self, path: str | Path) -> None:
-        obj = {"convention": ZERO_DENOMINATOR_NOTE, **asdict(self)}
-        Path(path).write_text(json.dumps(obj, indent=2) + "\n",
-                              encoding="utf-8")
+        write_json(path, {"convention": ZERO_DENOMINATOR_NOTE, **asdict(self)})
 
 
 def confusion_from_timelines(timelines: list[PredictionTimeline],

@@ -8,7 +8,6 @@ previous batch's recurrent outputs at overlapped positions.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -16,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .batching import BatchPlan, batch_plan
-from .datamodel import DaySequence
+from .datamodel import DaySequence, read_json
 from .errors import ConfigError, DataError, FormatError, ShapeError
 from .nnet import GATES, DenseLayer, LstmLayer, run_window, softmax
 
@@ -307,7 +306,7 @@ def predict_sequence(model: LayerStack, seq: DaySequence, timestep: int, overlap
 # Timeline JSON export / import
 # ---------------------------------------------------------------------------
 
-# One frame as `json.dumps(..., indent=2)` lays it out inside a timeline.
+# One frame as `write_json` lays it out inside a timeline.
 _FRAME = ('      {\n        "index": %d,\n        "true": %d,\n'
           '        "pred": %d\n      }')
 _FRAME_PROBS = ('      {\n        "index": %d,\n        "true": %d,\n        "pred": %d,\n'
@@ -319,7 +318,7 @@ def write_timelines_json(timelines: list[PredictionTimeline], path: str | Path,
     """Write the timelines as a JSON array of `{"sequence_id", "frames"}`,
     each frame `{"index", "true", "pred"}` plus `"probs"` on request.
 
-    The bytes are those of `json.dumps(objs, indent=2) + "\n"`, but each
+    The bytes are those of `datamodel.write_json(path, objs)`, but each
     frame is formatted directly: `indent` turns off json's C encoder, and
     its pure-Python one dominated the write. Ids are escaped as json escapes
     them and probabilities written with `float.__repr__`, as json does."""
@@ -342,10 +341,7 @@ def read_timelines_json(path: str | Path, num_classes: int) -> list[PredictionTi
     """Load exported timelines, each `sequence_id` a string listed once;
     missing probabilities become one-hot rows."""
     path = Path(path)
-    try:
-        objs = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: invalid JSON ({exc})") from exc
+    objs = read_json(path)
     if not isinstance(objs, list):
         raise FormatError(f"{path}: expected a JSON array of timelines")
     timelines = []

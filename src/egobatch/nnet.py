@@ -270,7 +270,8 @@ class LstmLayer:
         `d_outputs` is dLoss/dh per position. The parameter gradients go into
         `out` (a new vector when None), laid out like the layer's storage:
         dW (4H x D), dU (4H x H) and db (4H) back to back, stacked like the
-        gates. Returns `out` and dLoss/dinputs.
+        gates. Returns `out` and the T x 4H gate pre-activation gradient;
+        dLoss/dinputs is that times `w_stack`, for a caller that needs it.
         """
         steps, hid = d_outputs.shape
         if out is None:
@@ -316,7 +317,7 @@ class LstmLayer:
         np.matmul(d_pre.T, cache.inputs, out=dw)
         np.matmul(d_pre.T, h_prev, out=du)
         d_pre.sum(axis=0, out=db)
-        return out, d_pre @ self.w_stack
+        return out, d_pre
 
 
 def flatten_layers(layers: list) -> np.ndarray:
@@ -451,16 +452,16 @@ def backprop_window(model, inputs: np.ndarray, labels: np.ndarray,
 
     grads = np.empty(size)
     _dense_grads(dlogits, fwd._head_inputs, grads[size - model.head.size:])
+    if model.lstm is None:  # nothing below the head reads its input gradient
+        return loss, grads, fwd
     d_rows = dlogits @ model.head.weight
     if fwd._dropout_scale is not None:
         d_rows = d_rows * fwd._dropout_scale
-
-    if model.lstm is not None:
-        start = 0 if model.embed is None else model.embed.size
-        _, d_rows = model.lstm.backward(fwd._lstm_cache, d_rows,
-                                        out=grads[start:start + model.lstm.size])
+    start = 0 if model.embed is None else model.embed.size
+    _, d_pre = model.lstm.backward(fwd._lstm_cache, d_rows,
+                                   out=grads[start:start + model.lstm.size])
     if model.embed is not None:
-        _dense_grads(d_rows, fwd._inputs, grads[:model.embed.size])
+        _dense_grads(d_pre @ model.lstm.w_stack, fwd._inputs, grads[:start])
     return loss, grads, fwd
 
 

@@ -10,7 +10,6 @@ construction, so plain exhaustive enumeration is exact and fast.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from itertools import combinations as _combinations
@@ -19,8 +18,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .datamodel import Dataset, category_distribution
-from .errors import ConfigError, DataError, PackingError
+from .datamodel import Dataset, category_distribution, read_json, write_json
+from .errors import ConfigError, DataError, FormatError, PackingError
 
 
 @dataclass
@@ -64,8 +63,23 @@ class SplitResult:
         }
 
     def write_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_obj(), indent=2) + "\n",
-                              encoding="utf-8")
+        write_json(path, self.to_json_obj())
+
+
+def read_split_ids(path: str | Path) -> dict:
+    """Read a split manifest as `SplitResult.write_json` writes it, checking
+    that "test", "val" and "train" list string ids and no id twice."""
+    obj = read_json(path)
+    seen: set[str] = set()
+    for key in ("test", "val", "train"):
+        ids = obj.get(key) if isinstance(obj, dict) else None
+        if not isinstance(ids, list) or not all(isinstance(sid, str) for sid in ids):
+            raise FormatError(f"{path}: split manifest needs {key!r} as a list of ids")
+        for sid in ids:  # a repeated day would be trained, predicted or scored twice
+            if sid in seen:
+                raise FormatError(f"{path}: split manifest lists {sid!r} more than once")
+            seen.add(sid)
+    return obj
 
 
 def ffd_pack(sizes: Sequence[int], capacity: int,

@@ -12,14 +12,13 @@ carry-over and a frozen embedding.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .batching import batch_plan, sliding_plan
-from .datamodel import DaySequence
+from .datamodel import DaySequence, write_json
 from .errors import ConfigError, NumericError
 from .models import (
     ARCHITECTURES,
@@ -94,8 +93,7 @@ class TrainReport:
     stop_reason: str = "max_epochs"
 
     def write_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(asdict(self), indent=2) + "\n",
-                              encoding="utf-8")
+        write_json(path, asdict(self))
 
 
 @dataclass

@@ -7,11 +7,14 @@ cross-entropy reference scores one frame at a time. The recurrence,
 backward, masked cross-entropy, SGD and split-stage references are the plain
 loops the library's kernels replaced; the kernels must match them bit for
 bit. The timeline reference builds the objects that `json.dumps` writes,
-which the direct timelines writer must match byte for byte.
+which the direct timelines writer must match byte for byte, and the
+`.egoseq` reference is the writer that assembled each day in one copy.
 """
 
 import itertools
 import math
+import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -266,3 +269,21 @@ def reference_lstm_recur(layer, inputs):
         tanh_c_rows[:, t] = tanh_c
         h_rows[:, t] = h
     return gate_rows, c_rows, tanh_c_rows, h_rows
+
+
+def reference_write_sequence_file(seq, path):
+    """A day as `.egoseq` bytes, built whole in memory and written at once."""
+    seq.validate()
+    feats32 = np.ascontiguousarray(seq.features, dtype="<f4")
+    if not np.isfinite(feats32).all():
+        raise DataError("feature value overflows float32 storage")
+    length, dim = seq.features.shape
+    blob = bytearray()
+    blob += b"EGOSEQ01"
+    blob += struct.pack("<II", length, dim)
+    blob.append(0 if seq.timestamps is None else 1)
+    blob += feats32.tobytes()
+    blob += np.ascontiguousarray(seq.labels, dtype="<u2").tobytes()
+    if seq.timestamps is not None:
+        blob += np.ascontiguousarray(seq.timestamps, dtype="<u4").tobytes()
+    Path(path).write_bytes(bytes(blob))

@@ -156,8 +156,11 @@ class TestDataErrors:
         assert not (tmp_path / "eval" / "report.json").exists()
 
     @pytest.mark.parametrize("bad", ["labels", "manifest", "checkpoint", "split",
-                                     "timelines"])
-    def test_non_utf8_input(self, synth_dir, split_dir, tmp_path, bad):
+                                     "timelines", "manifest-json", "split-json",
+                                     "timelines-json"])
+    def test_non_utf8_input(self, synth_dir, split_dir, tmp_path, bad, capsys):
+        """Every command that reads a file that is not UTF-8, or ("-json")
+        not JSON, exits 2; malformed JSON is reported with the file's name."""
         data = load_dataset(synth_dir / "manifest.json", synth_dir / "labels.txt")
         checkpoint = tmp_path / "model.egomdl"
         write_checkpoint(build_baseline(data.feature_dim, data.label_set.size).params(),
@@ -168,20 +171,33 @@ class TestDataErrors:
                  "manifest": synth_dir / "manifest.json",
                  "checkpoint": checkpoint, "split": split_dir / "split.json",
                  "timelines": timelines}
+        bad, _, kind = bad.partition("-")
         broken = tmp_path / "broken"
         if bad == "checkpoint":
             # a tensor name that is not UTF-8, same length as "head.W"
             broken.write_bytes(checkpoint.read_bytes().replace(b"head.W", b"head.\xff"))
+        elif kind == "json":
+            broken.write_text('[{"test": ["s0", ', encoding="utf-8")
         else:
             broken.write_bytes(b"\xff\xfe\n")
         files[bad] = broken
+        inputs = ["--manifest", files["manifest"], "--labels", files["labels"]]
+        commands = [["predict", "--model", files["checkpoint"], *inputs,
+                     "--split", files["split"]]]
         if bad in ("labels", "timelines"):
-            argv = ["eval", "--timelines", files["timelines"]]
-        else:
-            argv = ["predict", "--model", files["checkpoint"],
-                    "--manifest", files["manifest"], "--split", files["split"]]
-        argv += ["--labels", files["labels"], "--out-dir", tmp_path / "out"]
-        assert run(*map(str, argv)) == 2
+            commands = [["eval", "--timelines", files["timelines"],
+                         "--labels", files["labels"]]]
+        elif bad == "manifest":
+            commands.append(["split", *inputs, "--bins", "4", "--test-bins", "1",
+                             "--val-bins", "1"])
+        elif bad == "split":
+            commands.append(["train", "--arch", "baseline", *inputs,
+                             "--split", files["split"]])
+        for argv in commands:
+            assert run(*map(str, argv), "--out-dir", str(tmp_path / "out")) == 2
+            if kind == "json":
+                assert f"error: {broken}: invalid JSON" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("ids", [None, [["x"]]])
     def test_malformed_split_ids(self, synth_dir, split_dir, tmp_path, ids):

@@ -21,6 +21,7 @@ from egobatch import (
     write_sequence_file,
 )
 from egobatch.datamodel import class_means
+from oracles import reference_write_sequence_file
 
 
 def make_seq(features, labels, sid="seq0", user="u1", timestamps=None):
@@ -44,6 +45,12 @@ class TestLabelSet:
     def test_rejects_empty_name(self):
         with pytest.raises(DataError):
             LabelSet(("a", ""))
+
+    def test_rejects_a_name_that_is_not_one_line(self):
+        # labels.txt breaks lines at \r and \n and refuses a blank line
+        for name in ("a\rb", "b\r\n", "x\ny", "\n", " ", "\t \x0c"):
+            with pytest.raises(DataError):
+                LabelSet(("c", name))
 
     def test_rejects_single_category(self):
         with pytest.raises(DataError):
@@ -183,6 +190,8 @@ class TestSequenceFile:
             path = tmp_path / "fuzz.egoseq"
             write_sequence_file(seq, path)
             first = path.read_bytes()
+            reference_write_sequence_file(seq, tmp_path / "reference.egoseq")
+            assert (tmp_path / "reference.egoseq").read_bytes() == first
             back = read_sequence_file(path, LABELS_AB)
             assert np.array_equal(back.features, seq.features)
             assert np.array_equal(back.labels, seq.labels)

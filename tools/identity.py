@@ -21,7 +21,10 @@ digests every file a command-line run writes: synth, split, train
 (baseline, sliding, piggyback phases 1 and 2), predict with each trained
 model on the test split, eval of each prediction, predict with the phase-2
 model again with `--include-probs` (so both timeline layouts are digested),
-and gradcheck.
+and gradcheck. The `formats` line digests the bytes that fixed inputs give
+from each file writer: `write_sequence_file` (a day with timestamps and one
+without), `write_labels_file`, `write_manifest` and the `write_json` of
+`SplitResult`, `TrainReport` and `MetricsReport`.
 The package is imported from the `src/` next to this directory, so running
 the script in two checkouts and diffing the output shows whether a change
 keeps the trained bytes. The last line digests all the others.
@@ -45,15 +48,19 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np  # noqa: E402
 
 from egobatch import (  # noqa: E402
+    Bin,
     Dataset,
     DaySequence,
     LabelSet,
+    SplitResult,
     SynthConfig,
     TrainConfig,
+    TrainReport,
     build_baseline,
     build_piggyback,
     build_sliding,
     generate_synthetic,
+    macro_report,
     model_from_params,
     predict_sliding_sequence,
     read_checkpoint,
@@ -62,9 +69,13 @@ from egobatch import (  # noqa: E402
     train_piggyback,
     train_sliding,
     write_checkpoint,
+    write_labels_file,
+    write_manifest,
+    write_sequence_file,
 )
 from egobatch.cli import dispatch  # noqa: E402
 from egobatch.models import piggyback_logits  # noqa: E402
+from egobatch.training import EpochStats  # noqa: E402
 
 SIZES = ((12, 24), (16, 32), (64, 256))
 LENGTHS = (57, 41, 3, 66, 30, 23, 48)  # training days; the 3-frame day is <= m
@@ -211,7 +222,6 @@ def cli_run() -> str:
                      *data, "--split", "split/split.json", "--subset", "test",
                      "--include-probs", "--out-dir", "pb2/pred-probs"])
     commands.append(["gradcheck", "--seed", "0", "--out-dir", "gradcheck"])
-    sha = hashlib.sha256()
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)  # relative paths keep the temp dir out of config.json
@@ -221,13 +231,46 @@ def cli_run() -> str:
                     code = dispatch(argv)
                 if code != 0:
                     raise SystemExit(f"{' '.join(argv)} exited {code}")
-            files = sorted(p for p in Path(".").rglob("*") if p.is_file())
-            for path in files:
-                sha.update(f"{path} {hashlib.sha256(path.read_bytes()).hexdigest()}\n"
-                           .encode())
+            count, digest = digest_files(Path("."))
         finally:
             os.chdir(cwd)
-    return f"cli {len(files)} files {sha.hexdigest()}"
+    return f"cli {count} files {digest}"
+
+
+def digest_files(root: Path) -> tuple[int, str]:
+    """File count and a digest of every file under `root`, by relative path."""
+    sha = hashlib.sha256()
+    files = sorted(p for p in root.rglob("*") if p.is_file())
+    for path in files:
+        sha.update(f"{path.relative_to(root)} {hashlib.sha256(path.read_bytes()).hexdigest()}\n"
+                   .encode())
+    return len(files), sha.hexdigest()
+
+
+def formats_run() -> str:
+    """Digest of what each file writer makes of fixed inputs."""
+    rng = np.random.default_rng(11)
+    labels = LabelSet(("walking", "eating\u2028out", "caf\u00e9"))
+    stamped = DaySequence("day-a", "u1", rng.normal(size=(5, 3)) * 1e3,
+                          [0, 2, 2, 1, 0], timestamps=[0, 7, 7, 600, 2**32 - 1])
+    plain = DaySequence("day-b", "u\u00e9", rng.normal(size=(4, 3)), [1, 1, 0, 2])
+    split = SplitResult((1,), (0,), (2,), 0.1 + 0.2, 1e-300,
+                        [Bin(["day-b"], 4), Bin(["day-a"], 5), Bin([], 0)])
+    report = TrainReport([EpochStats(0.1 + 0.2, 1 / 3, 0.5), EpochStats(2.5, 1e-17, 1.0)],
+                         best_epoch=1, stop_reason="patience")
+    metrics = macro_report(np.array([[3, 1, 0], [0, 0, 0], [2, 0, 5]]))
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        write_sequence_file(stamped, root / "stamped.egoseq")
+        write_sequence_file(plain, root / "plain.egoseq")
+        write_labels_file(labels, root / "labels.txt")
+        write_manifest(Dataset(labels, [stamped, plain]), root / "manifest.json",
+                       root / "sequences")
+        split.write_json(root / "split.json")
+        report.write_json(root / "train-report.json")
+        metrics.write_json(root / "eval-report.json")
+        count, digest = digest_files(root)
+    return f"formats {count} files {digest}"
 
 
 def main() -> int:
@@ -236,7 +279,7 @@ def main() -> int:
         for line in run_size(feature_dim, hidden):
             print(line, flush=True)
             lines.append(line)
-    for line in (split_run(), cli_run()):
+    for line in (split_run(), cli_run(), formats_run()):
         print(line, flush=True)
         lines.append(line)
     print(f"all {hashlib.sha256(chr(10).join(lines).encode()).hexdigest()}")
