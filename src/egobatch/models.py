@@ -292,12 +292,14 @@ def predict_piggyback_sequence(model: LayerStack, seq: DaySequence,
 
 def predict_sequence(model: LayerStack, seq: DaySequence, timestep: int, overlap: int,
                      retention: str = "earlier") -> PredictionTimeline:
-    """Predict a day as the stack's layers call for: the baseline frame by
-    frame, a sliding stack over windows of `timestep` frames, a piggyback
-    stack over carried batches of n = `timestep` with overlap m = `overlap`."""
+    """Predict a day as the stack's layers and `overlap` call for: the
+    baseline frame by frame, a sliding stack over windows of `timestep`
+    frames (both ignore `overlap`), and a piggyback stack over batches of
+    n = `timestep`, carried with overlap m = `overlap`, or at m = 0
+    carry-free as phase 1 trains it."""
     if model.lstm is None:
         return predict_baseline(model, seq)
-    if model.embed is None:
+    if model.embed is None or overlap == 0:
         return predict_sliding_sequence(model, seq, timestep)
     return predict_piggyback_sequence(model, seq, timestep, overlap, retention=retention)
 

@@ -416,36 +416,30 @@ def run_window(model, inputs: np.ndarray, *, dropout_rate: float = 0.0,
 def backprop_window(model, inputs: np.ndarray, labels: np.ndarray,
                     loss_mask: np.ndarray | None = None, *,
                     dropout_rate: float = 0.0,
-                    rng: np.random.Generator | None = None,
-                    mode: str = "train"
+                    rng: np.random.Generator | None = None
                     ) -> tuple[float, np.ndarray, WindowForward]:
     """Loss and exact gradients of the mean masked cross-entropy over a window.
 
     The gradients are one new vector laid out like `flatten_layers` lays out
     `model.layers`; `model.unflatten` names its parts. Masked-out steps
-    contribute nothing to the loss or any gradient. Eval mode disables
-    dropout; with an all-false mask it returns zero loss and zero gradients,
-    while train mode rejects such a degenerate batch.
+    contribute nothing to the loss or any gradient, and a window with no
+    supervised step is refused. Dropout follows `dropout_rate` alone (as in
+    `run_window`), so rate 0 gives the deterministic loss.
     """
-    if mode not in ("train", "eval"):
-        raise ConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
     inputs = np.asarray(inputs, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     steps = inputs.shape[0]
     mask = np.ones(steps, dtype=bool) if loss_mask is None else np.asarray(loss_mask, dtype=bool)
     if labels.shape != (steps,) or mask.shape != (steps,):
         raise ShapeError("labels and loss mask must have one entry per step")
-    train = mode == "train"
     size = sum(layer.size for layer in model.layers)
     if not mask.any():
-        if train:
-            raise DataError("degenerate training batch: every step is loss-masked")
-        return 0.0, np.zeros(size), run_window(model, inputs)
+        raise DataError("degenerate window: every step is loss-masked")
     supervised = labels[mask]
     if supervised.min() < 0 or supervised.max() >= model.head.out_dim:
         raise DataError("label id out of range for the head's class count")
 
-    fwd = run_window(model, inputs, dropout_rate=dropout_rate if train else 0.0, rng=rng)
+    fwd = run_window(model, inputs, dropout_rate=dropout_rate, rng=rng)
     loss, dlogits = _masked_xent_rows(fwd.logits, labels, mask)
     if not np.isfinite(loss):
         raise NumericError("non-finite window loss")
@@ -542,9 +536,6 @@ class GradCheckReport:
     def max_rel_error(self) -> float:
         return max((t.max_rel_error for t in self.tensors), default=0.0)
 
-    def passed(self, tolerance: float) -> bool:
-        return self.max_rel_error < tolerance
-
 
 def _window_loss(model, inputs, labels, mask) -> float:
     fwd = run_window(model, inputs)
@@ -554,27 +545,28 @@ def _window_loss(model, inputs, labels, mask) -> float:
 
 def grad_check(model, inputs: np.ndarray, labels: np.ndarray,
                loss_mask: np.ndarray | None = None, *, epsilon: float = 1e-5,
-               max_coords: int | None = None,
-               rng: np.random.Generator | None = None) -> GradCheckReport:
+               max_coords: int | None = None) -> GradCheckReport:
     """Compare analytic gradients against central differences.
 
-    Every coordinate is checked unless `max_coords` caps the per-tensor count
-    (then a seeded random sample is used). Relative error is
-    |a - n| / max(|a|, |n|, 1e-12); failures are reported, never raised.
+    Every coordinate is checked unless `max_coords` (>= 1) caps the
+    per-tensor count; then the samples come from one generator seeded 0.
+    Relative error is |a - n| / max(|a|, |n|, 1e-12); failures are reported,
+    never raised. A window with no supervised step is refused.
     """
     if not 1e-7 <= epsilon <= 1e-3:
         raise ConfigError("epsilon must lie in [1e-7, 1e-3]")
+    if max_coords is not None and max_coords < 1:
+        raise ConfigError("max_coords must be >= 1")
     inputs = np.asarray(inputs, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     mask = np.ones(inputs.shape[0], dtype=bool) if loss_mask is None else np.asarray(loss_mask, dtype=bool)
-    _, grads, _ = backprop_window(model, inputs, labels, mask, mode="eval")
-    grads = model.unflatten(grads)
+    grads = model.unflatten(backprop_window(model, inputs, labels, mask)[1])
+    sample_rng = np.random.default_rng(0)
     checks = []
     for name, w in sorted(model.params().items()):
         flat = w.reshape(-1)
         gflat = grads[name].reshape(-1)
         if max_coords is not None and flat.size > max_coords:
-            sample_rng = rng if rng is not None else np.random.default_rng(0)
             coords = sample_rng.choice(flat.size, size=max_coords, replace=False)
         else:
             coords = range(flat.size)

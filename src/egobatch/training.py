@@ -7,7 +7,8 @@ Each run lays the trained layers' tensors out in one vector, so a step is
 one update over that vector and its gradient.
 The overlap architecture trains in two phases: phase 1 on non-overlapping
 consecutive batches with the full stack, phase 2 on the overlap plan with
-carry-over and a frozen embedding.
+carry-over and a frozen embedding. Validation predicts each day as `predict`
+does, through `predict_sequence` at the run's size and overlap (0 in phase 1).
 """
 
 from __future__ import annotations
@@ -20,13 +21,7 @@ import numpy as np
 from .batching import batch_plan, sliding_plan
 from .datamodel import DaySequence, write_json
 from .errors import ConfigError, NumericError
-from .models import (
-    ARCHITECTURES,
-    LayerStack,
-    PredictionTimeline,
-    predict_sequence,
-    predict_sliding_sequence,
-)
+from .models import ARCHITECTURES, LayerStack, PredictionTimeline, predict_sequence
 from .nnet import OptimizerState, backprop_window, flatten_layers, sgd_update
 
 _IMPROVEMENT = 1e-12  # a validation loss must beat the best by more than this
@@ -121,8 +116,11 @@ def early_stop_update(history: list[float], patience: int) -> bool:
     return len(history) - 1 - best_idx >= patience
 
 
-def validate_model(model, val_seqs: list[DaySequence], predict) -> tuple[float, float]:
-    """Mean per-frame cross-entropy and accuracy over validation sequences.
+def validate_model(model, val_seqs: list[DaySequence], timestep: int,
+                   overlap: int) -> tuple[float, float]:
+    """Mean per-frame cross-entropy and accuracy over validation sequences,
+    each predicted by `predict_sequence` at `timestep` and `overlap`, as
+    `predict` predicts it.
 
     Summation order is fixed (sequence order, ascending frames) so the result
     is bit-reproducible.
@@ -131,7 +129,7 @@ def validate_model(model, val_seqs: list[DaySequence], predict) -> tuple[float, 
     total_correct = 0
     total_frames = 0
     for seq in val_seqs:
-        timeline: PredictionTimeline = predict(model, seq)
+        timeline: PredictionTimeline = predict_sequence(model, seq, timestep, overlap)
         p_true = timeline.probs[np.arange(len(timeline)), timeline.true_labels]
         total_loss += float(-np.log(np.maximum(p_true, 1e-300)).sum())
         total_correct += int((timeline.pred_labels == timeline.true_labels).sum())
@@ -146,10 +144,11 @@ def _train(model: LayerStack, train_seqs: list[DaySequence],
            architecture: str) -> TrainResult:
     """The epoch/validation/early-stop loop over the batches of a plan.
 
-    The config decides the plan that tiles each training day and the
-    validation predictor: stride-1 windows of one frame (baseline) or of T
-    frames (sliding), or consecutive batches of n frames (piggyback), with
-    overlap m and carry-over in phase 2 only. The stage that trains is the
+    The config decides the plan that tiles each training day: stride-1
+    windows of one frame (baseline) or of T frames (sliding), or consecutive
+    batches of n frames (piggyback), with overlap m and carry-over in phase 2
+    only. Validation predicts with the same n and m, so phase 1 validates
+    carry-free, as it trains. The stage that trains is the
     model, or in phase 2 its carry stage, whose embedding is frozen. The
     stage's layers are rebound to views of one new vector, the optimizer
     state is one velocity vector as long, and each step is one `sgd_update`
@@ -171,11 +170,6 @@ def _train(model: LayerStack, train_seqs: list[DaySequence],
 
     def plan(length):
         return batch_plan(length, size, overlap) if piggyback else sliding_plan(length, size)
-
-    def predict(mdl, seq):
-        if piggyback and not overlap:  # phase 1 validates carry-free, as it trains
-            return predict_sliding_sequence(mdl, seq, size)
-        return predict_sequence(mdl, seq, size, overlap)
 
     stage = model.carry_stage() if overlap else model
     shuffle_seed, dropout_seed = np.random.SeedSequence(cfg.seed).spawn(2)
@@ -205,7 +199,7 @@ def _train(model: LayerStack, train_seqs: list[DaySequence],
                         inputs[:overlap] = h_prev[-overlap:]
                     loss, grads, fwd = backprop_window(
                         stage, inputs, labels[batch], day.valid[batch],
-                        dropout_rate=cfg.dropout, rng=dropout_rng, mode="train",
+                        dropout_rate=cfg.dropout, rng=dropout_rng,
                     )
                     if not np.isfinite(loss):
                         raise NumericError("non-finite training loss")
@@ -215,7 +209,7 @@ def _train(model: LayerStack, train_seqs: list[DaySequence],
         except NumericError:
             report.stop_reason = "numeric_failure"
             break
-        val_loss, val_acc = validate_model(model, val_seqs, predict)
+        val_loss, val_acc = validate_model(model, val_seqs, size, overlap)
         report.epochs.append(EpochStats(float(np.mean(step_losses)), val_loss, val_acc))
         if val_loss < best_loss - _IMPROVEMENT:
             best_loss = val_loss

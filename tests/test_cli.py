@@ -15,6 +15,7 @@ from egobatch import (
     DaySequence,
     build_baseline,
     build_piggyback,
+    build_sliding,
     load_dataset,
     read_sequence_file,
     select_split,
@@ -630,17 +631,100 @@ class TestGradcheckCommand:
 
 
 class TestArchitectureBoundaries:
-    def test_predict_overlap_zero_on_piggyback_is_usage_error(self, synth_dir, tmp_path):
+    """A checkpoint that does not fit the command's data or flags exits 2
+    before anything is written."""
+
+    # the command's own check, not a layer's shape check later on
+    ERRORS = {"architecture": "checkpoint holds a 'sliding' model",
+              "classes": "class count does not match the label set",
+              "width": "input width does not match"}
+
+    @pytest.mark.parametrize("mismatch", ["architecture", "classes", "width"])
+    def test_train_init_from_another_model(self, synth_dir, split_dir, tmp_path,
+                                           mismatch, capsys):
         data = load_dataset(synth_dir / "manifest.json", synth_dir / "labels.txt")
+        dim, classes = data.feature_dim, data.label_set.size
+        model = {"architecture": build_sliding(dim, classes, hidden=4),
+                 "classes": build_baseline(dim, classes + 1),
+                 "width": build_baseline(dim + 1, classes)}[mismatch]
         checkpoint = tmp_path / "model.egomdl"
-        write_checkpoint(build_piggyback(data.feature_dim, data.label_set.size,
-                                         hidden=4).params(), checkpoint)
-        code = run("predict", "--model", str(checkpoint), "--overlap", "0",
+        write_checkpoint(model.params(), checkpoint)
+        out = tmp_path / "out"
+        code = run("train", "--arch", "baseline", "--epochs", "1",
+                   "--init-from", str(checkpoint),
                    "--manifest", str(synth_dir / "manifest.json"),
                    "--labels", str(synth_dir / "labels.txt"),
-                   "--out-dir", str(tmp_path / "out"))
-        assert code == 1
-        assert not (tmp_path / "out" / "timelines.json").exists()
+                   "--split", str(split_dir / "split.json"), "--out-dir", str(out))
+        assert code == 2
+        assert not (out / "best.egomdl").exists()
+        assert self.ERRORS[mismatch] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mismatch", ["classes", "width"])
+    def test_predict_another_model(self, synth_dir, tmp_path, mismatch, capsys):
+        data = load_dataset(synth_dir / "manifest.json", synth_dir / "labels.txt")
+        dim, classes = data.feature_dim, data.label_set.size
+        model = {"classes": build_piggyback(dim, classes + 1, hidden=4),
+                 "width": build_piggyback(dim + 1, classes, hidden=4)}[mismatch]
+        checkpoint = tmp_path / "model.egomdl"
+        write_checkpoint(model.params(), checkpoint)
+        out = tmp_path / "out"
+        code = run("predict", "--model", str(checkpoint),
+                   "--manifest", str(synth_dir / "manifest.json"),
+                   "--labels", str(synth_dir / "labels.txt"), "--out-dir", str(out))
+        assert code == 2
+        assert not (out / "timelines.json").exists()
+        assert self.ERRORS[mismatch] in capsys.readouterr().err
+
+
+class TestPredictReproducesValidation:
+    """`predict` of `best.egomdl` on the val days, at the training run's
+    timestep and overlap, gives the best epoch's validation loss bit for bit."""
+
+    def train(self, synth_dir, split_dir, out, *flags):
+        code = run("train", *flags, "--hidden", "6", "--lr", "0.05", "--epochs", "2",
+                   "--dropout", "0.25", "--seed", "4",
+                   "--manifest", str(synth_dir / "manifest.json"),
+                   "--labels", str(synth_dir / "labels.txt"),
+                   "--split", str(split_dir / "split.json"), "--out-dir", str(out))
+        assert code == 0
+        return out
+
+    @pytest.mark.parametrize("run_kind", ["sliding", "phase1", "phase2"])
+    def test_val_loss_from_predicted_probabilities(self, synth_dir, split_dir, tmp_path,
+                                                   run_kind):
+        piggyback = ["--arch", "piggyback", "--timestep", "5", "--overlap", "2"]
+        if run_kind == "sliding":
+            trained = self.train(synth_dir, split_dir, tmp_path / "sl",
+                                 "--arch", "sliding", "--timestep", "5")
+        else:
+            trained = self.train(synth_dir, split_dir, tmp_path / "pb1", *piggyback,
+                                 "--phase", "1")
+        if run_kind == "phase2":
+            trained = self.train(synth_dir, split_dir, tmp_path / "pb2", *piggyback,
+                                 "--phase", "2",
+                                 "--init-from", str(trained / "best.egomdl"))
+        # phase 1 trains and validates carry-free, so it is predicted at m = 0
+        overlap = "0" if run_kind == "phase1" else "2"
+        code = run("predict", "--model", str(trained / "best.egomdl"),
+                   "--timestep", "5", "--overlap", overlap,
+                   "--manifest", str(synth_dir / "manifest.json"),
+                   "--labels", str(synth_dir / "labels.txt"),
+                   "--split", str(split_dir / "split.json"), "--subset", "val",
+                   "--include-probs", "--out-dir", str(tmp_path / "pred"))
+        assert code == 0
+        timelines = json.loads((tmp_path / "pred" / "timelines.json").read_text())
+        split = json.loads((split_dir / "split.json").read_text())
+        assert [t["sequence_id"] for t in timelines] == split["val"]
+        total, frames = 0.0, 0
+        for timeline in timelines:
+            probs = np.array([f["probs"] for f in timeline["frames"]])
+            true = np.array([f["true"] for f in timeline["frames"]])
+            p_true = probs[np.arange(len(true)), true]
+            total += float(-np.log(np.maximum(p_true, 1e-300)).sum())
+            frames += len(true)
+        report = json.loads((trained / "report.json").read_text())
+        assert report["best_epoch"] >= 0
+        assert total / frames == report["epochs"][report["best_epoch"]]["val_loss"]
 
 
 class TestRepeatedDispatch:

@@ -340,10 +340,16 @@ class TestPredictSequence:
         assert got.probs.tobytes() == direct.probs.tobytes()
 
     def test_piggyback_without_overlap(self):
+        # m = 0 runs the stack carry-free over consecutive batches, as phase 1
+        # trains and validates it
         model = build_stack("piggyback", 4, 3, hidden=5, seed=2)
-        seq = random_seq(np.random.default_rng(23), 12, 4, 3)
+        seq = random_seq(np.random.default_rng(23), 29, 4, 3)
+        got = predict_sequence(model, seq, 6, 0, retention="later")
+        direct = predict_sliding_sequence(model, seq, 6)
+        assert np.array_equal(got.pred_labels, direct.pred_labels)
+        assert got.probs.tobytes() == direct.probs.tobytes()
         with pytest.raises(ConfigError, match="overlap"):
-            predict_sequence(model, seq, 6, 0)
+            predict_sequence(model, seq, 6, -1)
 
 
 def address(array):

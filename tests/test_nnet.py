@@ -406,37 +406,42 @@ class TestBackpropWindow:
         inputs = rng.normal(size=(5, 3))
         labels = rng.integers(2, size=5)
         mask = np.array([False, False, True, True, True])
-        loss, _, fwd = backprop_window(model, inputs, labels, mask, mode="eval")
+        loss, _, fwd = backprop_window(model, inputs, labels, mask)
         per_step = [softmax_xent(fwd.logits[t], labels[t])[0] for t in range(5)]
         expected = np.mean([per_step[t] for t in range(5) if mask[t]])
         assert abs(loss - expected) < 1e-12
 
     def test_eval_mode_is_deterministic(self):
+        # without dropout, as validation and grad_check run it
         rng = np.random.default_rng(10)
         model = build_sliding(3, 2, hidden=4, seed=5)
         inputs = rng.normal(size=(4, 3))
         labels = rng.integers(2, size=4)
-        first = backprop_window(model, inputs, labels, mode="eval")
-        second = backprop_window(model, inputs, labels, mode="eval")
+        first = backprop_window(model, inputs, labels)
+        second = backprop_window(model, inputs, labels)
         assert np.array_equal(first[2].logits, second[2].logits)
         assert first[0] == second[0]
 
     def test_degenerate_mask_in_train_mode(self):
+        # an all-masked window is refused with and without dropout
         model = build_baseline(2, 2, seed=0)
-        with pytest.raises(DataError):
-            backprop_window(model, np.zeros((2, 2)), np.zeros(2, dtype=int),
-                            np.zeros(2, dtype=bool), mode="train")
+        for rate in (0.0, 0.5):
+            with pytest.raises(DataError, match="loss-masked"):
+                backprop_window(model, np.zeros((2, 2)), np.zeros(2, dtype=int),
+                                np.zeros(2, dtype=bool), dropout_rate=rate,
+                                rng=np.random.default_rng(0))
 
     @pytest.mark.parametrize("bad", [3, -1])
     def test_supervised_label_out_of_range(self, bad):
         model = build_sliding(2, 3, hidden=3, seed=0)
         labels = np.array([0, bad, 2])
-        for mode in ("train", "eval"):
+        for rate in (0.0, 0.5):
             with pytest.raises(DataError):
-                backprop_window(model, np.ones((3, 2)), labels, mode=mode)
+                backprop_window(model, np.ones((3, 2)), labels, dropout_rate=rate,
+                                rng=np.random.default_rng(0))
         # the same label at a masked-out step is never looked at
         loss, _, _ = backprop_window(model, np.ones((3, 2)), labels,
-                                     np.array([True, False, True]), mode="eval")
+                                     np.array([True, False, True]))
         assert np.isfinite(loss)
 
     def test_gradient_vector_is_laid_out_like_the_flat_layers(self):
@@ -446,8 +451,8 @@ class TestBackpropWindow:
         for model in (build_baseline(4, 3, seed=1), build_sliding(4, 3, hidden=5, seed=1),
                       build_piggyback(4, 3, hidden=5, seed=1)):
             inputs, labels = rng.normal(size=(6, 4)), rng.integers(3, size=6)
-            for mask in (None, np.zeros(6, dtype=bool)):
-                _, grads, _ = backprop_window(model, inputs, labels, mask, mode="eval")
+            for mask in (None, np.arange(6) % 2 == 0):
+                _, grads, _ = backprop_window(model, inputs, labels, mask)
                 before = {name: w.copy() for name, w in model.params().items()}
                 flat = flatten_layers(model.layers)
                 assert grads.shape == flat.shape
@@ -458,14 +463,6 @@ class TestBackpropWindow:
                     assert named[name].shape == w.shape, name
                     assert same_bits(w, before[name] - 0.5 * named[name]), name
                     assert np.shares_memory(w, flat), name
-
-    def test_all_masked_eval_gives_zero(self):
-        model = build_baseline(2, 2, seed=0)
-        loss, grads, _ = backprop_window(model, np.ones((2, 2)),
-                                         np.zeros(2, dtype=int),
-                                         np.zeros(2, dtype=bool), mode="eval")
-        assert loss == 0.0
-        assert np.array_equal(grads, np.zeros(model.head.size))
 
     def test_dropout_gradient_with_replayed_mask(self):
         # replaying the rng seed fixes the dropout mask, so central
@@ -478,11 +475,11 @@ class TestBackpropWindow:
         def dropped_loss():
             rng = np.random.default_rng(123)
             loss, _, _ = backprop_window(model, inputs, labels,
-                                         dropout_rate=0.5, rng=rng, mode="train")
+                                         dropout_rate=0.5, rng=rng)
             return loss
 
         _, grads, _ = backprop_window(model, inputs, labels, dropout_rate=0.5,
-                                      rng=np.random.default_rng(123), mode="train")
+                                      rng=np.random.default_rng(123))
         grads = model.unflatten(grads)
         eps = 1e-6
         for name, w in model.params().items():
@@ -514,15 +511,6 @@ class TestDropout:
             keep = (rng.random((1, 6)) < 0.5) / 0.5
             total += (activation * keep)[0]
         assert np.abs(total / draws - activation[0]).max() < 0.01 * 2.0
-
-    def test_eval_ignores_dropout(self):
-        model = build_sliding(3, 2, hidden=4, seed=8)
-        inputs = np.random.default_rng(13).normal(size=(4, 3))
-        plain = run_window(model, inputs).logits
-        _, _, evald = backprop_window(model, inputs, np.zeros(4, dtype=np.int64),
-                                      dropout_rate=0.9, rng=np.random.default_rng(0),
-                                      mode="eval")
-        assert np.array_equal(plain, evald.logits)
 
     def test_train_dropout_changes_logits(self):
         model = build_sliding(3, 2, hidden=4, seed=8)
@@ -565,8 +553,7 @@ class TestGradCheck:
         inputs[:, 1] = 0.0
         report = grad_check(model, inputs, rng.integers(2, size=4), epsilon=1e-5)
         assert report.max_rel_error < 1e-7
-        _, grads, _ = backprop_window(model, inputs, rng.integers(2, size=4),
-                                      mode="eval")
+        _, grads, _ = backprop_window(model, inputs, rng.integers(2, size=4))
         assert np.array_equal(model.unflatten(grads)["head.W"][:, 1], [0.0, 0.0])
 
     def test_epsilon_range_enforced(self):
@@ -577,10 +564,27 @@ class TestGradCheck:
     def test_coordinate_sampling_caps_work(self):
         rng = np.random.default_rng(18)
         model = build_sliding(4, 2, hidden=3, seed=12)
-        report = grad_check(model, rng.normal(size=(3, 4)),
-                            rng.integers(2, size=3), epsilon=1e-5,
-                            max_coords=5, rng=np.random.default_rng(0))
+        inputs, labels = rng.normal(size=(3, 4)), rng.integers(2, size=3)
+        report = grad_check(model, inputs, labels, epsilon=1e-5, max_coords=5)
         assert all(t.coords_checked <= 5 for t in report.tensors)
+        # the sample is fixed: a second call checks the same coordinates
+        assert grad_check(model, inputs, labels, epsilon=1e-5,
+                          max_coords=5) == report
+
+    @pytest.mark.parametrize("max_coords", [0, -1])
+    def test_coordinate_cap_below_one(self, max_coords):
+        # a cap of 0 would check nothing and report a zero error
+        model = build_baseline(2, 2, seed=0)
+        with pytest.raises(ConfigError, match="max_coords"):
+            grad_check(model, np.ones((1, 2)), np.zeros(1, dtype=int),
+                       max_coords=max_coords)
+
+    def test_all_masked_window_is_refused(self):
+        # no supervised step leaves nothing to compare: no vacuous pass
+        model = build_piggyback(3, 2, hidden=3, seed=0)
+        with pytest.raises(DataError, match="loss-masked"):
+            grad_check(model, np.ones((4, 3)), np.zeros(4, dtype=int),
+                       np.zeros(4, dtype=bool))
 
 
 class TestCheckpoint:

@@ -18,11 +18,14 @@ validation days of the smallest size, packed several to a bin into 7 and
 into 6 bins, with both stage-2 references: the bins, the chosen bin ids and
 the `repr` of both objectives. The `cli` line
 digests every file a command-line run writes: synth, split, train
-(baseline, sliding, piggyback phases 1 and 2), predict with each trained
-model on the test split, eval of each prediction, predict with the phase-2
-model again with `--include-probs` (so both timeline layouts are digested),
-and gradcheck. The `formats` line digests the bytes that fixed inputs give
-from each file writer: `write_sequence_file` (a day with timestamps and one
+(baseline, sliding, piggyback phases 1 and 2), predict with the baseline,
+sliding and phase-2 models on the test split, eval of each prediction,
+predict with the phase-2 model again with `--include-probs` (so both
+timeline layouts are digested), and gradcheck. The `pb1` line digests,
+apart from the `cli` line, the files of one more predict in that run: the
+phase-1 checkpoint on the test split at `--overlap 0` (carry-free, as phase
+1 validates it) with `--include-probs`. The `formats` line digests the
+bytes that fixed inputs give from each file writer: `write_sequence_file` (a day with timestamps and one
 without), `write_labels_file`, `write_manifest` and the `write_json` of
 `SplitResult`, `TrainReport` and `MetricsReport`.
 The package is imported from the `src/` next to this directory, so running
@@ -198,8 +201,17 @@ CLI_MODELS = {
 }
 
 
-def cli_run() -> str:
-    """Digest of every file a command-line run writes, by relative path."""
+def run_commands(commands) -> None:
+    for argv in commands:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = dispatch(argv)
+        if code != 0:
+            raise SystemExit(f"{' '.join(argv)} exited {code}")
+
+
+def cli_run() -> list[str]:
+    """Digests of every file a command-line run writes, by relative path:
+    the `cli` line, then the `pb1` line for the phase-1 predict."""
     data = ["--manifest", "data/manifest.json", "--labels", "data/labels.txt"]
     commands = [
         ["synth", "--out-dir", "data", "--sequences", "12", "--frames", "60",
@@ -226,15 +238,15 @@ def cli_run() -> str:
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)  # relative paths keep the temp dir out of config.json
         try:
-            for argv in commands:
-                with contextlib.redirect_stdout(io.StringIO()):
-                    code = dispatch(argv)
-                if code != 0:
-                    raise SystemExit(f"{' '.join(argv)} exited {code}")
-            count, digest = digest_files(Path("."))
+            run_commands(commands)
+            lines = ["cli %d files %s" % digest_files(Path("."))]
+            run_commands([["predict", "--model", "pb1/best.egomdl", "--timestep", str(N),
+                           "--overlap", "0", *data, "--split", "split/split.json",
+                           "--subset", "test", "--include-probs", "--out-dir", "pb1-pred"]])
+            lines.append("pb1 %d files %s" % digest_files(Path("pb1-pred")))
         finally:
             os.chdir(cwd)
-    return f"cli {count} files {digest}"
+    return lines
 
 
 def digest_files(root: Path) -> tuple[int, str]:
@@ -279,7 +291,7 @@ def main() -> int:
         for line in run_size(feature_dim, hidden):
             print(line, flush=True)
             lines.append(line)
-    for line in (split_run(), cli_run(), formats_run()):
+    for line in (split_run(), *cli_run(), formats_run()):
         print(line, flush=True)
         lines.append(line)
     print(f"all {hashlib.sha256(chr(10).join(lines).encode()).hexdigest()}")
