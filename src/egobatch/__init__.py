@@ -68,7 +68,6 @@ from .training import (
     TrainConfig,
     TrainReport,
     TrainResult,
-    early_stop_update,
     train_baseline,
     train_piggyback,
     train_sliding,

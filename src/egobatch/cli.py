@@ -210,7 +210,7 @@ def _cmd_train(args) -> int:
           f"(best epoch {result.report.best_epoch})")
     if result.report.stop_reason == "numeric_failure":
         # a diverged last state may be non-finite, which checkpoints refuse
-        raise NumericError("training aborted on a non-finite loss; "
+        raise NumericError("training stopped on a non-finite value; "
                            "last.egomdl not written")
     write_checkpoint(model.params(), out / "last.egomdl")
     return EXIT_OK

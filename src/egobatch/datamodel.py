@@ -455,10 +455,10 @@ class SynthConfig:
             )
         if not 0.0 < self.self_transition_prob < 1.0:
             raise ConfigError("self_transition_prob must lie in (0, 1)")
-        if self.noise_sigma < 0:
-            raise ConfigError("noise_sigma must be non-negative")
-        if self.mean_scale <= 0:
-            raise ConfigError("mean_scale must be positive")
+        if not 0 <= self.noise_sigma < np.inf:  # NaN fails every comparison
+            raise ConfigError("noise_sigma must be non-negative and finite")
+        if not 0 < self.mean_scale < np.inf:
+            raise ConfigError("mean_scale must be positive and finite")
         if self.num_sequences < 1 or self.frames_per_sequence < 1:
             raise ConfigError("need at least one sequence and one frame")
         if self.feature_dim < k - 1:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .batching import BatchPlan, batch_plan
 from .datamodel import DaySequence, read_json
-from .errors import ConfigError, DataError, FormatError, ShapeError
+from .errors import ConfigError, DataError, FormatError, NumericError, ShapeError
 from .nnet import GATES, DenseLayer, LstmLayer, run_window, softmax
 
 ARCHITECTURES = ("baseline", "sliding", "piggyback")
@@ -194,6 +194,8 @@ class PredictionTimeline:
 
 
 def _timeline_from_logits(seq: DaySequence, logits: np.ndarray) -> PredictionTimeline:
+    if not np.isfinite(logits).all():
+        raise NumericError("non-finite logits")
     probs = softmax(logits)
     # argmax takes the first maximum, which is the lowest label id on ties
     return PredictionTimeline(

@@ -483,12 +483,12 @@ class OptimizerState:
     @classmethod
     def create(cls, size: int, learning_rate: float,
                momentum: float = 0.0, weight_decay: float = 0.0) -> "OptimizerState":
-        if learning_rate <= 0:
-            raise ConfigError("learning rate must be positive")
+        if not 0 < learning_rate < np.inf:  # NaN fails every comparison
+            raise ConfigError("learning rate must be positive and finite")
         if not 0.0 <= momentum < 1.0:
             raise ConfigError("momentum must lie in [0, 1)")
-        if weight_decay < 0:
-            raise ConfigError("weight decay must be non-negative")
+        if not 0 <= weight_decay < np.inf:
+            raise ConfigError("weight decay must be non-negative and finite")
         return cls(learning_rate, momentum, weight_decay, np.zeros(size))
 
 
@@ -611,7 +611,8 @@ def write_checkpoint(params: dict[str, np.ndarray], path: str | Path) -> None:
             raise DataError(f"tensor rank too large: {name!r}")
         parts.append(struct.pack(f"<H{len(encoded)}sB{arr.ndim}I", len(encoded),
                                  encoded, arr.ndim, *arr.shape))
-        parts.append(memoryview(arr).cast("B"))
+        # the bytes of a C-ordered array; memoryview.cast refuses a size-0 dim
+        parts.append(arr.reshape(-1).view(np.uint8))
     with open(path, "wb") as out:
         out.writelines(parts)
 

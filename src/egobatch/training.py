@@ -51,12 +51,12 @@ class TrainConfig:
     def __post_init__(self):
         if self.architecture not in ARCHITECTURES:
             raise ConfigError(f"architecture must be one of {ARCHITECTURES}")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning rate must be positive")
+        if not 0 < self.learning_rate < np.inf:  # NaN fails every comparison
+            raise ConfigError("learning rate must be positive and finite")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError("momentum must lie in [0, 1)")
-        if self.weight_decay < 0:
-            raise ConfigError("weight decay must be non-negative")
+        if not 0 <= self.weight_decay < np.inf:
+            raise ConfigError("weight decay must be non-negative and finite")
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
         if self.patience < 1:
@@ -83,6 +83,9 @@ class EpochStats:
 
 @dataclass
 class TrainReport:
+    """The record a run decides from: per-epoch stats, the best epoch (-1
+    before the first) and why the run stopped."""
+
     epochs: list[EpochStats] = field(default_factory=list)
     best_epoch: int = -1
     stop_reason: str = "max_epochs"
@@ -97,23 +100,6 @@ class TrainResult:
 
     report: TrainReport
     best_params: dict[str, np.ndarray] | None
-
-
-def early_stop_update(history: list[float], patience: int) -> bool:
-    """True once the best validation loss stayed unbeaten for `patience` epochs.
-
-    An epoch improves only when it undercuts the running best by more than
-    1e-12; the earliest epoch holding the best value is the reference.
-    """
-    if not history:
-        raise ConfigError("early stopping needs at least one validation loss")
-    if patience < 1:
-        raise ConfigError("patience must be >= 1")
-    best_idx = 0
-    for idx, loss in enumerate(history):
-        if loss < history[best_idx] - _IMPROVEMENT:
-            best_idx = idx
-    return len(history) - 1 - best_idx >= patience
 
 
 def validate_model(model, val_seqs: list[DaySequence], timestep: int,
@@ -156,6 +142,12 @@ def _train(model: LayerStack, train_seqs: list[DaySequence],
     embedding turns the padded day into recurrent inputs once, the batches
     run in order, and the first m inputs of each are replaced by the
     previous batch's last m recurrent outputs.
+
+    The report holds every decision: an epoch whose validation loss
+    undercuts the best epoch's by more than 1e-12 becomes the best epoch (the
+    first always does), whose parameters are kept; the run stops `patience`
+    epochs after the best one, or at a non-finite value in a step or in
+    validation.
     """
     if cfg.architecture != architecture:
         raise ConfigError(f"config architecture must be {architecture!r}")
@@ -180,9 +172,7 @@ def _train(model: LayerStack, train_seqs: list[DaySequence],
                                 cfg.weight_decay)
     report = TrainReport()
     best_params = None
-    best_loss = np.inf
-    history: list[float] = []
-    for _ in range(cfg.epochs):
+    for epoch in range(cfg.epochs):
         step_losses = []
         try:
             for idx in shuffle_rng.permutation(len(train_seqs)):
@@ -201,26 +191,21 @@ def _train(model: LayerStack, train_seqs: list[DaySequence],
                         stage, inputs, labels[batch], day.valid[batch],
                         dropout_rate=cfg.dropout, rng=dropout_rng,
                     )
-                    if not np.isfinite(loss):
-                        raise NumericError("non-finite training loss")
                     sgd_update(flat, grads, opt)
                     step_losses.append(loss)
                     h_prev = fwd.lstm_outputs
+            # a last step that overflowed the weights fails here
+            val_loss, val_acc = validate_model(model, val_seqs, size, overlap)
         except NumericError:
             report.stop_reason = "numeric_failure"
             break
-        val_loss, val_acc = validate_model(model, val_seqs, size, overlap)
         report.epochs.append(EpochStats(float(np.mean(step_losses)), val_loss, val_acc))
-        if val_loss < best_loss - _IMPROVEMENT:
-            best_loss = val_loss
+        if not epoch or val_loss < report.epochs[report.best_epoch].val_loss - _IMPROVEMENT:
             best_params = {name: w.copy() for name, w in model.params().items()}
-            report.best_epoch = len(report.epochs) - 1
-        history.append(val_loss)
-        if early_stop_update(history, cfg.patience):
+            report.best_epoch = epoch
+        if epoch - report.best_epoch >= cfg.patience:
             report.stop_reason = "early_stop"
             break
-    else:
-        report.stop_reason = "max_epochs"
     return TrainResult(report=report, best_params=best_params)
 
 

@@ -95,6 +95,22 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("flag", ["--lr", "--weight-decay"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_training_rate(self, synth_dir, split_dir, tmp_path, flag, value):
+        code = run("train", "--arch", "baseline", "--epochs", "1", flag, value,
+                   "--manifest", str(synth_dir / "manifest.json"),
+                   "--labels", str(synth_dir / "labels.txt"),
+                   "--split", str(split_dir / "split.json"), "--out-dir", str(tmp_path))
+        assert code == 1
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("flag", ["--noise-sigma", "--mean-scale"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_synth_scale(self, tmp_path, flag, value):
+        assert run("synth", "--out-dir", str(tmp_path), flag, value) == 1
+        assert not (tmp_path / "manifest.json").exists()
+
     def test_bad_value_type(self):
         assert run("synth", "--out-dir", "x", "--sequences", "lots") == 1
 
@@ -365,6 +381,43 @@ class TestPipeline:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["stop_reason"] == "numeric_failure"
         assert not (tmp_path / "last.egomdl").exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_divergence_met_in_validation_exits_numeric(self, tmp_path):
+        # the epoch's one step overflows the weights; validation then fails,
+        # and the finished epoch's report and best.egomdl are still written
+        data = tmp_path / "data"
+        assert run("synth", "--out-dir", str(data), "--sequences", "2",
+                   "--frames", "3", "--seed", "1") == 0
+        split = tmp_path / "split.json"
+        split.write_text(json.dumps({"test": [], "val": ["synth001"],
+                                     "train": ["synth000"]}))
+        out = tmp_path / "out"
+        code = run("train", "--arch", "sliding", "--timestep", "4", "--hidden", "8",
+                   "--manifest", str(data / "manifest.json"),
+                   "--labels", str(data / "labels.txt"), "--split", str(split),
+                   "--out-dir", str(out), "--lr", "1e308", "--momentum", "0",
+                   "--dropout", "0", "--epochs", "3")
+        assert code == 3
+        report = json.loads((out / "report.json").read_text())
+        assert report["stop_reason"] == "numeric_failure"
+        assert (len(report["epochs"]), report["best_epoch"]) == (1, 0)
+        assert (out / "best.egomdl").exists()
+        assert not (out / "last.egomdl").exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_predict_with_overflowing_logits_exits_numeric(self, synth_dir, tmp_path):
+        params = build_baseline(16, 6, seed=0).params()
+        params["head.W"][:] = 1e308  # finite weights, logits beyond float64
+        write_checkpoint(params, tmp_path / "model.egomdl")
+        out = tmp_path / "out"
+        code = run("predict", "--model", str(tmp_path / "model.egomdl"),
+                   "--manifest", str(synth_dir / "manifest.json"),
+                   "--labels", str(synth_dir / "labels.txt"), "--out-dir", str(out))
+        assert code == 3
+        assert not (out / "timelines.json").exists()
 
     def test_sliding_schedule_flags(self, synth_dir, split_dir, tmp_path):
         # the documented timestep-15 schedule: lr 1e-4, momentum 0.9, wd 5e-6

@@ -1,7 +1,12 @@
 import json
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from egobatch import (
     ConfigError,
@@ -197,6 +202,37 @@ class TestSequenceFile:
             assert np.array_equal(back.labels, seq.labels)
             write_sequence_file(back, path)
             assert path.read_bytes() == first
+
+
+    @settings(derandomize=True, max_examples=200,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_round_trip_property(self, tmp_path, data):
+        length, dim = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 6))
+        classes = data.draw(st.integers(2, 6))
+        # finite in float64 and, once rounded, in float32
+        feats = data.draw(arrays(np.float64, (length, dim),
+                                 elements=st.floats(-3.4e38, 3.4e38)))
+        labels = data.draw(arrays(np.int64, length, elements=st.integers(0, classes - 1)))
+        stamps = data.draw(st.none() | arrays(np.int64, length,
+                                              elements=st.integers(0, 2**32 - 1)))
+        if stamps is not None:
+            stamps.sort()
+        seq = make_seq(feats, labels, timestamps=stamps)
+        label_set = LabelSet(tuple(f"c{k}" for k in range(classes)))
+        path = tmp_path / "prop.egoseq"
+        write_sequence_file(seq, path)
+        first = path.read_bytes()
+        back = read_sequence_file(path, label_set)
+        rounded = feats.astype(np.float32).astype(np.float64)
+        assert back.features.tobytes() == rounded.tobytes()
+        assert np.array_equal(back.labels, labels)
+        if stamps is None:
+            assert back.timestamps is None
+        else:
+            assert np.array_equal(back.timestamps, stamps)
+        write_sequence_file(back, path)
+        assert path.read_bytes() == first
 
 
 class TestManifest:
@@ -439,6 +475,12 @@ class TestSynthetic:
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             SynthConfig(ambiguous_pair=(4, 4))
+        for bad in (-0.1, math.nan, math.inf):
+            with pytest.raises(ConfigError):
+                SynthConfig(noise_sigma=bad)
+        for bad in (0.0, math.nan, math.inf):
+            with pytest.raises(ConfigError):
+                SynthConfig(mean_scale=bad)
         with pytest.raises(ConfigError):
             SynthConfig(self_transition_prob=1.0)
         with pytest.raises(ConfigError):

@@ -4,6 +4,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from egobatch import (
     ConfigError,
@@ -384,12 +387,14 @@ class TestSgd:
         assert same_bits(opt.velocity, want_v)
 
     def test_hyperparameter_validation(self):
-        with pytest.raises(ConfigError):
-            OptimizerState.create(1, learning_rate=0.0)
+        for bad in (0.0, math.nan, math.inf):
+            with pytest.raises(ConfigError):
+                OptimizerState.create(1, learning_rate=bad)
         with pytest.raises(ConfigError):
             OptimizerState.create(1, learning_rate=0.1, momentum=1.0)
-        with pytest.raises(ConfigError):
-            OptimizerState.create(1, learning_rate=0.1, weight_decay=-1.0)
+        for bad in (-1.0, math.nan, math.inf):
+            with pytest.raises(ConfigError):
+                OptimizerState.create(1, learning_rate=0.1, weight_decay=bad)
 
 
 class TestBackpropWindow:
@@ -610,6 +615,31 @@ class TestCheckpoint:
             assert np.array_equal(back[name], w)
         first = path.read_bytes()
         write_checkpoint(back, path)
+        assert path.read_bytes() == first
+
+    @settings(derandomize=True, max_examples=200,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_round_trip_property(self, tmp_path, data):
+        # any names, ranks 0-3 and dimensions of size 0 read back bit for bit
+        names = data.draw(st.lists(st.text(st.characters(codec="utf-8"), max_size=6),
+                                   max_size=4, unique=True))
+        params = {}
+        for name in names:
+            shape = data.draw(st.lists(st.integers(0, 3), max_size=3).map(tuple))
+            params[name] = data.draw(arrays(np.float64, shape,
+                                            elements=st.floats(allow_nan=False,
+                                                               allow_infinity=False)))
+        path = tmp_path / "prop.egomdl"
+        write_checkpoint(params, path)
+        first = path.read_bytes()
+        back = read_checkpoint(path)
+        assert list(back) == sorted(params)
+        for name, w in params.items():
+            assert back[name].dtype == np.float64 and back[name].shape == w.shape
+            assert back[name].tobytes() == w.tobytes(), name
+        # equal dicts write equal bytes, whatever their insertion order
+        write_checkpoint(dict(reversed(back.items())), path)
         assert path.read_bytes() == first
 
     def test_fuzz_round_trip(self, tmp_path):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from egobatch import (
     build_baseline,
     build_piggyback,
     build_sliding,
-    early_stop_update,
+    build_stack,
     generate_synthetic,
     predict_piggyback_sequence,
     predict_sliding_sequence,
@@ -37,23 +39,59 @@ def ambiguous_accuracy(model, seqs, predict):
     return correct / max(total, 1), total
 
 
+def scripted_run(monkeypatch, losses, patience):
+    """Train a baseline for up to len(losses) epochs while validation reports
+    `losses` in turn. Returns the report, once its losses are checked and the
+    best parameters are found to be those validated at the best epoch."""
+    scripted = iter(losses)
+    seen = []
+
+    def validate(model, *args):
+        seen.append({name: w.copy() for name, w in model.params().items()})
+        return next(scripted), 0.5
+
+    monkeypatch.setattr(training_module, "validate_model", validate)
+    _, train, val = desk_data()
+    model = build_baseline(DESK.feature_dim, DESK.num_classes, seed=0)
+    cfg = TrainConfig("baseline", learning_rate=0.05, epochs=len(losses),
+                      patience=patience, dropout=0.0, seed=0)
+    result = train_baseline(model, train[:1], val, cfg)
+    assert [e.val_loss for e in result.report.epochs] == losses[:len(seen)]
+    best = seen[result.report.best_epoch]
+    assert result.best_params.keys() == best.keys()
+    for name, w in best.items():
+        assert np.array_equal(result.best_params[name], w), name
+    return result.report
+
+
 class TestEarlyStop:
-    def test_stops_after_patience_exhausted(self):
-        assert early_stop_update([1.0, 0.9, 0.95, 0.96], patience=2) is True
+    """The stop rule, run through the training loop on scripted losses."""
 
-    def test_strictly_decreasing_continues(self):
-        history = [1.0, 0.9, 0.8, 0.7, 0.6]
-        for end in range(1, len(history) + 1):
-            assert early_stop_update(history[:end], patience=1) is False
+    def test_stops_after_patience_exhausted(self, monkeypatch):
+        report = scripted_run(monkeypatch, [1.0, 0.9, 0.95, 0.96, 0.1], patience=2)
+        assert report.stop_reason == "early_stop"
+        assert (len(report.epochs), report.best_epoch) == (4, 1)
 
-    def test_flat_history_boundary(self):
-        # two non-improving epochs since the epoch-1 best: below patience 3
-        assert early_stop_update([1.0, 1.0, 1.0], patience=3) is False
-        assert early_stop_update([1.0, 1.0, 1.0, 1.0], patience=3) is True
+    def test_strictly_decreasing_continues(self, monkeypatch):
+        report = scripted_run(monkeypatch, [1.0, 0.9, 0.8, 0.7, 0.6], patience=1)
+        assert report.stop_reason == "max_epochs"
+        assert (len(report.epochs), report.best_epoch) == (5, 4)
 
-    def test_empty_history_rejected(self):
-        with pytest.raises(ConfigError):
-            early_stop_update([], patience=1)
+    def test_flat_history_boundary(self, monkeypatch):
+        # two non-improving epochs since the epoch-0 best are below patience
+        # 3; the third stops the run
+        report = scripted_run(monkeypatch, [1.0] * 5, patience=3)
+        assert report.stop_reason == "early_stop"
+        assert (len(report.epochs), report.best_epoch) == (4, 0)
+
+    @pytest.mark.parametrize("second, improves", [
+        (1.0 - 1e-12, False), (np.nextafter(1.0 - 1e-12, 0.0), True)],
+        ids=["exactly", "beyond"])
+    def test_improvement_must_exceed_1e_12(self, monkeypatch, second, improves):
+        # a loss exactly 1e-12 under the best is no improvement
+        report = scripted_run(monkeypatch, [1.0, second, 2.0], patience=1)
+        assert report.stop_reason == "early_stop"
+        assert (len(report.epochs), report.best_epoch) == ((3, 1) if improves else (2, 0))
 
 
 class TestTrainConfig:
@@ -68,12 +106,16 @@ class TestTrainConfig:
             TrainConfig("cnn")
 
     def test_rates_validated(self):
-        with pytest.raises(ConfigError):
-            TrainConfig("sliding", learning_rate=0.0)
+        for bad in (0.0, math.nan, math.inf):
+            with pytest.raises(ConfigError):
+                TrainConfig("sliding", learning_rate=bad)
         with pytest.raises(ConfigError):
             TrainConfig("sliding", momentum=1.0)
         with pytest.raises(ConfigError):
             TrainConfig("sliding", dropout=1.0)
+        for bad in (-1.0, math.nan, math.inf):
+            with pytest.raises(ConfigError):
+                TrainConfig("sliding", weight_decay=bad)
 
 
 class TestEmptySplit:
@@ -197,6 +239,52 @@ class TestEarlyStopIntegration:
         if report.epochs and report.stop_reason != "numeric_failure":
             val_losses = [e.val_loss for e in report.epochs]
             assert report.best_epoch == int(np.argmin(val_losses))
+
+
+def diverging_run(arch, learning_rate, epochs=3):
+    """One step per epoch on a 3-frame train day (the baseline on its first
+    frame), validated on another day. A huge step overflows the weights,
+    which validation meets first, or the next step's loss."""
+    if arch == "baseline":
+        ds = generate_synthetic(SynthConfig(seed=1, num_sequences=2,
+                                            frames_per_sequence=3, mean_scale=100))
+        day = ds.sequences[0]
+        train = [DaySequence(day.sequence_id, day.user_id, day.features[:1],
+                             day.labels[:1])]
+    else:
+        ds = generate_synthetic(SynthConfig(seed=1, num_sequences=2,
+                                            frames_per_sequence=3))
+        train = ds.sequences[:1]
+    model = build_stack(arch, ds.feature_dim, ds.label_set.size, hidden=8, seed=0)
+    cfg = TrainConfig(arch, timestep=4, overlap=1 if arch == "piggyback" else 0,
+                      learning_rate=learning_rate, momentum=0.0, dropout=0.0,
+                      epochs=epochs)
+    trainer = {"baseline": train_baseline, "sliding": train_sliding,
+               "piggyback": train_piggyback}[arch]
+    return trainer(model, train, ds.sequences[1:], cfg)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestDivergence:
+    @pytest.mark.parametrize("arch, learning_rate, kept", [
+        ("baseline", 1e307, 0), ("baseline", 1e306, 1),
+        ("sliding", 1e308, 1), ("piggyback", 1e308, 1)])
+    def test_ends_as_numeric_failure_keeping_finished_epochs(self, arch,
+                                                             learning_rate, kept):
+        result = diverging_run(arch, learning_rate)
+        report = result.report
+        assert report.stop_reason == "numeric_failure"
+        assert len(report.epochs) == kept
+        if not kept:
+            assert (report.best_epoch, result.best_params) == (-1, None)
+            return
+        # the epochs before the failure are those of a run that stops there
+        finished = diverging_run(arch, learning_rate, epochs=kept)
+        assert finished.report.stop_reason == "max_epochs"
+        assert report.epochs == finished.report.epochs
+        assert report.best_epoch == finished.report.best_epoch
+        for name, w in finished.best_params.items():
+            assert np.array_equal(result.best_params[name], w), name
 
 
 class TestBaseline:

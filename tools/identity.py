@@ -28,6 +28,9 @@ phase-1 checkpoint on the test split at `--overlap 0` (carry-free, as phase
 bytes that fixed inputs give from each file writer: `write_sequence_file` (a day with timestamps and one
 without), `write_labels_file`, `write_manifest` and the `write_json` of
 `SplitResult`, `TrainReport` and `MetricsReport`.
+The `early-stop` line digests the report and the last and best parameters
+of a sliding run (the smallest size, dropout 0.5, patience 2) that stops
+early, and names its stop reason, epoch count and best epoch.
 The package is imported from the `src/` next to this directory, so running
 the script in two checkouts and diffing the output shows whether a change
 keeps the trained bytes. The last line digests all the others.
@@ -173,6 +176,20 @@ def run_size(feature_dim: int, hidden: int):
     yield f"{tag} reloaded {digest_arrays(outputs)}"
 
 
+def early_stop_run() -> str:
+    feature_dim, hidden = SIZES[0]
+    train, val, classes = days(feature_dim)
+    model = build_sliding(feature_dim, classes, hidden=hidden, seed=0)
+    result = train_sliding(model, train, val, TrainConfig(
+        "sliding", timestep=T, learning_rate=0.05, dropout=0.5, epochs=8, patience=2,
+        seed=3))
+    report = result.report
+    sha = hashlib.sha256(" ".join((digest_report(report), digest_params(model.params()),
+                                   digest_params(result.best_params))).encode())
+    return (f"early-stop {report.stop_reason} epochs {len(report.epochs)} "
+            f"best {report.best_epoch} {sha.hexdigest()}")
+
+
 def split_run() -> str:
     train, val, classes = days(SIZES[0][0])
     dataset = Dataset(LabelSet(tuple(f"c{k}" for k in range(classes))), train + val)
@@ -291,7 +308,7 @@ def main() -> int:
         for line in run_size(feature_dim, hidden):
             print(line, flush=True)
             lines.append(line)
-    for line in (split_run(), *cli_run(), formats_run()):
+    for line in (early_stop_run(), split_run(), *cli_run(), formats_run()):
         print(line, flush=True)
         lines.append(line)
     print(f"all {hashlib.sha256(chr(10).join(lines).encode()).hexdigest()}")
