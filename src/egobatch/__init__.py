@@ -8,7 +8,6 @@ from .datamodel import (
     LabelSet,
     Manifest,
     SynthConfig,
-    category_distribution,
     generate_synthetic,
     load_dataset,
     read_labels_file,

@@ -270,6 +270,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
+    if not 0.0 < args.tolerance < np.inf:  # also refuses NaN
+        raise ConfigError(f"--tolerance must be positive and finite, got {args.tolerance}")
     root = np.random.SeedSequence(args.seed)
     feature_dim, hidden, num_classes, steps = 6, 5, 4, 8
     results = []

@@ -48,9 +48,6 @@ class LabelSet:
     def size(self) -> int:
         return len(self.names)
 
-    def id_of(self, name: str) -> int:
-        return self.names.index(name)
-
 
 def _check_day(name, features, labels, timestamps) -> None:
     """The invariants of one day, on arrays of any numeric dtype: a non-empty
@@ -163,20 +160,6 @@ class Dataset:
             return self._by_id[sequence_id]
         except KeyError:
             raise DataError(f"no sequence with id {sequence_id!r}") from None
-
-
-def category_distribution(sequences: list[DaySequence | DayLabels],
-                          num_classes: int) -> np.ndarray:
-    """Per-class frame frequency over the given sequences; sums to 1."""
-    total = sum(len(seq) for seq in sequences)
-    if total == 0:
-        raise DataError("cannot compute a category distribution over zero frames")
-    counts = np.zeros(num_classes, dtype=np.int64)
-    for seq in sequences:
-        if (seq.labels >= num_classes).any():
-            raise DataError("label id out of range for the requested class count")
-        counts += np.bincount(seq.labels, minlength=num_classes)
-    return counts / float(total)
 
 
 # ---------------------------------------------------------------------------

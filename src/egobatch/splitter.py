@@ -18,7 +18,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .datamodel import Dataset, category_distribution, read_json, write_json
+from .datamodel import Dataset, read_json, write_json
 from .errors import ConfigError, DataError, FormatError, PackingError
 
 
@@ -82,19 +82,14 @@ def read_split_ids(path: str | Path) -> dict:
     return obj
 
 
-def ffd_pack(sizes: Sequence[int], capacity: int,
-             ids: Sequence | None = None) -> list[Bin]:
+def ffd_pack(sizes: Sequence[int], capacity: int) -> list[Bin]:
     """First-fit decreasing packing of items into bins of `capacity` frames.
 
     Items are taken in decreasing size (original order on ties) and placed in
-    the first bin with room, else a new bin. `ids` default to item indices.
+    the first bin with room, else a new bin. Bins list item indices.
     """
     if not sizes:
         raise ConfigError("nothing to pack")
-    if ids is None:
-        ids = list(range(len(sizes)))
-    if len(ids) != len(sizes):
-        raise ConfigError("ids and sizes must have equal length")
     for size in sizes:
         if size > capacity:
             raise PackingError(f"item of size {size} exceeds capacity {capacity}")
@@ -105,11 +100,11 @@ def ffd_pack(sizes: Sequence[int], capacity: int,
     for i in order:
         for b in bins:
             if b.total_frames + sizes[i] <= capacity:
-                b.sequence_ids.append(ids[i])
+                b.sequence_ids.append(i)
                 b.total_frames += sizes[i]
                 break
         else:
-            bins.append(Bin(sequence_ids=[ids[i]], total_frames=sizes[i]))
+            bins.append(Bin(sequence_ids=[i], total_frames=sizes[i]))
     return bins
 
 
@@ -192,22 +187,26 @@ def select_split(dataset: Dataset, num_bins: int, test_bins: int, val_bins: int,
         raise ConfigError(
             f"need test_bins + val_bins < num_bins, got {test_bins}+{val_bins} vs {num_bins}"
         )
-    num_classes = dataset.label_set.size
-    whole = category_distribution(dataset.sequences, num_classes)
+    if capacity is not None and capacity < 1:
+        raise ConfigError(f"capacity must be at least 1 frame, got {capacity}")
+    days = dataset.sequences
+    if not days:
+        raise DataError("cannot split a dataset of no days")
+    # the dataset has checked every label id against the label set
+    day_counts = np.array([np.bincount(seq.labels, minlength=dataset.label_set.size)
+                           for seq in days], dtype=np.int64)
+    sizes = [len(seq) for seq in days]
+    whole = day_counts.sum(axis=0) / float(sum(sizes))
     if (whole == 0).any():
         raise DataError("every class must appear somewhere in the dataset")
 
-    days = dataset.sequences
-    sizes = [len(seq) for seq in days]
     if capacity is None:
         capacity = math.ceil(1.1 * sum(sizes) / num_bins)
-    packed = ffd_pack(sizes, capacity)  # ids are day indices here
+    packed = ffd_pack(sizes, capacity)
     if test_bins + val_bins >= len(packed):
         raise ConfigError(
             f"packing produced {len(packed)} bins; need test_bins + val_bins < bins"
         )
-    day_counts = np.array([np.bincount(seq.labels, minlength=num_classes)
-                           for seq in days], dtype=np.int64)
     # every bin holds a day of at least one frame, and each stage leaves at
     # least one bin on both sides, so no distribution below is of zero frames
     counts = np.array([day_counts[b.sequence_ids].sum(axis=0) for b in packed])

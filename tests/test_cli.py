@@ -16,6 +16,7 @@ from egobatch import (
     build_baseline,
     build_piggyback,
     build_sliding,
+    build_stack,
     load_dataset,
     read_sequence_file,
     select_split,
@@ -25,6 +26,7 @@ from egobatch import (
 )
 from egobatch import cli, datamodel
 from egobatch.cli import dispatch
+from egobatch.models import ARCHITECTURES
 
 
 def run(*argv):
@@ -307,6 +309,28 @@ class TestSplitChecks:
                    "--labels", str(data / "labels.txt"), "--out-dir", str(out),
                    "--bins", "6", "--test-bins", "1", "--val-bins", "1")
         assert code == 2
+        assert not (out / "split.json").exists()
+
+    @pytest.mark.parametrize("capacity, code, error", [
+        ("0", 1, "capacity must be at least 1"),
+        ("-5", 1, "capacity must be at least 1"),
+        ("39", 2, "item of size 40 exceeds capacity 39")])  # every day has 40 frames
+    def test_capacity(self, synth_dir, tmp_path, capacity, code, error, capsys):
+        out = tmp_path / "split"
+        assert run("split", "--manifest", str(synth_dir / "manifest.json"),
+                   "--labels", str(synth_dir / "labels.txt"), "--out-dir", str(out),
+                   "--bins", "6", "--test-bins", "1", "--val-bins", "1",
+                   "--capacity", capacity) == code
+        assert error in capsys.readouterr().err
+        assert not (out / "split.json").exists()
+
+    def test_empty_manifest_exits_2(self, synth_dir, tmp_path):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text("[]")
+        out = tmp_path / "split"
+        assert run("split", "--manifest", str(manifest),
+                   "--labels", str(synth_dir / "labels.txt"), "--out-dir", str(out),
+                   "--bins", "6", "--test-bins", "1", "--val-bins", "1") == 2
         assert not (out / "split.json").exists()
 
     def test_same_split_as_whole_days(self, synth_dir, split_dir):
@@ -681,6 +705,27 @@ class TestGradcheckCommand:
 
     def test_impossible_tolerance_fails_with_exit_3(self):
         assert run("gradcheck", "--seed", "0", "--tolerance", "1e-18") == 3
+
+    @pytest.mark.parametrize("tolerance", ["nan", "-1", "0", "inf"])
+    def test_tolerance_must_be_positive_and_finite(self, tmp_path, tolerance,
+                                                   monkeypatch, capsys):
+        def no_check(*args, **kwargs):
+            raise AssertionError("a gradient check ran")
+
+        monkeypatch.setattr(cli, "grad_check", no_check)
+        assert run("gradcheck", "--tolerance", tolerance, "--out-dir", str(tmp_path)) == 1
+        assert "--tolerance must be positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "gradcheck.json").exists()
+
+    def test_every_coordinate_is_checked(self, tmp_path):
+        assert run("gradcheck", "--seed", "0", "--out-dir", str(tmp_path)) == 0
+        obj = json.loads((tmp_path / "gradcheck.json").read_text())
+        assert [a["architecture"] for a in obj["architectures"]] == list(ARCHITECTURES)
+        for arch in obj["architectures"]:
+            # gradcheck's models: 6 features, 4 classes, hidden 5
+            model = build_stack(arch["architecture"], 6, 4, hidden=5)
+            assert {t["name"]: t["coords_checked"] for t in arch["tensors"]} == \
+                {name: w.size for name, w in model.params().items()}
 
 
 class TestArchitectureBoundaries:

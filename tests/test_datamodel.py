@@ -16,7 +16,6 @@ from egobatch import (
     FormatError,
     LabelSet,
     SynthConfig,
-    category_distribution,
     generate_synthetic,
     load_dataset,
     read_labels_file,
@@ -41,7 +40,7 @@ class TestLabelSet:
     def test_size_and_ids(self):
         ls = LabelSet(("walking", "eating", "working"))
         assert ls.size == 3
-        assert ls.id_of("eating") == 1
+        assert ls.names.index("eating") == 1
 
     def test_rejects_duplicates(self):
         with pytest.raises(DataError):
@@ -75,7 +74,7 @@ class TestLabelSet:
         write_labels_file(ls, path)
         back = read_labels_file(path)
         assert back == ls
-        assert back.id_of("eat") == 2
+        assert back.names.index("eat") == 2
 
     def test_labels_file_trailing_newline_optional(self, tmp_path):
         path = tmp_path / "labels.txt"
@@ -358,45 +357,6 @@ class TestLabelsOnly:
         path.write_bytes(blob[:17] + np.array([np.inf], "<f4").tobytes() + blob[21:])
         with pytest.raises(DataError, match="non-finite"):
             read_sequence_file(path, LABELS_AB, features=features)
-
-
-class TestCategoryDistribution:
-    def test_single_sequence_balanced(self):
-        dist = category_distribution([make_seq([[0.0]] * 4, [0, 0, 1, 1])], 2)
-        assert np.allclose(dist, [0.5, 0.5], atol=1e-15)
-
-    def test_missing_class_gets_zero(self):
-        dist = category_distribution([make_seq([[0.0]] * 3, [0, 0, 0])], 2)
-        assert np.allclose(dist, [1.0, 0.0], atol=1e-15)
-
-    def test_pools_multiple_sequences(self):
-        seqs = [make_seq([[0.0]] * 2, [0, 1], sid="a"),
-                make_seq([[0.0]] * 2, [1, 1], sid="b")]
-        dist = category_distribution(seqs, 3)
-        assert np.allclose(dist, [0.25, 0.75, 0.0], atol=1e-15)
-
-    def test_sums_to_one(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            length = int(rng.integers(1, 50))
-            k = int(rng.integers(2, 9))
-            seq = make_seq(np.zeros((length, 1)), rng.integers(0, k, size=length))
-            assert abs(category_distribution([seq], k).sum() - 1.0) < 1e-12
-
-    def test_permutation_equivariant(self):
-        rng = np.random.default_rng(4)
-        k = 5
-        labels = rng.integers(0, k, size=60)
-        perm = rng.permutation(k)
-        dist = category_distribution([make_seq(np.zeros((60, 1)), labels)], k)
-        permuted = category_distribution(
-            [make_seq(np.zeros((60, 1)), perm[labels])], k)
-        # relabeling k -> perm[k] moves entry k of the original to perm[k]
-        assert np.allclose(permuted[perm], dist, atol=1e-15)
-
-    def test_zero_frames_error(self):
-        with pytest.raises(DataError):
-            category_distribution([], 2)
 
 
 class TestSynthetic:

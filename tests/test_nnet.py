@@ -566,24 +566,6 @@ class TestGradCheck:
         with pytest.raises(ConfigError):
             grad_check(model, np.ones((1, 2)), np.zeros(1, dtype=int), epsilon=1e-2)
 
-    def test_coordinate_sampling_caps_work(self):
-        rng = np.random.default_rng(18)
-        model = build_sliding(4, 2, hidden=3, seed=12)
-        inputs, labels = rng.normal(size=(3, 4)), rng.integers(2, size=3)
-        report = grad_check(model, inputs, labels, epsilon=1e-5, max_coords=5)
-        assert all(t.coords_checked <= 5 for t in report.tensors)
-        # the sample is fixed: a second call checks the same coordinates
-        assert grad_check(model, inputs, labels, epsilon=1e-5,
-                          max_coords=5) == report
-
-    @pytest.mark.parametrize("max_coords", [0, -1])
-    def test_coordinate_cap_below_one(self, max_coords):
-        # a cap of 0 would check nothing and report a zero error
-        model = build_baseline(2, 2, seed=0)
-        with pytest.raises(ConfigError, match="max_coords"):
-            grad_check(model, np.ones((1, 2)), np.zeros(1, dtype=int),
-                       max_coords=max_coords)
-
     def test_all_masked_window_is_refused(self):
         # no supervised step leaves nothing to compare: no vacuous pass
         model = build_piggyback(3, 2, hidden=3, seed=0)

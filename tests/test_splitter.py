@@ -74,10 +74,6 @@ class TestFfdPack:
         bins = ffd_pack([3, 3, 3], capacity=3)
         assert [b.sequence_ids for b in bins] == [[0], [1], [2]]
 
-    def test_custom_ids(self):
-        bins = ffd_pack([4, 2], capacity=6, ids=["long", "short"])
-        assert bins[0].sequence_ids == ["long", "short"]
-
 
 class TestCombinations:
     def test_three_choose_two(self):
@@ -280,6 +276,18 @@ class TestSelectSplit:
         ds = Dataset(LabelSet(("a", "b", "c")), sequences)
         with pytest.raises(DataError):
             select_split(ds, num_bins=3, test_bins=1, val_bins=1, capacity=3)
+
+    def test_empty_dataset_rejected(self):
+        with pytest.raises(DataError):
+            select_split(Dataset(LabelSet(("a", "b")), []), 3, 1, 1)
+
+    # below 1 no day could fit; from 1 up to the longest day the packing refuses
+    @pytest.mark.parametrize("capacity, error", [(0, ConfigError), (-5, ConfigError),
+                                                 (1, PackingError)])
+    def test_capacity_too_small(self, capacity, error):
+        ds = build_dataset([[0, 1], [0, 1], [0, 1]])
+        with pytest.raises(error, match="capacity"):
+            select_split(ds, 3, 1, 1, capacity=capacity)
 
     def test_stage2_rest_reference_flag(self):
         ds = build_dataset([[0, 0], [1, 1], [0, 1], [0, 1], [0, 1]])
