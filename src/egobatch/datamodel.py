@@ -1,13 +1,16 @@
 """Day-sequence data model: label sets, feature matrices, the binary
 sequence file format, and a synthetic context-dependent dataset generator.
 
-Features are stored on disk as little-endian float32 and widened to float64
-in memory; all downstream numerics run in double precision.
+Features are stored on disk as little-endian float32, and a day read from
+disk holds them as that float32; other features are held as float64. All
+numerics run in double precision: the code that gathers a day's rows for a
+product widens those rows (exactly, as every float32 is a float64).
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -79,8 +82,10 @@ def _check_day(name, features, labels, timestamps) -> None:
 class DaySequence:
     """One day's ordered frames: an L x D feature matrix plus per-frame labels.
 
-    Timestamps (minutes since midnight) are optional metadata carried through
-    the file format; no model consumes them.
+    Float32 features, as `read_sequence_file` returns them, are kept as
+    they are, in half the bytes of float64; any other features are converted
+    to float64. Timestamps (minutes since midnight) are optional metadata
+    carried through the file format; no model consumes them.
     """
 
     sequence_id: str
@@ -90,7 +95,9 @@ class DaySequence:
     timestamps: np.ndarray | None = None
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
+        if not (isinstance(self.features, np.ndarray)
+                and self.features.dtype == np.float32):
+            self.features = np.asarray(self.features, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.timestamps is not None:
             self.timestamps = np.asarray(self.timestamps, dtype=np.int64)
@@ -198,43 +205,47 @@ def read_sequence_file(
 
     The file carries no identifiers; `sequence_id` defaults to the file stem
     (dataset manifests override both ids). With `features=False` the
-    features are checked as read (float32) and dropped, and the day is
-    returned as `DayLabels`; otherwise they are widened to float64.
+    features are checked as read and dropped, and the day is returned as
+    `DayLabels`; otherwise the day holds them as the float32 the file
+    stores.
     """
     path = Path(path)
-    raw = path.read_bytes()
-    if len(raw) < len(SEQUENCE_MAGIC):
-        raise FormatError(f"{path}: truncated before magic")
-    if raw[: len(SEQUENCE_MAGIC)] != SEQUENCE_MAGIC:
-        raise FormatError(f"{path}: bad magic {raw[:8]!r}")
-    offset = len(SEQUENCE_MAGIC)
-    if len(raw) < offset + _HEADER.size + 1:
-        raise FormatError(f"{path}: truncated header")
-    length, dim = _HEADER.unpack_from(raw, offset)
-    offset += _HEADER.size
-    flags = raw[offset]
-    offset += 1
-    if length < 1 or dim < 1:
-        raise FormatError(f"{path}: header declares empty matrix L={length} D={dim}")
-    if flags & ~_FLAG_TIMESTAMPS:
-        raise FormatError(f"{path}: unknown flag bits 0x{flags:02x}")
+    # each array is read straight into its own memory: the file is never
+    # held as a whole, and the features stay the float32 they are stored as
+    with open(path, "rb") as src:
+        file_size = os.fstat(src.fileno()).st_size
+        head = src.read(len(SEQUENCE_MAGIC) + _HEADER.size + 1)
+        if len(head) < len(SEQUENCE_MAGIC):
+            raise FormatError(f"{path}: truncated before magic")
+        if head[: len(SEQUENCE_MAGIC)] != SEQUENCE_MAGIC:
+            raise FormatError(f"{path}: bad magic {head[:8]!r}")
+        if len(head) < len(SEQUENCE_MAGIC) + _HEADER.size + 1:
+            raise FormatError(f"{path}: truncated header")
+        length, dim = _HEADER.unpack_from(head, len(SEQUENCE_MAGIC))
+        flags = head[-1]
+        if length < 1 or dim < 1:
+            raise FormatError(f"{path}: header declares empty matrix L={length} D={dim}")
+        if flags & ~_FLAG_TIMESTAMPS:
+            raise FormatError(f"{path}: unknown flag bits 0x{flags:02x}")
 
-    def take(count: int, dtype: str, what: str) -> np.ndarray:
-        nonlocal offset
-        nbytes = count * np.dtype(dtype).itemsize
-        if len(raw) < offset + nbytes:
-            raise FormatError(f"{path}: truncated {what}")
-        out = np.frombuffer(raw, dtype=dtype, count=count, offset=offset)
-        offset += nbytes
-        return out
+        def take(count: int, dtype: str, what: str) -> np.ndarray:
+            nbytes = count * np.dtype(dtype).itemsize
+            # checked before allocating: the header may promise gigabytes
+            if nbytes > file_size - src.tell():
+                raise FormatError(f"{path}: truncated {what}")
+            out = np.empty(count, dtype=dtype)
+            if src.readinto(out) != nbytes:
+                raise FormatError(f"{path}: truncated {what}")
+            return out
 
-    feats = take(length * dim, "<f4", "feature rows").reshape(length, dim)
-    labels = take(length, "<u2", "labels")
-    timestamps = None
-    if flags & _FLAG_TIMESTAMPS:
-        timestamps = take(length, "<u4", "timestamps")
-    if offset != len(raw):
-        raise FormatError(f"{path}: {len(raw) - offset} trailing bytes")
+        feats = take(length * dim, "<f4", "feature rows").reshape(length, dim)
+        labels = take(length, "<u2", "labels")
+        timestamps = None
+        if flags & _FLAG_TIMESTAMPS:
+            timestamps = take(length, "<u4", "timestamps")
+        trailing = file_size - src.tell()
+        if trailing:
+            raise FormatError(f"{path}: {trailing} trailing bytes")
 
     if (labels >= label_set.size).any():
         raise DataError(
@@ -245,11 +256,10 @@ def read_sequence_file(
     if not features:
         _check_day(sequence_id, feats, labels, timestamps)
         return DayLabels(sequence_id, labels.astype(np.int64), dim)
-    # DaySequence runs the same checks, once, on the widened copy
     return DaySequence(
         sequence_id=sequence_id,
         user_id=user_id,
-        features=feats.astype(np.float64),
+        features=feats,
         labels=labels.astype(np.int64),
         timestamps=None if timestamps is None else timestamps.astype(np.int64),
     )

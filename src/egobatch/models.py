@@ -216,7 +216,9 @@ def _plan_logits(model, seq: DaySequence, plan: BatchPlan, overlap: int = 0,
                  retention: str = "earlier") -> np.ndarray:
     """Per-frame logits of a recurrent stack run over the batches of `plan`.
 
-    The padded day is embedded once (when the stack has an embedding).
+    The padded day's rows are gathered and widened to float64 once, before
+    the embedding and before any carry writes into them, and embedded once
+    (when the stack has an embedding).
     Without overlap the batches are independent and run in one batched
     recurrent pass and one head product. With overlap m they run in plan
     order, and the first m recurrent inputs of every batch after the first
@@ -227,7 +229,7 @@ def _plan_logits(model, seq: DaySequence, plan: BatchPlan, overlap: int = 0,
     """
     n, m = plan.size, overlap
     count = len(plan.starts)
-    rows = plan.rows(seq.features)
+    rows = np.asarray(plan.rows(seq.features), dtype=np.float64)
     if model.embed is not None:
         rows = model.embed.forward_rows(rows)
     if not m:

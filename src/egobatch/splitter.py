@@ -5,7 +5,8 @@ Whole days are assigned to bins of similar frame counts; the test bins are
 the subset whose category distribution (together with the remaining pool's)
 is closest to the whole-dataset distribution, and the validation bins are
 chosen from the remainder by the same criterion. Bin counts are small by
-construction, so plain exhaustive enumeration is exact and fast.
+construction, so plain exhaustive enumeration is exact and fast; a packing
+whose search would score more than `MAX_SUBSETS` subsets is refused.
 """
 
 from __future__ import annotations
@@ -20,6 +21,10 @@ import numpy as np
 
 from .datamodel import Dataset, read_json, write_json
 from .errors import ConfigError, DataError, FormatError, PackingError
+
+# Most subsets the two stages of a split search may score together: about
+# three minutes at the 17.5 us per subset measured on a 2-core Xeon VM.
+MAX_SUBSETS = 10**7
 
 
 @dataclass
@@ -176,7 +181,9 @@ def select_split(dataset: Dataset, num_bins: int, test_bins: int, val_bins: int,
     `val_bins` from the remainder the same way. `stage2_reference` switches
     the stage-2 reference distribution between the whole dataset ("whole",
     the default) and the remaining pool ("rest"). Ties always go to the
-    lexicographically smallest bin-id set. Only each day's id, length and
+    lexicographically smallest bin-id set. A search of more than
+    `MAX_SUBSETS` subsets in the two stages together is refused before it
+    starts, with a `ConfigError`. Only each day's id, length and
     labels are read, so the days may be `DayLabels`.
     """
     if stage2_reference not in ("whole", "rest"):
@@ -206,6 +213,15 @@ def select_split(dataset: Dataset, num_bins: int, test_bins: int, val_bins: int,
     if test_bins + val_bins >= len(packed):
         raise ConfigError(
             f"packing produced {len(packed)} bins; need test_bins + val_bins < bins"
+        )
+    subsets = (math.comb(len(packed), test_bins)
+               + math.comb(len(packed) - test_bins, val_bins))
+    if subsets > MAX_SUBSETS:
+        raise ConfigError(
+            f"packing produced {len(packed)} bins, and choosing {test_bins} test and "
+            f"{val_bins} val bins among them means scoring {subsets} subsets, more "
+            f"than {MAX_SUBSETS}; choose fewer bins or pack into fewer (a larger "
+            "capacity)"
         )
     # every bin holds a day of at least one frame, and each stage leaves at
     # least one bin on both sides, so no distribution below is of zero frames

@@ -178,7 +178,9 @@ def _train(model: LayerStack, train_seqs: list[DaySequence],
             for idx in shuffle_rng.permutation(len(train_seqs)):
                 seq = train_seqs[idx]
                 day = plan(len(seq))
-                rows, labels = day.rows(seq.features), day.rows(seq.labels)
+                # the day's rows, widened once for all of its steps
+                rows = np.asarray(day.rows(seq.features), dtype=np.float64)
+                labels = day.rows(seq.labels)
                 if overlap:
                     rows = model.embed.forward_rows(rows)
                 for start in day.starts:

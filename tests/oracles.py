@@ -1,7 +1,8 @@
 """Independent reference implementations used to check the production code.
 
-These deliberately avoid the library's vectorized paths: the recurrent
-reference walks frame by frame through the single-step operations, and the
+These deliberately avoid the library's vectorized paths: the carry-over
+reference walks frame by frame through gate equations it writes itself from
+the per-gate tensors, calling no library layer, and the
 split reference enumerates subsets with plain-Python bitmask loops; the
 cross-entropy reference scores one frame at a time. The recurrence,
 backward, masked cross-entropy, SGD and split-stage references are the plain
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from egobatch.errors import DataError, ShapeError
-from egobatch.nnet import GATES, LstmState
+from egobatch.nnet import GATES
 from egobatch.splitter import bhattacharyya
 
 
@@ -56,28 +57,42 @@ def softmax_xent(logits, true_label):
 
 def unbatched_reference_logits(model, seq, batch_size, overlap,
                                retention="earlier"):
-    """Frame-by-frame carry-over simulation using only single-step ops."""
+    """Frame-by-frame carry-over simulation of a piggyback stack, one
+    position and one gate at a time.
+
+    It reads only the per-gate tensors of `model.params()` and writes the
+    embedding, gate, cell and head equations itself, so it shares no code
+    with the layers it checks.
+    """
+    p = model.params()
     n, m = batch_size, overlap
     length = len(seq)
     stride = n - m
     batches = 1 if length <= n else -(-(length - n) // stride) + 1
+    hidden = p["lstm.U_i"].shape[0]
     store = None
-    logits = np.full((length, model.head.out_dim), np.nan)
+    logits = np.full((length, p["head.b"].shape[0]), np.nan)
     for k in range(batches):
         start = k * stride
-        state = LstmState.zeros(model.lstm.hidden)
+        h = np.zeros(hidden)
+        c = np.zeros(hidden)
         h_list = []
         for j in range(n):
             frame = min(start + j, length - 1)  # right padding repeats the end
             if k > 0 and j < m:
                 z = store[j]
             else:
-                z = model.embed.forward(seq.features[frame])
-            state = model.lstm.step(z, state)
-            h_list.append(state.h.copy())
+                x = np.asarray(seq.features[frame], dtype=np.float64)
+                z = p["embed.W"] @ x + p["embed.b"]
+            pre = {g: p[f"lstm.W_{g}"] @ z + p[f"lstm.U_{g}"] @ h + p[f"lstm.b_{g}"]
+                   for g in GATES}
+            i, f, o = (reference_sigmoid(pre[g]) for g in "ifo")
+            c = f * c + i * np.tanh(pre["c"])
+            h = o * np.tanh(c)
+            h_list.append(h)
             keep = (k == 0 or j >= m) if retention == "earlier" else True
             if keep and start + j < length:
-                logits[start + j] = model.head.forward(state.h)
+                logits[start + j] = p["head.W"] @ h + p["head.b"]
         store = h_list[-m:]
     assert not np.isnan(logits).any()
     return logits

@@ -4,6 +4,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -322,6 +323,22 @@ class TestSplitChecks:
                    "--bins", "6", "--test-bins", "1", "--val-bins", "1",
                    "--capacity", capacity) == code
         assert error in capsys.readouterr().err
+        assert not (out / "split.json").exists()
+
+    def test_search_too_large_exits_1_at_once(self, tmp_path, capsys):
+        # 40 days of 40 frames pack one to a bin at --bins 24, and choosing
+        # 10 test bins among 40 would score C(40, 10) + C(30, 1) subsets
+        data = tmp_path / "data"
+        assert run("synth", "--out-dir", str(data), "--sequences", "40",
+                   "--frames", "40", "--seed", "5") == 0
+        out = tmp_path / "split"
+        start = time.perf_counter()
+        code = run("split", "--manifest", str(data / "manifest.json"),
+                   "--labels", str(data / "labels.txt"), "--out-dir", str(out),
+                   "--bins", "24", "--test-bins", "10", "--val-bins", "1")
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert "produced 40 bins" in capsys.readouterr().err
         assert not (out / "split.json").exists()
 
     def test_empty_manifest_exits_2(self, synth_dir, tmp_path):

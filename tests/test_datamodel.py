@@ -1,6 +1,7 @@
 import json
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -92,6 +93,17 @@ class TestLabelSet:
 
 
 class TestDaySequence:
+    def test_float32_features_kept_others_float64(self):
+        feats32 = np.array([[1.5, -2.25]], dtype=np.float32)
+        assert DaySequence("s", "u", feats32, [0]).features is feats32
+        feats64 = np.array([[1.5, -2.25]])
+        assert DaySequence("s", "u", feats64, [0]).features is feats64
+        for other in ([[1, 2]], np.array([[1, 2]], dtype=np.float16),
+                      np.array([[1, 2]], dtype=">f4")):
+            day = DaySequence("s", "u", other, [0])
+            assert day.features.dtype == np.float64
+            assert day.features.tolist() == [[1.0, 2.0]]
+
     def test_rejects_label_length_mismatch(self):
         with pytest.raises(DataError):
             make_seq([[1.0, 2.0]], [0, 1])
@@ -129,6 +141,17 @@ class TestSequenceFile:
         assert np.array_equal(back.labels, seq.labels)
         assert np.array_equal(back.timestamps, seq.timestamps)
 
+    def test_features_read_as_the_float32_written(self, tmp_path):
+        rng = np.random.default_rng(1)
+        seq = make_seq(rng.normal(size=(5, 3)), [0, 1, 1, 0, 1])
+        path = tmp_path / "s.egoseq"
+        write_sequence_file(seq, path)
+        back = read_sequence_file(path, LABELS_AB)
+        assert back.features.dtype == np.float32
+        assert back.features.flags.writeable and back.features.flags.aligned
+        header = len(b"EGOSEQ01") + 4 + 4 + 1
+        assert back.features.tobytes() == path.read_bytes()[header:header + 5 * 3 * 4]
+
     def test_minimal_file_is_23_bytes(self, tmp_path):
         # header 8 + 4 + 4 + 1, one float32 feature, one u16 label
         expected = len(b"EGOSEQ01") + 4 + 4 + 1 + 1 * 1 * 4 + 1 * 2
@@ -160,6 +183,25 @@ class TestSequenceFile:
         blob = path.read_bytes()
         path.write_bytes(blob[: 8 + 4 + 4 + 1 + 4])
         with pytest.raises(FormatError):
+            read_sequence_file(path, LABELS_AB)
+
+    @pytest.mark.parametrize("keep, error", [
+        (5, "truncated before magic"), (12, "truncated header"),
+        (17 + 8, "truncated feature rows"), (17 + 16 + 2, "truncated labels"),
+        (17 + 16 + 4 + 4, "truncated timestamps")])
+    def test_every_truncation_named(self, tmp_path, keep, error):
+        path = tmp_path / "trunc.egoseq"
+        write_sequence_file(make_seq([[0.5, 1.0], [1.5, 2.0]], [0, 1],
+                                     timestamps=[3, 4]), path)
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(FormatError, match=error):
+            read_sequence_file(path, LABELS_AB)
+
+    def test_header_promising_too_much_refused_before_allocating(self, tmp_path):
+        path = tmp_path / "huge.egoseq"
+        path.write_bytes(b"EGOSEQ01" + struct.pack("<II", 2**32 - 1, 2**32 - 1)
+                         + b"\x00" + bytes(6))
+        with pytest.raises(FormatError, match="truncated feature rows"):
             read_sequence_file(path, LABELS_AB)
 
     def test_trailing_bytes_rejected(self, tmp_path):
@@ -223,8 +265,9 @@ class TestSequenceFile:
         write_sequence_file(seq, path)
         first = path.read_bytes()
         back = read_sequence_file(path, label_set)
-        rounded = feats.astype(np.float32).astype(np.float64)
-        assert back.features.tobytes() == rounded.tobytes()
+        # held as the float32 the file stores, bit for bit
+        assert back.features.dtype == np.float32
+        assert back.features.tobytes() == feats.astype(np.float32).tobytes()
         assert np.array_equal(back.labels, labels)
         if stamps is None:
             assert back.timestamps is None

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from egobatch import (
     ConfigError,
     DataError,
     Dataset,
+    DayLabels,
     DaySequence,
     LabelSet,
     PackingError,
@@ -288,6 +290,30 @@ class TestSelectSplit:
         ds = build_dataset([[0, 1], [0, 1], [0, 1]])
         with pytest.raises(error, match="capacity"):
             select_split(ds, 3, 1, 1, capacity=capacity)
+
+    def test_search_too_large_refused_at_once(self):
+        # 40 days of 40 frames at capacity ceil(1.1 * 1600 / 24) = 74 pack
+        # one to a bin: C(40, 10) + C(30, 1) subsets, hours of scoring
+        rng = np.random.default_rng(3)
+        days = [DayLabels(f"d{i:02d}", rng.integers(0, 3, size=40), 1)
+                for i in range(40)]
+        ds = Dataset(LabelSet(("a", "b", "c")), days)
+        subsets = math.comb(40, 10) + math.comb(30, 1)
+        start = time.perf_counter()
+        with pytest.raises(ConfigError, match=f"40 bins.* {subsets} subsets"):
+            select_split(ds, num_bins=24, test_bins=10, val_bins=1)
+        assert time.perf_counter() - start < 0.5
+
+    @pytest.mark.parametrize("limit, refused", [(7, False), (6, True)])
+    def test_search_limit_counts_both_stages(self, monkeypatch, limit, refused):
+        # four singleton bins, one test and one val: C(4, 1) + C(3, 1) = 7
+        ds = build_dataset([[0, 0], [1, 1], [0, 1], [0, 1]])
+        monkeypatch.setattr(splitter, "MAX_SUBSETS", limit)
+        if refused:
+            with pytest.raises(ConfigError, match="4 bins.* 7 subsets"):
+                select_split(ds, 4, 1, 1, capacity=3)
+        else:
+            assert select_split(ds, 4, 1, 1, capacity=3).test_bin_ids == (2,)
 
     def test_stage2_rest_reference_flag(self):
         ds = build_dataset([[0, 0], [1, 1], [0, 1], [0, 1], [0, 1]])
