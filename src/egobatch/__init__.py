@@ -13,6 +13,7 @@ from .datamodel import (
     read_labels_file,
     read_manifest,
     read_sequence_file,
+    synthetic_days,
     write_labels_file,
     write_manifest,
     write_sequence_file,

@@ -17,11 +17,13 @@ from pathlib import Path
 import numpy as np
 
 from .datamodel import (
+    Dataset,
+    DayLabels,
     SynthConfig,
-    generate_synthetic,
     load_dataset,
     read_labels_file,
     read_manifest,
+    synthetic_days,
     write_json,
     write_labels_file,
     write_manifest,
@@ -121,18 +123,24 @@ def _cmd_synth(args) -> int:
         frames_per_sequence=args.frames,
         seed=args.seed,
     )
-    dataset = generate_synthetic(cfg)
     out = _out_dir(args)
-    write_labels_file(dataset.label_set, out / "labels.txt")
-    write_manifest(dataset, out / "manifest.json", out / "sequences")
+    write_labels_file(cfg.label_set, out / "labels.txt")
+    # each day is written as it is drawn
+    write_manifest(synthetic_days(cfg), out / "manifest.json", out / "sequences")
     write_json(out / "config.json", _parsed_flags(args))
-    print(f"wrote {len(dataset.sequences)} sequences under {out}")
+    print(f"wrote {cfg.num_sequences} sequences under {out}")
     return EXIT_OK
 
 
 def _cmd_split(args) -> int:
-    # every day is validated, but only its id, length and labels are kept
-    dataset = load_dataset(args.manifest, args.labels, features=False)
+    # every day is validated, but only its id, length and labels are kept,
+    # and each day is dropped before the next is read
+    manifest = read_manifest(args.manifest, args.labels)
+    days = []
+    for day in manifest.days():
+        days.append(DayLabels(day.sequence_id, day.labels, day.feature_dim))
+        del day
+    dataset = Dataset(manifest.label_set, days)
     result = select_split(dataset, args.bins, args.test_bins, args.val_bins,
                           capacity=args.capacity,
                           stage2_reference=args.stage2_reference)
@@ -231,6 +239,7 @@ def _cmd_predict(args) -> int:
                              f"{seq.sequence_id!r}")
         predicted[seq.sequence_id] = predict_sequence(
             model, seq, args.timestep, args.overlap, retention=args.retention)
+        del seq  # dropped before the next day is read
     # days are read in manifest order and written in the split's order
     timelines = [predicted[sid] for sid in (predicted if ids is None else ids)]
 
@@ -291,11 +300,7 @@ def _cmd_gradcheck(args) -> int:
         results.append({
             "architecture": name,
             "max_rel_error": report.max_rel_error,
-            "tensors": [
-                {"name": t.name, "max_rel_error": t.max_rel_error,
-                 "coords_checked": t.coords_checked}
-                for t in report.tensors
-            ],
+            "tensors": [asdict(t) for t in report.tensors],
         })
     passed = worst < args.tolerance
     print(f"overall max_rel_err={worst:.3e} tolerance={args.tolerance:.1e} "

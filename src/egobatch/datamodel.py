@@ -14,7 +14,7 @@ import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -52,32 +52,6 @@ class LabelSet:
         return len(self.names)
 
 
-def _check_day(name, features, labels, timestamps) -> None:
-    """The invariants of one day, on arrays of any numeric dtype: a non-empty
-    finite L x D matrix, L label ids in [0, 65535] and, when present, L
-    non-decreasing timestamps in [0, 2**32 - 1]."""
-    if features.ndim != 2 or features.shape[0] < 1 or features.shape[1] < 1:
-        raise DataError(
-            f"features must be a non-empty 2-D matrix, got shape {features.shape}"
-        )
-    if not np.isfinite(features).all():
-        raise DataError(f"sequence {name!r} has non-finite features")
-    if labels.shape != (features.shape[0],):
-        raise DataError(
-            f"labels length {labels.shape} must equal frame count {features.shape[0]}"
-        )
-    if (labels < 0).any() or (labels > _MAX_LABEL_ID).any():
-        raise DataError("label ids must be in [0, 65535]")
-    if timestamps is not None:
-        if timestamps.shape != (features.shape[0],):
-            raise DataError("timestamps length must equal frame count")
-        if (timestamps < 0).any() or (timestamps > _MAX_TIMESTAMP).any():
-            raise DataError("timestamps must be minutes in [0, 2**32 - 1]")
-        # compared, not differenced: a difference of unsigned values wraps
-        if (timestamps[1:] < timestamps[:-1]).any():
-            raise DataError("timestamps must be non-decreasing")
-
-
 @dataclass
 class DaySequence:
     """One day's ordered frames: an L x D feature matrix plus per-frame labels.
@@ -104,8 +78,30 @@ class DaySequence:
         self.validate()
 
     def validate(self) -> None:
-        """Re-check invariants; cheap, called again before serialization."""
-        _check_day(self.sequence_id, self.features, self.labels, self.timestamps)
+        """Re-check invariants; cheap, called again before serialization:
+        a non-empty finite L x D matrix, L label ids in [0, 65535] and, when
+        present, L non-decreasing timestamps in [0, 2**32 - 1]."""
+        features, labels, timestamps = self.features, self.labels, self.timestamps
+        if features.ndim != 2 or features.shape[0] < 1 or features.shape[1] < 1:
+            raise DataError(
+                f"features must be a non-empty 2-D matrix, got shape {features.shape}"
+            )
+        if not np.isfinite(features).all():
+            raise DataError(f"sequence {self.sequence_id!r} has non-finite features")
+        if labels.shape != (features.shape[0],):
+            raise DataError(
+                f"labels length {labels.shape} must equal frame count {features.shape[0]}"
+            )
+        if (labels < 0).any() or (labels > _MAX_LABEL_ID).any():
+            raise DataError("label ids must be in [0, 65535]")
+        if timestamps is not None:
+            if timestamps.shape != (features.shape[0],):
+                raise DataError("timestamps length must equal frame count")
+            if (timestamps < 0).any() or (timestamps > _MAX_TIMESTAMP).any():
+                raise DataError("timestamps must be minutes in [0, 2**32 - 1]")
+            # compared, not differenced: a difference of unsigned values wraps
+            if (timestamps[1:] < timestamps[:-1]).any():
+                raise DataError("timestamps must be non-decreasing")
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -118,8 +114,7 @@ class DaySequence:
 @dataclass
 class DayLabels:
     """One day's id, frame labels and feature width, without its features:
-    all that splitting a dataset needs. Read by `read_sequence_file(...,
-    features=False)` after the same checks as a `DaySequence`."""
+    all that splitting a dataset needs."""
 
     sequence_id: str
     labels: np.ndarray
@@ -133,8 +128,8 @@ class DayLabels:
 class Dataset:
     """A label set plus the day sequences annotated with it.
 
-    The days are `DaySequence`s, or `DayLabels` when only their labels were
-    read. Sequence ids are indexed at construction; `by_id` does not see
+    The days are `DaySequence`s, or `DayLabels` when only their labels are
+    kept. Sequence ids are indexed at construction; `by_id` does not see
     sequences added or renamed afterwards.
     """
 
@@ -161,6 +156,9 @@ class Dataset:
         if not self.sequences:
             raise DataError("empty dataset has no feature dim")
         return self.sequences[0].feature_dim
+
+    def __iter__(self) -> Iterator[DaySequence | DayLabels]:
+        return iter(self.sequences)
 
     def by_id(self, sequence_id: str) -> DaySequence | DayLabels:
         try:
@@ -194,70 +192,75 @@ def write_sequence_file(seq: DaySequence, path: str | Path) -> None:
         out.writelines(memoryview(arr).cast("B") for arr in arrays)
 
 
+class CheckedFile:
+    """A binary file read part by part under one rule, each breach a
+    `FormatError` naming the file: `take` refuses a part that the rest of
+    the file cannot hold before allocating it, then reads the part straight
+    into its own array, so the file is never held as a whole; leaving the
+    `with` block without an error refuses trailing bytes."""
+
+    def __init__(self, path: Path):
+        self.path = path
+        self.file = open(path, "rb")
+        self.size = os.fstat(self.file.fileno()).st_size
+
+    def __enter__(self) -> CheckedFile:
+        return self
+
+    def __exit__(self, exc_type, *_) -> None:
+        with self.file:
+            trailing = self.size - self.file.tell()
+            if exc_type is None and trailing:
+                raise FormatError(f"{self.path}: {trailing} trailing bytes")
+
+    def take(self, count: int, dtype: str, what: str) -> np.ndarray:
+        """The next `count` items of `dtype`, or "truncated `what`"."""
+        nbytes = count * np.dtype(dtype).itemsize
+        # checked before allocating: a header may promise gigabytes
+        if nbytes > self.size - self.file.tell():
+            raise FormatError(f"{self.path}: truncated {what}")
+        out = np.empty(count, dtype=dtype)
+        if self.file.readinto(out) != nbytes:
+            raise FormatError(f"{self.path}: truncated {what}")
+        return out
+
+
 def read_sequence_file(
     path: str | Path,
     label_set: LabelSet,
     sequence_id: str | None = None,
     user_id: str = "",
-    features: bool = True,
-) -> DaySequence | DayLabels:
+) -> DaySequence:
     """Parse a .egoseq file and validate it against the label set.
 
     The file carries no identifiers; `sequence_id` defaults to the file stem
-    (dataset manifests override both ids). With `features=False` the
-    features are checked as read and dropped, and the day is returned as
-    `DayLabels`; otherwise the day holds them as the float32 the file
-    stores.
+    (dataset manifests override both ids). The day holds its features as
+    the float32 the file stores.
     """
     path = Path(path)
-    # each array is read straight into its own memory: the file is never
-    # held as a whole, and the features stay the float32 they are stored as
-    with open(path, "rb") as src:
-        file_size = os.fstat(src.fileno()).st_size
-        head = src.read(len(SEQUENCE_MAGIC) + _HEADER.size + 1)
-        if len(head) < len(SEQUENCE_MAGIC):
-            raise FormatError(f"{path}: truncated before magic")
-        if head[: len(SEQUENCE_MAGIC)] != SEQUENCE_MAGIC:
-            raise FormatError(f"{path}: bad magic {head[:8]!r}")
-        if len(head) < len(SEQUENCE_MAGIC) + _HEADER.size + 1:
-            raise FormatError(f"{path}: truncated header")
-        length, dim = _HEADER.unpack_from(head, len(SEQUENCE_MAGIC))
+    with CheckedFile(path) as src:
+        magic = src.take(len(SEQUENCE_MAGIC), "u1", "before magic").tobytes()
+        if magic != SEQUENCE_MAGIC:
+            raise FormatError(f"{path}: bad magic {magic!r}")
+        head = src.take(_HEADER.size + 1, "u1", "header").tobytes()
+        length, dim = _HEADER.unpack_from(head)
         flags = head[-1]
         if length < 1 or dim < 1:
             raise FormatError(f"{path}: header declares empty matrix L={length} D={dim}")
         if flags & ~_FLAG_TIMESTAMPS:
             raise FormatError(f"{path}: unknown flag bits 0x{flags:02x}")
-
-        def take(count: int, dtype: str, what: str) -> np.ndarray:
-            nbytes = count * np.dtype(dtype).itemsize
-            # checked before allocating: the header may promise gigabytes
-            if nbytes > file_size - src.tell():
-                raise FormatError(f"{path}: truncated {what}")
-            out = np.empty(count, dtype=dtype)
-            if src.readinto(out) != nbytes:
-                raise FormatError(f"{path}: truncated {what}")
-            return out
-
-        feats = take(length * dim, "<f4", "feature rows").reshape(length, dim)
-        labels = take(length, "<u2", "labels")
+        feats = src.take(length * dim, "<f4", "feature rows").reshape(length, dim)
+        labels = src.take(length, "<u2", "labels")
         timestamps = None
         if flags & _FLAG_TIMESTAMPS:
-            timestamps = take(length, "<u4", "timestamps")
-        trailing = file_size - src.tell()
-        if trailing:
-            raise FormatError(f"{path}: {trailing} trailing bytes")
+            timestamps = src.take(length, "<u4", "timestamps")
 
     if (labels >= label_set.size).any():
         raise DataError(
             f"{path}: label id {int(labels.max())} >= K={label_set.size}"
         )
-    if sequence_id is None:
-        sequence_id = path.stem
-    if not features:
-        _check_day(sequence_id, feats, labels, timestamps)
-        return DayLabels(sequence_id, labels.astype(np.int64), dim)
     return DaySequence(
-        sequence_id=sequence_id,
+        sequence_id=path.stem if sequence_id is None else sequence_id,
         user_id=user_id,
         features=feats,
         labels=labels.astype(np.int64),
@@ -304,8 +307,10 @@ def write_labels_file(label_set: LabelSet, path: str | Path) -> None:
     Path(path).write_text("\n".join(label_set.names) + "\n", encoding="utf-8")
 
 
-def write_manifest(dataset: Dataset, manifest_path: str | Path, seq_dir: str | Path) -> None:
-    """Write every sequence as .egoseq plus a JSON manifest referencing them.
+def write_manifest(days: Iterable[DaySequence], manifest_path: str | Path,
+                   seq_dir: str | Path) -> None:
+    """Write every day (of a `Dataset` or any other iterable, read once) as
+    .egoseq plus a JSON manifest referencing them.
 
     Paths in the manifest are relative to the manifest's directory.
     """
@@ -313,7 +318,7 @@ def write_manifest(dataset: Dataset, manifest_path: str | Path, seq_dir: str | P
     seq_dir = Path(seq_dir)
     seq_dir.mkdir(parents=True, exist_ok=True)
     entries = []
-    for seq in dataset.sequences:
+    for seq in days:
         rel = seq_dir / f"{seq.sequence_id}.egoseq"
         write_sequence_file(seq, rel)
         entries.append(
@@ -337,13 +342,11 @@ class Manifest:
     label_set: LabelSet
     entries: dict[str, tuple[Path, str]]
 
-    def days(self, ids: list[str] | None = None,
-             features: bool = True) -> Iterator[DaySequence | DayLabels]:
+    def days(self, ids: list[str] | None = None) -> Iterator[DaySequence]:
         """Read and validate the named days (every day without `ids`) one at a
         time, each once and in manifest order; a caller that drops each day
         before the next holds one at a time. An id that the manifest lacks is
-        a `DataError`, raised before any day is read. `features` is passed to
-        `read_sequence_file`."""
+        a `DataError`, raised before any day is read."""
         if ids is not None:
             for sequence_id in ids:
                 if sequence_id not in self.entries:
@@ -352,7 +355,7 @@ class Manifest:
         for sequence_id, (path, user_id) in self.entries.items():
             if ids is None or sequence_id in ids:
                 yield read_sequence_file(path, self.label_set, sequence_id=sequence_id,
-                                         user_id=user_id, features=features)
+                                         user_id=user_id)
 
 
 def read_manifest(manifest_path: str | Path, labels_path: str | Path) -> Manifest:
@@ -384,19 +387,17 @@ def load_dataset(
     manifest_path: str | Path,
     labels_path: str | Path,
     ids: list[str] | None = None,
-    features: bool = True,
 ) -> Dataset:
     """Load a dataset from a manifest JSON plus labels.txt.
 
     The whole manifest is always checked: entry shape and unique ids. Without
-    `ids` every day's .egoseq file is read and validated, as `split` needs.
-    With `ids` only the files of those days are read, each once and in
-    manifest order, as `train` (train + val days) needs; an id that the
-    manifest lacks is a `DataError`. With `features=False` the days are
-    `DayLabels`, validated like whole days but holding only their labels.
+    `ids` every day's .egoseq file is read and validated. With `ids` only
+    the files of those days are read, each once and in manifest order, as
+    `train` (train + val days) needs; an id that the manifest lacks is a
+    `DataError`.
     """
     manifest = read_manifest(manifest_path, labels_path)
-    return Dataset(manifest.label_set, list(manifest.days(ids, features)))
+    return Dataset(manifest.label_set, list(manifest.days(ids)))
 
 
 # ---------------------------------------------------------------------------
@@ -459,6 +460,11 @@ class SynthConfig:
                 f"feature_dim must be >= K-1={k - 1} to place distinct class means"
             )
 
+    @property
+    def label_set(self) -> LabelSet:
+        """The generated days' categories, "activity00" to "activityK-1"."""
+        return LabelSet(tuple(f"activity{k:02d}" for k in range(self.num_classes)))
+
 
 def _basis_indices(cfg: SynthConfig) -> np.ndarray:
     """Coordinate of each class's emission mean; the ambiguous pair shares one."""
@@ -495,8 +501,9 @@ def class_means(cfg: SynthConfig) -> np.ndarray:
     return means
 
 
-def generate_synthetic(cfg: SynthConfig) -> Dataset:
-    """Sample a synthetic dataset; fully deterministic for a given seed.
+def synthetic_days(cfg: SynthConfig) -> Iterator[DaySequence]:
+    """Sample a synthetic dataset one day at a time, each drawn as it is
+    asked for; fully deterministic for a given seed.
 
     The hidden class sequence is a Markov chain: with probability
     `self_transition_prob` the class repeats, otherwise it switches uniformly
@@ -511,9 +518,7 @@ def generate_synthetic(cfg: SynthConfig) -> Dataset:
     start_states = np.asarray(
         [k for k in range(cfg.num_classes) if k not in pair], dtype=np.int64
     )
-    label_set = LabelSet(tuple(f"activity{k:02d}" for k in range(cfg.num_classes)))
 
-    sequences = []
     for s in range(cfg.num_sequences):
         states = np.empty(cfg.frames_per_sequence, dtype=np.int64)
         state = int(start_states[rng.integers(len(start_states))])
@@ -528,12 +533,10 @@ def generate_synthetic(cfg: SynthConfig) -> Dataset:
             feats = feats + rng.normal(
                 0.0, cfg.noise_sigma, size=(cfg.frames_per_sequence, cfg.feature_dim)
             )
-        sequences.append(
-            DaySequence(
-                sequence_id=f"synth{s:03d}",
-                user_id=f"u{s % 3 + 1}",
-                features=feats,
-                labels=states,
-            )
-        )
-    return Dataset(label_set=label_set, sequences=sequences)
+        yield DaySequence(sequence_id=f"synth{s:03d}", user_id=f"u{s % 3 + 1}",
+                          features=feats, labels=states)
+
+
+def generate_synthetic(cfg: SynthConfig) -> Dataset:
+    """All of `synthetic_days(cfg)` at once, under `cfg.label_set`."""
+    return Dataset(cfg.label_set, list(synthetic_days(cfg)))

@@ -19,13 +19,13 @@ little-endian.
 from __future__ import annotations
 
 import math
-import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .datamodel import CheckedFile
 from .errors import ConfigError, DataError, FormatError, NumericError, ShapeError
 
 GATES = ("i", "f", "o", "c")
@@ -264,18 +264,16 @@ class LstmLayer:
         return self._recur(inputs)[3]
 
     def backward(self, cache: _LstmCache, d_outputs: np.ndarray,
-                 out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+                 out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Exact truncated-BPTT gradients for one window.
 
         `d_outputs` is dLoss/dh per position. The parameter gradients go into
-        `out` (a new vector when None), laid out like the layer's storage:
+        `out`, a vector of the layer's size laid out like its storage:
         dW (4H x D), dU (4H x H) and db (4H) back to back, stacked like the
         gates. Returns `out` and the T x 4H gate pre-activation gradient;
         dLoss/dinputs is that times `w_stack`, for a caller that needs it.
         """
         steps, hid = d_outputs.shape
-        if out is None:
-            out = np.empty(self.size)
         w_end = self.w_stack.size
         u_end = w_end + self.u_stack.size
         dw = out[:w_end].reshape(self.w_stack.shape)
@@ -609,41 +607,23 @@ def write_checkpoint(params: dict[str, np.ndarray], path: str | Path) -> None:
 
 def read_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
     """Parse a checkpoint; enforces magic, ordering and exact payload size."""
-    # Each tensor is read straight into its own array: the file is never
-    # held in memory as a whole.
     path = Path(path)
-    with open(path, "rb") as src:
-        file_size = os.fstat(src.fileno()).st_size
-
-        def take(nbytes: int, what: str) -> bytes:
-            data = src.read(nbytes)
-            if len(data) != nbytes:
-                raise FormatError(f"{path}: truncated {what}")
-            return data
-
-        if src.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
+    with CheckedFile(path) as src:
+        if src.file.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
             raise FormatError(f"{path}: bad checkpoint magic")
-        (count,) = struct.unpack("<I", take(4, "tensor count"))
+        (count,) = src.take(1, "<u4", "tensor count").tolist()
         params: dict[str, np.ndarray] = {}
         previous = None
         for _ in range(count):
-            (name_len,) = struct.unpack("<H", take(2, "name length"))
-            name = take(name_len, "tensor name").decode("utf-8")
+            (name_len,) = src.take(1, "<u2", "name length").tolist()
+            name = src.take(name_len, "u1", "tensor name").tobytes().decode("utf-8")
             if previous is not None and not name > previous:
                 raise FormatError(
                     f"{path}: tensors out of lexicographic order at {name!r}")
             previous = name
-            rank = take(1, "rank")[0]
-            dims = struct.unpack(f"<{rank}I", take(4 * rank, "dimension"))
-            size = math.prod(dims)  # a Python int: np.prod would wrap around
-            # checked before allocating: the dims may promise exabytes
-            if size * 8 > file_size - src.tell():
-                raise FormatError(f"{path}: truncated data of {name!r}")
-            data = np.empty(size, dtype="<f8")
-            if src.readinto(data) != size * 8:
-                raise FormatError(f"{path}: truncated data of {name!r}")
+            (rank,) = src.take(1, "u1", "rank").tolist()
+            dims = src.take(rank, "<u4", "dimension").tolist()
+            # a Python int product: np.prod would wrap around
+            data = src.take(math.prod(dims), "<f8", f"data of {name!r}")
             params[name] = data.reshape(dims).astype(np.float64, copy=False)
-        trailing = file_size - src.tell()
-        if trailing:
-            raise FormatError(f"{path}: {trailing} trailing bytes")
     return params

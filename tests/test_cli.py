@@ -5,6 +5,7 @@ import struct
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -661,6 +662,40 @@ class TestSubsetReads:
         assert sorted(read) == sorted(split["test"])
         assert (tmp_path / "corrupt" / "timelines.json").read_bytes() == \
                (tmp_path / "intact" / "timelines.json").read_bytes()
+
+
+class TestOneDayAtATime:
+    """`split` and `predict` drop each day before they read the next."""
+
+    @pytest.fixture()
+    def earlier_day_alive(self, monkeypatch):
+        """For each day read, whether a day read before it was still alive."""
+        refs, alive = [], []
+
+        def watched(*args, **kwargs):
+            alive.append(any(ref() is not None for ref in refs))
+            day = read_sequence_file(*args, **kwargs)
+            refs.append(weakref.ref(day))
+            return day
+
+        monkeypatch.setattr(datamodel, "read_sequence_file", watched)
+        return alive
+
+    def test_split(self, synth_dir, tmp_path, earlier_day_alive):
+        assert run("split", "--manifest", str(synth_dir / "manifest.json"),
+                   "--labels", str(synth_dir / "labels.txt"),
+                   "--out-dir", str(tmp_path), "--bins", "6",
+                   "--test-bins", "1", "--val-bins", "1") == 0
+        assert earlier_day_alive == [False] * 8
+
+    def test_predict(self, synth_dir, tmp_path, earlier_day_alive):
+        checkpoint = tmp_path / "model.egomdl"
+        write_checkpoint(build_baseline(16, 6, seed=2).params(), checkpoint)
+        assert run("predict", "--model", str(checkpoint),
+                   "--manifest", str(synth_dir / "manifest.json"),
+                   "--labels", str(synth_dir / "labels.txt"),
+                   "--out-dir", str(tmp_path / "out")) == 0
+        assert earlier_day_alive == [False] * 8
 
 
 class TestShortDays:

@@ -1,5 +1,5 @@
+import hashlib
 import json
-
 import math
 import struct
 
@@ -21,10 +21,13 @@ from egobatch import (
     load_dataset,
     read_labels_file,
     read_sequence_file,
+    select_split,
+    synthetic_days,
     write_labels_file,
     write_manifest,
     write_sequence_file,
 )
+from egobatch import cli
 from egobatch.datamodel import class_means
 from oracles import reference_write_sequence_file
 
@@ -197,6 +200,27 @@ class TestSequenceFile:
         with pytest.raises(FormatError, match=error):
             read_sequence_file(path, LABELS_AB)
 
+    def test_every_proper_prefix_names_its_part(self, tmp_path):
+        # L = 4, D = 3 with timestamps: 17 + 48 + 8 + 16 = 89 bytes
+        path = tmp_path / "day.egoseq"
+        write_sequence_file(make_seq(np.arange(12.0).reshape(4, 3), [0, 1, 1, 0],
+                                     timestamps=[1, 2, 3, 4]), path)
+        blob = path.read_bytes()
+        parts = [(8, "truncated before magic"), (17, "truncated header"),
+                 (65, "truncated feature rows"), (73, "truncated labels"),
+                 (89, "truncated timestamps")]  # (end offset, error) in file order
+        assert len(blob) == parts[-1][0]
+        for keep in range(len(blob)):
+            path.write_bytes(blob[:keep])
+            error = next(error for end, error in parts if keep < end)
+            with pytest.raises(FormatError) as caught:
+                read_sequence_file(path, LABELS_AB)
+            assert str(caught.value) == f"{path}: {error}"
+        path.write_bytes(blob + b"\x00")
+        with pytest.raises(FormatError) as caught:
+            read_sequence_file(path, LABELS_AB)
+        assert str(caught.value) == f"{path}: 1 trailing bytes"
+
     def test_header_promising_too_much_refused_before_allocating(self, tmp_path):
         path = tmp_path / "huge.egoseq"
         path.write_bytes(b"EGOSEQ01" + struct.pack("<II", 2**32 - 1, 2**32 - 1)
@@ -363,19 +387,27 @@ class TestLoadSubset:
 
 
 class TestLabelsOnly:
-    """`features=False` runs every check of a whole-day read but keeps only
-    each day's id, labels and feature width."""
+    """`split` runs every check of a whole-day read but keeps only each
+    day's id, labels and feature width."""
 
-    def test_same_days_without_features(self, tmp_path):
-        ds = generate_synthetic(SynthConfig(num_sequences=4, frames_per_sequence=9,
+    def test_same_days_without_features(self, tmp_path, monkeypatch):
+        ds = generate_synthetic(SynthConfig(num_sequences=6, frames_per_sequence=40,
                                             seed=5))
         write_labels_file(ds.label_set, tmp_path / "labels.txt")
         write_manifest(ds, tmp_path / "manifest.json", tmp_path / "seqs")
         whole = load_dataset(tmp_path / "manifest.json", tmp_path / "labels.txt")
-        lean = load_dataset(tmp_path / "manifest.json", tmp_path / "labels.txt",
-                            ["synth002", "synth000"], features=False)
-        assert [type(day) for day in lean.sequences] == [DayLabels, DayLabels]
-        assert [day.sequence_id for day in lean.sequences] == ["synth000", "synth002"]
+        kept = []
+
+        def keeping(dataset, *args, **kwargs):
+            kept.append(dataset)
+            return select_split(dataset, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "select_split", keeping)
+        assert split_one(tmp_path) == 0
+        (lean,) = kept
+        assert [type(day) for day in lean.sequences] == [DayLabels] * 6
+        assert [day.sequence_id for day in lean.sequences] == \
+               [day.sequence_id for day in whole.sequences]
         for day in lean.sequences:
             full = whole.by_id(day.sequence_id)
             assert len(day) == len(full)
@@ -383,26 +415,70 @@ class TestLabelsOnly:
             assert day.labels.dtype == np.int64
             assert np.array_equal(day.labels, full.labels)
 
+    @staticmethod
+    def assert_refused(path, features, capsys, error):
+        """A whole-day read (`features`) raises `DataError`; `split`, which
+        keeps only each day's labels, exits 2 with the same message."""
+        if features:
+            with pytest.raises(DataError, match=error):
+                read_sequence_file(path, LABELS_AB)
+            return
+        write_labels_file(LABELS_AB, path.parent / "labels.txt")
+        (path.parent / "manifest.json").write_text(
+            json.dumps([{"sequence_id": "s", "path": path.name}]))
+        assert split_one(path.parent) == 2
+        assert error in capsys.readouterr().err
+
     @pytest.mark.parametrize("features", [True, False])
-    def test_decreasing_timestamps_in_a_file(self, tmp_path, features):
+    def test_decreasing_timestamps_in_a_file(self, tmp_path, capsys, features):
         # u32 minutes 5, 3: a difference of unsigned values would wrap positive
         path = tmp_path / "s.egoseq"
         write_sequence_file(make_seq([[1.0], [2.0]], [0, 1], timestamps=[5, 6]), path)
         path.write_bytes(path.read_bytes()[:-8] + np.array([5, 3], "<u4").tobytes())
-        with pytest.raises(DataError, match="non-decreasing"):
-            read_sequence_file(path, LABELS_AB, features=features)
+        self.assert_refused(path, features, capsys, "non-decreasing")
 
     @pytest.mark.parametrize("features", [True, False])
-    def test_non_finite_feature_in_a_file(self, tmp_path, features):
+    def test_non_finite_feature_in_a_file(self, tmp_path, capsys, features):
         path = tmp_path / "s.egoseq"
         write_sequence_file(make_seq([[1.0], [2.0]], [0, 1]), path)
         blob = path.read_bytes()
         path.write_bytes(blob[:17] + np.array([np.inf], "<f4").tobytes() + blob[21:])
-        with pytest.raises(DataError, match="non-finite"):
-            read_sequence_file(path, LABELS_AB, features=features)
+        self.assert_refused(path, features, capsys, "non-finite")
+
+
+def split_one(data):
+    """Run `split` on the dataset in `data`, asking for one test and one
+    validation bin of three."""
+    return cli.dispatch(["split", "--manifest", str(data / "manifest.json"),
+                         "--labels", str(data / "labels.txt"),
+                         "--out-dir", str(data / "split"), "--bins", "3",
+                         "--test-bins", "1", "--val-bins", "1"])
 
 
 class TestSynthetic:
+    def test_days_are_those_of_the_whole_set(self):
+        cfg = SynthConfig(num_sequences=3, frames_per_sequence=20, seed=3)
+        whole = generate_synthetic(cfg)
+        assert whole.label_set == cfg.label_set
+        digest = hashlib.sha256()
+        days = list(synthetic_days(cfg))
+        assert len(days) == len(whole.sequences) == 3
+        for day, want in zip(days, whole.sequences):
+            assert (day.sequence_id, day.user_id) == (want.sequence_id, want.user_id)
+            assert day.features.dtype == want.features.dtype == np.float64
+            assert day.features.tobytes() == want.features.tobytes()
+            assert day.labels.tobytes() == want.labels.tobytes()
+            digest.update(f"{day.sequence_id} {day.user_id}".encode())
+            digest.update(day.features.tobytes() + day.labels.tobytes())
+        # pins the generator's draws, so neither path can drift from it
+        assert digest.hexdigest() == \
+            "85bc1340d47de715593cd3ef98bbef55d70ad5633754012dfdb2a926ce9382d6"
+
+    def test_days_are_drawn_as_they_are_asked_for(self):
+        days = synthetic_days(SynthConfig(num_sequences=10 ** 9, frames_per_sequence=5))
+        assert next(days).sequence_id == "synth000"
+        assert next(days).sequence_id == "synth001"
+
     def test_deterministic(self):
         cfg = SynthConfig(num_sequences=3, frames_per_sequence=50, seed=9)
         a = generate_synthetic(cfg)

@@ -265,7 +265,7 @@ class TestLstmBackward:
                 layer.b_stack[...] = rng.normal(size=4 * hidden)
                 _, cache = layer.run(rng.normal(scale=2.0, size=(steps, in_dim)))
                 d_outputs = rng.normal(size=(steps, hidden))
-                grads, d_pre = layer.backward(cache, d_outputs)
+                grads, d_pre = layer.backward(cache, d_outputs, np.empty(layer.size))
                 want, want_inputs = reference_lstm_backward(layer, cache, d_outputs)
                 w_end, u_end = layer.w_stack.size, layer.w_stack.size + layer.u_stack.size
                 stacked = {"W": grads[:w_end].reshape(layer.w_stack.shape),
@@ -667,6 +667,30 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes() + b"\x00" * 3)
         with pytest.raises(FormatError, match="3 trailing bytes"):
             read_checkpoint(path)
+
+    def test_every_proper_prefix_names_its_part(self, tmp_path):
+        params = build_sliding(3, 2, hidden=2, seed=13).params()
+        path = tmp_path / "m.egomdl"
+        write_checkpoint(params, path)
+        blob = path.read_bytes()
+        parts = [(8, "bad checkpoint magic"), (12, "truncated tensor count")]
+        for name in sorted(params):  # (end offset, error) in file order
+            shape = params[name].shape
+            for size, what in ((2, "name length"), (len(name), "tensor name"),
+                               (1, "rank"), (4 * len(shape), "dimension"),
+                               (8 * math.prod(shape), f"data of {name!r}")):
+                parts.append((parts[-1][0] + size, f"truncated {what}"))
+        assert len(blob) == parts[-1][0]
+        for keep in range(len(blob)):
+            path.write_bytes(blob[:keep])
+            error = next(error for end, error in parts if keep < end)
+            with pytest.raises(FormatError) as caught:
+                read_checkpoint(path)
+            assert str(caught.value) == f"{path}: {error}"
+        path.write_bytes(blob + b"\x00")
+        with pytest.raises(FormatError) as caught:
+            read_checkpoint(path)
+        assert str(caught.value) == f"{path}: 1 trailing bytes"
 
     @pytest.mark.parametrize("dims", [(2 ** 31, 2 ** 31, 4), (65536,) * 4])
     def test_dimensions_whose_product_wraps_are_truncated_data(self, tmp_path, dims):
