@@ -19,8 +19,8 @@ import numpy as np
 from .datamodel import (
     Dataset,
     DayLabels,
+    Manifest,
     SynthConfig,
-    load_dataset,
     read_labels_file,
     read_manifest,
     synthetic_days,
@@ -132,15 +132,18 @@ def _cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _cmd_split(args) -> int:
-    # every day is validated, but only its id, length and labels are kept,
-    # and each day is dropped before the next is read
-    manifest = read_manifest(args.manifest, args.labels)
+def _checked_days(manifest: Manifest) -> Dataset:
+    """Read and validate each day of `manifest` once, dropping it before the
+    next, into a `Dataset` of `DayLabels`: one feature width, unique ids."""
     days = []
-    for day in manifest.days():
+    for day in manifest:
         days.append(DayLabels(day.sequence_id, day.labels, day.feature_dim))
         del day
-    dataset = Dataset(manifest.label_set, days)
+    return Dataset(manifest.label_set, days)
+
+
+def _cmd_split(args) -> int:
+    dataset = _checked_days(read_manifest(args.manifest, args.labels))
     result = select_split(dataset, args.bins, args.test_bins, args.val_bins,
                           capacity=args.capacity,
                           stage2_reference=args.stage2_reference)
@@ -171,28 +174,28 @@ def _cmd_train(args) -> int:
         raise SequencingError("phase 2 requires --init-from with a phase-1 checkpoint")
 
     split = read_split_ids(args.split)
-    dataset = load_dataset(args.manifest, args.labels, split["train"] + split["val"])
-    train_seqs = [dataset.by_id(sid) for sid in split["train"]]
-    val_seqs = [dataset.by_id(sid) for sid in split["val"]]
+    manifest = read_manifest(args.manifest, args.labels)
+    train_seqs = manifest.subset(split["train"])
+    val_seqs = manifest.subset(split["val"])
     if not train_seqs or not val_seqs:  # else an empty dataset has no feature dim
         raise ConfigError("training needs at least one train and one val sequence")
-    feature_dim = dataset.feature_dim
-    num_classes = dataset.label_set.size
+    num_classes = manifest.label_set.size
 
-    if args.init_from:
+    model = None
+    if args.init_from:  # checked before any day is read
         model = model_from_params(read_checkpoint(args.init_from))
-        arch = model.architecture
-        if arch != cfg.architecture:
-            raise ShapeError(
-                f"checkpoint holds a {arch!r} model, requested {cfg.architecture!r}"
-            )
+        if model.architecture != cfg.architecture:
+            raise ShapeError(f"checkpoint holds a {model.architecture!r} model, "
+                             f"requested {cfg.architecture!r}")
         if model.head.out_dim != num_classes:
             raise ShapeError("checkpoint class count does not match the label set")
-        if model.input_dim != feature_dim:
-            raise ShapeError("checkpoint input width does not match the dataset")
-    else:
+    # every train and val day is checked once before the first step
+    feature_dim = _checked_days(manifest.subset(split["train"] + split["val"])).feature_dim
+    if model is None:
         model = build_stack(cfg.architecture, feature_dim, num_classes,
                             hidden=args.hidden, seed=cfg.seed)
+    elif model.input_dim != feature_dim:
+        raise ShapeError("checkpoint input width does not match the dataset")
 
     trainers = {"baseline": train_baseline, "sliding": train_sliding,
                 "piggyback": train_piggyback}
@@ -225,23 +228,22 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    ids = read_split_ids(args.split)[args.subset] if args.split else None
-    manifest = read_manifest(args.manifest, args.labels)
+    days = read_manifest(args.manifest, args.labels)
+    if args.split:
+        days = days.subset(read_split_ids(args.split)[args.subset])
     model = model_from_params(read_checkpoint(args.model))
-    if model.head.out_dim != manifest.label_set.size:
+    if model.head.out_dim != days.label_set.size:
         raise ShapeError("model class count does not match the label set")
 
-    # each day is predicted as it is read; only its timeline is kept
-    predicted = {}
-    for seq in manifest.days(ids):
+    # each day, in the split's order, is predicted and dropped before the next
+    timelines = []
+    for seq in days:
         if seq.feature_dim != model.input_dim:
             raise ShapeError(f"model input width does not match sequence "
                              f"{seq.sequence_id!r}")
-        predicted[seq.sequence_id] = predict_sequence(
-            model, seq, args.timestep, args.overlap, retention=args.retention)
-        del seq  # dropped before the next day is read
-    # days are read in manifest order and written in the split's order
-    timelines = [predicted[sid] for sid in (predicted if ids is None else ids)]
+        timelines.append(predict_sequence(model, seq, args.timestep, args.overlap,
+                                          retention=args.retention))
+        del seq
 
     out = _out_dir(args)
     write_timelines_json(timelines, out / "timelines.json",

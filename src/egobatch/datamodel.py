@@ -331,31 +331,35 @@ def write_manifest(days: Iterable[DaySequence], manifest_path: str | Path,
     write_json(manifest_path, entries)
 
 
-@dataclass
 class Manifest:
-    """A checked dataset manifest and its label set; no day is read yet.
+    """A checked dataset manifest, its label set and a lazy list of its days:
+    `len` counts them, and each `manifest[k]` reads and checks the k-th day
+    through `read_sequence_file` and keeps nothing.
 
     `entries` maps each sequence id, in manifest order, to its .egoseq path
     and user id.
     """
 
-    label_set: LabelSet
-    entries: dict[str, tuple[Path, str]]
+    def __init__(self, label_set: LabelSet, entries: dict[str, tuple[Path, str]]):
+        self.label_set, self.entries = label_set, entries
+        self._ids = list(entries)
 
-    def days(self, ids: list[str] | None = None) -> Iterator[DaySequence]:
-        """Read and validate the named days (every day without `ids`) one at a
-        time, each once and in manifest order; a caller that drops each day
-        before the next holds one at a time. An id that the manifest lacks is
-        a `DataError`, raised before any day is read."""
-        if ids is not None:
-            for sequence_id in ids:
-                if sequence_id not in self.entries:
-                    raise DataError(f"no sequence with id {sequence_id!r}")
-            ids = set(ids)
-        for sequence_id, (path, user_id) in self.entries.items():
-            if ids is None or sequence_id in ids:
-                yield read_sequence_file(path, self.label_set, sequence_id=sequence_id,
-                                         user_id=user_id)
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def __getitem__(self, index: int) -> DaySequence:
+        sequence_id = self._ids[index]  # past the end: IndexError ends iteration
+        path, user_id = self.entries[sequence_id]
+        return read_sequence_file(path, self.label_set, sequence_id=sequence_id,
+                                  user_id=user_id)
+
+    def subset(self, ids: Iterable[str]) -> Manifest:
+        """The named days, each once and in the order first named; an id that
+        the manifest lacks is a `DataError`, raised before any day is read."""
+        try:
+            return Manifest(self.label_set, {sid: self.entries[sid] for sid in ids})
+        except KeyError as exc:
+            raise DataError(f"no sequence with id {exc.args[0]!r}") from None
 
 
 def read_manifest(manifest_path: str | Path, labels_path: str | Path) -> Manifest:
@@ -383,21 +387,10 @@ def read_manifest(manifest_path: str | Path, labels_path: str | Path) -> Manifes
     return Manifest(label_set, days)
 
 
-def load_dataset(
-    manifest_path: str | Path,
-    labels_path: str | Path,
-    ids: list[str] | None = None,
-) -> Dataset:
-    """Load a dataset from a manifest JSON plus labels.txt.
-
-    The whole manifest is always checked: entry shape and unique ids. Without
-    `ids` every day's .egoseq file is read and validated. With `ids` only
-    the files of those days are read, each once and in manifest order, as
-    `train` (train + val days) needs; an id that the manifest lacks is a
-    `DataError`.
-    """
+def load_dataset(manifest_path: str | Path, labels_path: str | Path) -> Dataset:
+    """Every day of a manifest and its labels.txt, read and checked, as one `Dataset`."""
     manifest = read_manifest(manifest_path, labels_path)
-    return Dataset(manifest.label_set, list(manifest.days(ids)))
+    return Dataset(manifest.label_set, list(manifest))
 
 
 # ---------------------------------------------------------------------------

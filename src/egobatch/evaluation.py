@@ -7,6 +7,7 @@ the evaluated frames; every exported report states this convention.
 
 from __future__ import annotations
 
+import csv
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -103,7 +104,9 @@ def _write_csv(matrix: np.ndarray, label_set: LabelSet, path: str | Path, fmt) -
         raise DataError(
             f"matrix shape {matrix.shape} does not match {label_set.size} classes"
         )
-    lines = ["true\\pred," + ",".join(label_set.names)]
-    for k, name in enumerate(label_set.names):
-        lines.append(name + "," + ",".join(fmt(v) for v in matrix[k]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    # quoted as CSV, a name that holds a comma or a quote stays one field
+    with open(path, "w", encoding="utf-8", newline="") as out:
+        rows = csv.writer(out, lineterminator="\n")
+        rows.writerow(["true\\pred", *label_set.names])
+        for name, counts in zip(label_set.names, matrix):
+            rows.writerow([name, *map(fmt, counts)])

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -102,20 +103,21 @@ class TrainResult:
     best_params: dict[str, np.ndarray] | None
 
 
-def validate_model(model, val_seqs: list[DaySequence], timestep: int,
+def validate_model(model, val_seqs: Sequence[DaySequence], timestep: int,
                    overlap: int) -> tuple[float, float]:
     """Mean per-frame cross-entropy and accuracy over validation sequences,
     each predicted by `predict_sequence` at `timestep` and `overlap`, as
     `predict` predicts it.
 
     Summation order is fixed (sequence order, ascending frames) so the result
-    is bit-reproducible.
+    is bit-reproducible; each day is dropped before the next is read.
     """
     total_loss = 0.0
     total_correct = 0
     total_frames = 0
     for seq in val_seqs:
         timeline: PredictionTimeline = predict_sequence(model, seq, timestep, overlap)
+        del seq  # dropped before the next day is read
         p_true = timeline.probs[np.arange(len(timeline)), timeline.true_labels]
         total_loss += float(-np.log(np.maximum(p_true, 1e-300)).sum())
         total_correct += int((timeline.pred_labels == timeline.true_labels).sum())
@@ -125,8 +127,8 @@ def validate_model(model, val_seqs: list[DaySequence], timestep: int,
     return total_loss / total_frames, total_correct / total_frames
 
 
-def _train(model: LayerStack, train_seqs: list[DaySequence],
-           val_seqs: list[DaySequence], cfg: TrainConfig,
+def _train(model: LayerStack, train_seqs: Sequence[DaySequence],
+           val_seqs: Sequence[DaySequence], cfg: TrainConfig,
            architecture: str) -> TrainResult:
     """The epoch/validation/early-stop loop over the batches of a plan.
 
@@ -141,7 +143,8 @@ def _train(model: LayerStack, train_seqs: list[DaySequence],
     over the vector and the window's gradient. In phase 2 the frozen
     embedding turns the padded day into recurrent inputs once, the batches
     run in order, and the first m inputs of each are replaced by the
-    previous batch's last m recurrent outputs.
+    previous batch's last m recurrent outputs. Each day is dropped, with its
+    rows and last forward pass, before the next is read (from a `Manifest`).
 
     The report holds every decision: an epoch whose validation loss
     undercuts the best epoch's by more than 1e-12 becomes the best epoch (the
@@ -181,6 +184,7 @@ def _train(model: LayerStack, train_seqs: list[DaySequence],
                 # the day's rows, widened once for all of its steps
                 rows = np.asarray(day.rows(seq.features), dtype=np.float64)
                 labels = day.rows(seq.labels)
+                del seq  # a `Manifest` reads a day when indexed: hold one at a time
                 if overlap:
                     rows = model.embed.forward_rows(rows)
                 for start in day.starts:
@@ -196,6 +200,7 @@ def _train(model: LayerStack, train_seqs: list[DaySequence],
                     sgd_update(flat, grads, opt)
                     step_losses.append(loss)
                     h_prev = fwd.lstm_outputs
+                del rows, inputs, fwd  # dropped before the next day is read
             # a last step that overflowed the weights fails here
             val_loss, val_acc = validate_model(model, val_seqs, size, overlap)
         except NumericError:
@@ -211,14 +216,14 @@ def _train(model: LayerStack, train_seqs: list[DaySequence],
     return TrainResult(report=report, best_params=best_params)
 
 
-def train_baseline(model: LayerStack, train_seqs: list[DaySequence],
-                   val_seqs: list[DaySequence], cfg: TrainConfig) -> TrainResult:
+def train_baseline(model: LayerStack, train_seqs: Sequence[DaySequence],
+                   val_seqs: Sequence[DaySequence], cfg: TrainConfig) -> TrainResult:
     """One SGD step per frame, sequences shuffled each epoch."""
     return _train(model, train_seqs, val_seqs, cfg, "baseline")
 
 
-def train_sliding(model: LayerStack, train_seqs: list[DaySequence],
-                  val_seqs: list[DaySequence], cfg: TrainConfig) -> TrainResult:
+def train_sliding(model: LayerStack, train_seqs: Sequence[DaySequence],
+                  val_seqs: Sequence[DaySequence], cfg: TrainConfig) -> TrainResult:
     """Visit every stride-1 window of every training sequence once per epoch.
 
     Windows run in ascending start order within a sequence; validation uses
@@ -227,8 +232,8 @@ def train_sliding(model: LayerStack, train_seqs: list[DaySequence],
     return _train(model, train_seqs, val_seqs, cfg, "sliding")
 
 
-def train_piggyback(model: LayerStack, train_seqs: list[DaySequence],
-                    val_seqs: list[DaySequence], cfg: TrainConfig) -> TrainResult:
+def train_piggyback(model: LayerStack, train_seqs: Sequence[DaySequence],
+                    val_seqs: Sequence[DaySequence], cfg: TrainConfig) -> TrainResult:
     """Run the phase selected by the config.
 
     Phase 1 trains the whole stack on consecutive non-overlapping batches and

@@ -665,7 +665,7 @@ class TestSubsetReads:
 
 
 class TestOneDayAtATime:
-    """`split` and `predict` drop each day before they read the next."""
+    """`split`, `predict` and `train` drop each day before they read the next."""
 
     @pytest.fixture()
     def earlier_day_alive(self, monkeypatch):
@@ -696,6 +696,94 @@ class TestOneDayAtATime:
                    "--labels", str(synth_dir / "labels.txt"),
                    "--out-dir", str(tmp_path / "out")) == 0
         assert earlier_day_alive == [False] * 8
+
+    @pytest.mark.parametrize("arch, phase", [("baseline", 1), ("sliding", 1),
+                                             ("piggyback", 1), ("piggyback", 2)])
+    def test_train(self, synth_dir, tmp_path, earlier_day_alive, arch, phase):
+        ids = [f"synth{k:03d}" for k in range(8)]  # two val days, five train days
+        split_path = tmp_path / "split.json"
+        split_path.write_text(json.dumps({"test": ids[:1], "val": ids[1:3],
+                                          "train": ids[3:]}))
+        checkpoint = tmp_path / "phase1.egomdl"
+        write_checkpoint(build_piggyback(16, 6, hidden=4, seed=2).params(), checkpoint)
+        init = ["--init-from", str(checkpoint)] if phase == 2 else []
+        out = tmp_path / "out"
+        assert run("train", "--arch", arch, "--timestep", "5", "--overlap", "2",
+                   "--phase", str(phase), "--hidden", "4", "--epochs", "2", *init,
+                   "--manifest", str(synth_dir / "manifest.json"),
+                   "--labels", str(synth_dir / "labels.txt"),
+                   "--split", str(split_path), "--out-dir", str(out)) == 0
+        assert len(json.loads((out / "report.json").read_text())["epochs"]) == 2
+        # one check pass, then every train and val day once per epoch
+        assert earlier_day_alive == [False] * (7 + 2 * 7)
+
+
+class TestDayChangedAfterTheCheck:
+    """`train` checks every train and val day once, then reads each again,
+    with all of `read_sequence_file`'s checks, whenever it trains or
+    validates on it. A day that changes on disk after the check pass trains
+    as it now reads, or exits 2 with nothing written under --out-dir."""
+
+    FLAGS = {"baseline": [], "sliding": ["--timestep", "3"],
+             "piggyback": ["--timestep", "5", "--overlap", "2"]}
+
+    @pytest.fixture()
+    def data(self, synth_dir, split_dir, tmp_path):
+        data = tmp_path / "data"
+        shutil.copytree(synth_dir, data)
+        return data, json.loads((split_dir / "split.json").read_text())
+
+    @staticmethod
+    def change_after_check(monkeypatch, change):
+        """Run `change()` once `train`'s check pass has read every day."""
+        check = cli._checked_days
+
+        def checked_then_changed(manifest):
+            dataset = check(manifest)
+            change()
+            return dataset
+
+        monkeypatch.setattr(cli, "_checked_days", checked_then_changed)
+
+    def train(self, data, split_dir, arch, out):
+        return run("train", "--arch", arch, *self.FLAGS[arch], "--hidden", "4",
+                   "--epochs", "2", "--dropout", "0.0",
+                   "--manifest", str(data / "manifest.json"),
+                   "--labels", str(data / "labels.txt"),
+                   "--split", str(split_dir / "split.json"), "--out-dir", str(out))
+
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    @pytest.mark.parametrize("where, damage", [("train", "feature_dim"),
+                                               ("train", "nan_feature"),
+                                               ("train", "label_beyond_k"),
+                                               ("val", "feature_dim")])
+    def test_a_day_that_no_longer_passes_exits_2(self, data, split_dir, tmp_path,
+                                                 monkeypatch, arch, where, damage):
+        data, split = data
+        path = data / "sequences" / f"{split[where][0]}.egoseq"
+        self.change_after_check(monkeypatch, lambda: bad_day(path, damage))
+        out = tmp_path / "out"
+        assert self.train(data, split_dir, arch, out) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_a_day_that_still_passes_trains_as_it_reads(self, data, split_dir,
+                                                        tmp_path, monkeypatch, arch):
+        data, split = data
+        path = data / "sequences" / f"{split['train'][0]}.egoseq"
+        original = path.read_bytes()
+        day = read_sequence_file(path, egobatch.read_labels_file(data / "labels.txt"))
+        shorter = DaySequence(day.sequence_id, day.user_id, day.features[:25],
+                              day.labels[:25])
+        write_sequence_file(shorter, path)
+        assert self.train(data, split_dir, arch, tmp_path / "before") == 0
+        path.write_bytes(original)
+        self.change_after_check(monkeypatch,
+                                lambda: write_sequence_file(shorter, path))
+        assert self.train(data, split_dir, arch, tmp_path / "after") == 0
+        for name in ("best.egomdl", "last.egomdl", "report.json"):
+            assert (tmp_path / "after" / name).read_bytes() == \
+                   (tmp_path / "before" / name).read_bytes()
 
 
 class TestShortDays:
@@ -808,6 +896,34 @@ class TestArchitectureBoundaries:
         assert code == 2
         assert not (out / "best.egomdl").exists()
         assert self.ERRORS[mismatch] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mismatch", ["missing", "architecture", "classes", "width"])
+    def test_train_checks_a_checkpoint_before_reading_days(self, synth_dir, split_dir,
+                                                           tmp_path, mismatch,
+                                                           monkeypatch):
+        # the width is known only once the days are checked; the rest is not
+        split = json.loads((split_dir / "split.json").read_text())
+        checkpoint = tmp_path / "model.egomdl"
+        if mismatch != "missing":
+            model = {"architecture": build_sliding(16, 6, hidden=4),
+                     "classes": build_baseline(16, 7),
+                     "width": build_baseline(17, 6)}[mismatch]
+            write_checkpoint(model.params(), checkpoint)
+        read = []
+
+        def counting(path, *args, **kwargs):
+            read.append(kwargs["sequence_id"])
+            return read_sequence_file(path, *args, **kwargs)
+
+        monkeypatch.setattr(datamodel, "read_sequence_file", counting)
+        code = run("train", "--arch", "baseline", "--epochs", "1",
+                   "--init-from", str(checkpoint),
+                   "--manifest", str(synth_dir / "manifest.json"),
+                   "--labels", str(synth_dir / "labels.txt"),
+                   "--split", str(split_dir / "split.json"),
+                   "--out-dir", str(tmp_path / "out"))
+        assert code == 2
+        assert read == (split["train"] + split["val"] if mismatch == "width" else [])
 
     @pytest.mark.parametrize("mismatch", ["classes", "width"])
     def test_predict_another_model(self, synth_dir, tmp_path, mismatch, capsys):

@@ -20,6 +20,7 @@ from egobatch import (
     generate_synthetic,
     load_dataset,
     read_labels_file,
+    read_manifest,
     read_sequence_file,
     select_split,
     synthetic_days,
@@ -321,7 +322,8 @@ class TestManifest:
 
 
 class TestLoadSubset:
-    """`load_dataset(..., ids)` reads only the days it names."""
+    """`read_manifest(...).subset(ids)` reads only the days it names, in the
+    order named, and only when they are asked for."""
 
     @pytest.fixture()
     def manifest(self, tmp_path):
@@ -331,14 +333,20 @@ class TestLoadSubset:
         write_manifest(ds, tmp_path / "manifest.json", tmp_path / "seqs")
         return tmp_path / "manifest.json", tmp_path / "labels.txt"
 
+    @staticmethod
+    def days(manifest, ids=None):
+        """The days read from `manifest`: all of them, or the subset `ids`."""
+        days = read_manifest(*manifest)
+        return list(days if ids is None else days.subset(ids))
+
     def test_returns_exactly_those_days(self, manifest):
         whole = load_dataset(*manifest)
-        part = load_dataset(*manifest, ["synth003", "synth001"])
-        assert [s.sequence_id for s in part.sequences] == ["synth001", "synth003"]
-        for seq in part.sequences:
+        part = self.days(manifest, ["synth003", "synth001"])
+        assert [s.sequence_id for s in part] == ["synth003", "synth001"]
+        for seq in part:
             assert np.array_equal(seq.features, whole.by_id(seq.sequence_id).features)
             assert seq.user_id == whole.by_id(seq.sequence_id).user_id
-        assert load_dataset(*manifest, []).sequences == []
+        assert self.days(manifest, []) == []
 
     def test_reads_a_repeated_id_once(self, manifest, monkeypatch):
         from egobatch import datamodel
@@ -350,19 +358,23 @@ class TestLoadSubset:
             return read_sequence_file(path, *args, **kwargs)
 
         monkeypatch.setattr(datamodel, "read_sequence_file", counting)
-        part = load_dataset(*manifest, ["synth002", "synth004", "synth002"])
+        part = read_manifest(*manifest).subset(["synth002", "synth004", "synth002"])
+        assert read == [] and len(part) == 2
+        assert [seq.sequence_id for seq in part] == ["synth002", "synth004"]
         assert read == ["synth002", "synth004"]
-        assert len(part.sequences) == 2
 
     def test_skips_the_files_of_other_days(self, manifest):
         (manifest[0].parent / "seqs" / "synth000.egoseq").write_bytes(b"XXXXXXXX")
-        assert len(load_dataset(*manifest, ["synth001"]).sequences) == 1
+        assert len(self.days(manifest, ["synth001"])) == 1
         with pytest.raises(FormatError):
-            load_dataset(*manifest)
+            self.days(manifest)
 
-    def test_unknown_id(self, manifest):
+    def test_unknown_id(self, manifest, monkeypatch):
+        from egobatch import datamodel
+
+        monkeypatch.setattr(datamodel, "read_sequence_file", None)  # no day is read
         with pytest.raises(DataError, match="nope"):
-            load_dataset(*manifest, ["synth001", "nope"])
+            read_manifest(*manifest).subset(["synth001", "nope"])
 
     @pytest.mark.parametrize("ids", [None, ["synth001"]])
     def test_duplicate_manifest_ids(self, manifest, ids):
@@ -371,7 +383,7 @@ class TestLoadSubset:
         entries[3]["sequence_id"] = entries[0]["sequence_id"]
         path.write_text(json.dumps(entries))
         with pytest.raises(DataError, match="duplicate"):
-            load_dataset(path, labels, ids)
+            self.days(manifest, ids)
 
     @pytest.mark.parametrize("entry", [["synth000"], {"path": "x"},
                                        {"sequence_id": ["a"], "path": "x"},
@@ -383,7 +395,7 @@ class TestLoadSubset:
         entries = json.loads(path.read_text())
         path.write_text(json.dumps([*entries, entry]))
         with pytest.raises(FormatError, match="bad manifest entry"):
-            load_dataset(path, labels, ["synth001"])
+            self.days(manifest, ["synth001"])
 
 
 class TestLabelsOnly:

@@ -1,3 +1,4 @@
+import csv
 import json
 from fractions import Fraction
 
@@ -157,6 +158,25 @@ class TestExports:
         assert lines[0] == "true\\pred,walk,eat"
         assert lines[1] == "walk,1,1"
         assert lines[2] == "eat,0,2"
+
+    def test_plain_names_are_written_unquoted(self, tmp_path):
+        labels = LabelSet(("sit down", "a;b", " lead"))
+        path = tmp_path / "confusion.csv"
+        write_confusion_csv(np.eye(3, dtype=np.int64), labels, path)
+        assert path.read_bytes() == (b"true\\pred,sit down,a;b, lead\n"
+                                     b"sit down,1,0,0\na;b,0,1,0\n lead,0,0,1\n")
+
+    @pytest.mark.parametrize("write", [write_confusion_csv,
+                                       write_confusion_normalized_csv])
+    def test_names_with_commas_and_quotes_stay_one_field(self, tmp_path, write):
+        labels = LabelSet(("walk, outdoors", 'say "hi"', "eat"))
+        path = tmp_path / "matrix.csv"
+        write(np.array([[1, 1, 0], [0, 2, 0], [0, 0, 3]]), labels, path)
+        with open(path, encoding="utf-8", newline="") as src:
+            rows = list(csv.reader(src))
+        assert [len(row) for row in rows] == [4] * 4  # K + 1 fields per row
+        assert rows[0] == ["true\\pred", *labels.names]
+        assert [row[0] for row in rows[1:]] == list(labels.names)
 
     def test_normalized_csv_fixed_point(self, tmp_path):
         labels = LabelSet(("walk", "eat"))
