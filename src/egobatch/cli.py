@@ -207,7 +207,7 @@ def _cmd_train(args) -> int:
         "manifest": str(args.manifest),
         "labels": str(args.labels),
         "split": str(args.split),
-        "hidden": args.hidden,
+        "hidden": None if model.lstm is None else model.lstm.hidden,
         "init_from": str(args.init_from) if args.init_from else None,
         **asdict(cfg),
     })
@@ -283,6 +283,8 @@ def _cmd_eval(args) -> int:
 def _cmd_gradcheck(args) -> int:
     if not 0.0 < args.tolerance < np.inf:  # also refuses NaN
         raise ConfigError(f"--tolerance must be positive and finite, got {args.tolerance}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     root = np.random.SeedSequence(args.seed)
     feature_dim, hidden, num_classes, steps = 6, 5, 4, 8
     results = []

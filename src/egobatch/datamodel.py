@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -129,18 +129,14 @@ class Dataset:
     """A label set plus the day sequences annotated with it.
 
     The days are `DaySequence`s, or `DayLabels` when only their labels are
-    kept. Sequence ids are indexed at construction; `by_id` does not see
-    sequences added or renamed afterwards.
+    kept.
     """
 
     label_set: LabelSet
     sequences: list[DaySequence | DayLabels]
-    _by_id: dict[str, DaySequence | DayLabels] = field(init=False, repr=False,
-                                                       compare=False)
 
     def __post_init__(self):
-        self._by_id = {seq.sequence_id: seq for seq in self.sequences}
-        if len(self._by_id) != len(self.sequences):
+        if len({seq.sequence_id for seq in self.sequences}) != len(self.sequences):
             raise DataError("sequence ids must be unique within a dataset")
         dims = {seq.feature_dim for seq in self.sequences}
         if len(dims) > 1:
@@ -161,10 +157,10 @@ class Dataset:
         return iter(self.sequences)
 
     def by_id(self, sequence_id: str) -> DaySequence | DayLabels:
-        try:
-            return self._by_id[sequence_id]
-        except KeyError:
-            raise DataError(f"no sequence with id {sequence_id!r}") from None
+        for seq in self.sequences:
+            if seq.sequence_id == sequence_id:
+                return seq
+        raise DataError(f"no sequence with id {sequence_id!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +444,8 @@ class SynthConfig:
             raise ConfigError("mean_scale must be positive and finite")
         if self.num_sequences < 1 or self.frames_per_sequence < 1:
             raise ConfigError("need at least one sequence and one frame")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.feature_dim < k - 1:
             raise ConfigError(
                 f"feature_dim must be >= K-1={k - 1} to place distinct class means"

@@ -104,7 +104,7 @@ class DenseLayer:
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.in_dim,):
             raise ShapeError(f"expected input of length {self.in_dim}, got {x.shape}")
-        return self.weight @ x + self.bias
+        return self.forward_rows(x[np.newaxis])[0]
 
     def forward_rows(self, rows: np.ndarray) -> np.ndarray:
         rows = np.asarray(rows, dtype=np.float64)
@@ -198,19 +198,15 @@ class LstmLayer:
             raise ShapeError(f"expected input of length {self.in_dim}, got {x.shape}")
         if state.h.shape != (self.hidden,) or state.c.shape != (self.hidden,):
             raise ShapeError("state size does not match the hidden size")
-        hid = self.hidden
-        a = self.w_stack @ x + self.u_stack @ state.h + self.b_stack
-        ifo = _sigmoid(a[:3 * hid])
-        g = np.tanh(a[3 * hid:])
-        c = ifo[hid:2 * hid] * state.c + ifo[:hid] * g
-        h = ifo[2 * hid:] * np.tanh(c)
-        if not (np.isfinite(h).all() and np.isfinite(c).all()):
+        _, c_rows, _, h_rows = self._recur(x.reshape(1, 1, -1), state)
+        if not np.isfinite(c_rows).all():
             raise NumericError("non-finite recurrent state")
-        return LstmState(h, c)
+        return LstmState(h_rows[0, 0], c_rows[0, 0])
 
-    def _recur(self, inputs: np.ndarray
+    def _recur(self, inputs: np.ndarray, start: LstmState | None = None
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The recurrence over B x T x D windows, each from zero state.
+        """The recurrence over B x T x D windows, each from zero state or
+        from `start`, whose h and c broadcast against B x H.
 
         The input projection is one matrix product over all B*T rows and each
         position advances every window with one (B x H)(H x 4H) product.
@@ -224,7 +220,7 @@ class LstmLayer:
         # three arrays, not one block: `forward_batch` keeps only the outputs
         c_rows, tanh_c_rows, h_rows = (np.empty((batch, steps, hid)) for _ in range(3))
         u_t = self.u_stack.T
-        h = c = np.zeros((batch, hid))
+        h, c = (np.zeros((batch, hid)),) * 2 if start is None else (start.h, start.c)
         i_times_g = np.empty((batch, hid))
         # each position gets (B, .) views of its rows: all gates, the three
         # sigmoid gates, i, f, o, g, then cell, tanh of the cell and output
@@ -374,7 +370,6 @@ class WindowForward:
 
     logits: np.ndarray
     lstm_outputs: np.ndarray | None
-    _inputs: np.ndarray = field(repr=False, default=None)
     _head_inputs: np.ndarray = field(repr=False, default=None)
     _dropout_scale: np.ndarray | None = field(repr=False, default=None)
     _lstm_cache: _LstmCache | None = field(repr=False, default=None)
@@ -406,7 +401,7 @@ def run_window(model, inputs: np.ndarray, *, dropout_rate: float = 0.0,
         scale = (rng.random(rows.shape) < keep).astype(np.float64) / keep
         head_in = rows * scale
     logits = model.head.forward_rows(head_in)
-    return WindowForward(logits=logits, lstm_outputs=lstm_outputs, _inputs=inputs,
+    return WindowForward(logits=logits, lstm_outputs=lstm_outputs,
                          _head_inputs=head_in, _dropout_scale=scale,
                          _lstm_cache=lstm_cache)
 
@@ -453,7 +448,7 @@ def backprop_window(model, inputs: np.ndarray, labels: np.ndarray,
     _, d_pre = model.lstm.backward(fwd._lstm_cache, d_rows,
                                    out=grads[start:start + model.lstm.size])
     if model.embed is not None:
-        _dense_grads(d_pre @ model.lstm.w_stack, fwd._inputs, grads[:start])
+        _dense_grads(d_pre @ model.lstm.w_stack, inputs, grads[:start])
     return loss, grads, fwd
 
 

@@ -66,6 +66,8 @@ class TrainConfig:
             raise ConfigError("dropout rate must lie in [0, 1)")
         if self.timestep < 1:
             raise ConfigError("timestep must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.architecture == "piggyback":
             if not 0 < self.overlap < self.timestep:
                 raise ConfigError(

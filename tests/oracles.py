@@ -2,7 +2,7 @@
 
 These deliberately avoid the library's vectorized paths: the carry-over
 reference walks frame by frame through gate equations it writes itself from
-the per-gate tensors, calling no library layer, and the
+the per-gate tensors (`reference_lstm_step`), calling no library layer, and the
 split reference enumerates subsets with plain-Python bitmask loops; the
 cross-entropy reference scores one frame at a time. The recurrence,
 backward, masked cross-entropy, SGD and split-stage references are the plain
@@ -84,11 +84,7 @@ def unbatched_reference_logits(model, seq, batch_size, overlap,
             else:
                 x = np.asarray(seq.features[frame], dtype=np.float64)
                 z = p["embed.W"] @ x + p["embed.b"]
-            pre = {g: p[f"lstm.W_{g}"] @ z + p[f"lstm.U_{g}"] @ h + p[f"lstm.b_{g}"]
-                   for g in GATES}
-            i, f, o = (reference_sigmoid(pre[g]) for g in "ifo")
-            c = f * c + i * np.tanh(pre["c"])
-            h = o * np.tanh(c)
+            h, c = reference_lstm_step(p, z, h, c)
             h_list.append(h)
             keep = (k == 0 or j >= m) if retention == "earlier" else True
             if keep and start + j < length:
@@ -96,6 +92,19 @@ def unbatched_reference_logits(model, seq, batch_size, overlap,
         store = h_list[-m:]
     assert not np.isnan(logits).any()
     return logits
+
+
+def reference_lstm_step(p, x, h, c):
+    """One position of the recurrence from state (h, c), one gate at a time.
+
+    `p` is a stack's `params()`; only its per-gate `lstm.*` tensors are
+    read. Returns the new (h, c).
+    """
+    pre = {g: p[f"lstm.W_{g}"] @ x + p[f"lstm.U_{g}"] @ h + p[f"lstm.b_{g}"]
+           for g in GATES}
+    i, f, o = (reference_sigmoid(pre[g]) for g in "ifo")
+    c = f * c + i * np.tanh(pre["c"])
+    return o * np.tanh(c), c
 
 
 def brute_force_split(bin_labels, num_classes, test_bins, val_bins,

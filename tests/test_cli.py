@@ -232,28 +232,54 @@ class TestDataErrors:
                    "--split", str(split_path), "--out-dir", str(tmp_path / "out"))
         assert code == 2
 
+    CHECKPOINT_ERRORS = {
+        "no_embed_bias": "checkpoint tensors mismatch: missing=['embed.b']",
+        "flat_recurrent_weight": "the four gates of lstm.W_*, lstm.U_* and lstm.b_*",
+        "mismatched_gate_rows": "the four gates of lstm.W_*, lstm.U_* and lstm.b_*",
+        "nan_head": "dense layer parameters must be finite",
+        "nan_gate": "recurrent layer parameters must be finite",
+        "rank_1_gates": "gate weights must be a matrix, got shape (16,)",
+        "head_width": "head input width must equal the recurrent hidden size"}
+
     @pytest.mark.parametrize("damage", ["no_embed_bias", "flat_recurrent_weight",
-                                        "mismatched_gate_rows"])
-    def test_malformed_checkpoint(self, synth_dir, tmp_path, damage):
+                                        "mismatched_gate_rows", "nan_head", "nan_gate",
+                                        "rank_1_gates", "head_width"])
+    def test_malformed_checkpoint(self, synth_dir, tmp_path, damage, capsys):
         data = load_dataset(synth_dir / "manifest.json", synth_dir / "labels.txt")
         params = build_piggyback(data.feature_dim, data.label_set.size, hidden=4).params()
+        marker = 12345.678  # a value no other tensor holds, replaced by NaN
         if damage == "no_embed_bias":
             del params["embed.b"]
         elif damage == "flat_recurrent_weight":
             params["lstm.W_i"] = params["lstm.W_i"].reshape(-1)
-        else:
+        elif damage == "mismatched_gate_rows":
             # 3 + 5 + 4 + 4 rows stack like a valid H = 4 layer
             for kind in "WUb":
                 i, f = params[f"lstm.{kind}_i"], params[f"lstm.{kind}_f"]
                 params[f"lstm.{kind}_i"] = i[:3]
                 params[f"lstm.{kind}_f"] = np.concatenate([f, i[3:]])
+        elif damage == "nan_head":
+            params["head.b"][0] = marker
+        elif damage == "nan_gate":
+            params["lstm.U_f"][1, 2] = marker
+        elif damage == "rank_1_gates":
+            for g in "ifoc":
+                params[f"lstm.W_{g}"] = params[f"lstm.W_{g}"][:, 0]
+        else:
+            params["head.W"] = np.zeros((data.label_set.size, 5))
         checkpoint = tmp_path / "model.egomdl"
         write_checkpoint(params, checkpoint)
+        nan = struct.pack("<d", float("nan"))
+        checkpoint.write_bytes(checkpoint.read_bytes().replace(struct.pack("<d", marker),
+                                                               nan))
+        assert (nan in checkpoint.read_bytes()) == damage.startswith("nan")
         code = run("predict", "--model", str(checkpoint),
                    "--manifest", str(synth_dir / "manifest.json"),
                    "--labels", str(synth_dir / "labels.txt"),
                    "--out-dir", str(tmp_path / "out"))
         assert code == 2
+        assert f"error: {self.CHECKPOINT_ERRORS[damage]}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_checkpoint_dimensions_that_wrap(self, synth_dir, tmp_path):
         # 65536^4 elements wrap to 0 in int64; the data is missing, not empty
@@ -316,7 +342,8 @@ class TestSplitChecks:
     @pytest.mark.parametrize("capacity, code, error", [
         ("0", 1, "capacity must be at least 1"),
         ("-5", 1, "capacity must be at least 1"),
-        ("39", 2, "item of size 40 exceeds capacity 39")])  # every day has 40 frames
+        ("39", 2, "item of size 40 exceeds capacity 39"),  # every day has 40 frames
+        ("320", 1, "packing produced 1 bins; need test_bins + val_bins < bins")])
     def test_capacity(self, synth_dir, tmp_path, capacity, code, error, capsys):
         out = tmp_path / "split"
         assert run("split", "--manifest", str(synth_dir / "manifest.json"),
@@ -1026,7 +1053,8 @@ class TestRepeatedDispatch:
 
 class TestConfigJson:
     """`synth`, `split`, `eval` and `gradcheck` record the command and their
-    flags in parser order, without --out-dir."""
+    flags in parser order, without --out-dir; `train` records the hidden
+    size of the model it trained."""
 
     @staticmethod
     def config(out):
@@ -1069,3 +1097,134 @@ class TestConfigJson:
         assert self.config(tmp_path) == [
             ("command", "gradcheck"), ("seed", 3), ("epsilon", 2e-5),
             ("tolerance", 1e-4)]
+
+    @pytest.mark.parametrize("arch, hidden", [("baseline", None), ("piggyback", 8)])
+    def test_train_records_the_hidden_size_it_trained(self, synth_dir, split_dir,
+                                                      tmp_path, arch, hidden):
+        # phase 2 starts from an h8 checkpoint, and --hidden (default 256)
+        # is ignored; the baseline has no recurrent layer
+        data = ["--manifest", str(synth_dir / "manifest.json"),
+                "--labels", str(synth_dir / "labels.txt"),
+                "--split", str(split_dir / "split.json"),
+                "--epochs", "1", "--dropout", "0"]
+        flags = []
+        if arch == "piggyback":
+            assert run("train", "--arch", arch, "--timestep", "5", "--overlap", "2",
+                       "--hidden", "8", *data, "--out-dir", str(tmp_path / "pb1")) == 0
+            flags = ["--timestep", "5", "--overlap", "2", "--phase", "2",
+                     "--init-from", str(tmp_path / "pb1" / "best.egomdl")]
+        assert run("train", "--arch", arch, *flags, *data,
+                   "--out-dir", str(tmp_path / "out")) == 0
+        config = json.loads((tmp_path / "out" / "config.json").read_text())
+        assert list(config)[4] == "hidden"
+        assert config["hidden"] == hidden
+
+
+def no_grad_check(*args, **kwargs):
+    raise AssertionError("a gradient check ran")
+
+
+class TestNegativeSeed:
+    """A seed below 0 is a config error before anything is written."""
+
+    @pytest.mark.parametrize("command", ["synth", "train", "gradcheck"])
+    def test_exits_1_and_writes_nothing(self, synth_dir, split_dir, tmp_path, command,
+                                        monkeypatch, capsys):
+        monkeypatch.setattr(cli, "grad_check", no_grad_check)
+        out = tmp_path / "out"
+        extra = {"train": ["--arch", "baseline",
+                           "--manifest", str(synth_dir / "manifest.json"),
+                           "--labels", str(synth_dir / "labels.txt"),
+                           "--split", str(split_dir / "split.json")]}.get(command, [])
+        assert run(command, *extra, "--seed", "-1", "--out-dir", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "seed must be >= 0, got -1" in err
+        assert not out.exists()
+
+
+def egoseq_header(length, dim, flags):
+    """A `.egoseq` file's magic and header, with one frame of one feature
+    and its label after it."""
+    return (b"EGOSEQ01" + struct.pack("<IIB", length, dim, flags)
+            + struct.pack("<fH", 0.5, 0))
+
+
+class TestRefusals:
+    """Each refusal exits with its code and names what is wrong."""
+
+    @pytest.mark.parametrize("flags, error", [
+        (["--classes", "1"], "need at least two classes"),
+        (["--sequences", "0"], "need at least one sequence and one frame"),
+        (["--context", "0", "6"], "context predecessors must be class ids < K")])
+    def test_synth(self, tmp_path, flags, error, capsys):
+        out = tmp_path / "out"
+        assert run("synth", "--out-dir", str(out), *flags) == 1
+        assert f"error: {error}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, error", [
+        ("--epochs", "epochs must be >= 1"),
+        ("--patience", "patience must be >= 1"),
+        ("--timestep", "timestep must be >= 1")])
+    def test_train(self, synth_dir, split_dir, tmp_path, flag, error, capsys):
+        out = tmp_path / "out"
+        assert run("train", "--arch", "baseline", flag, "0",
+                   "--manifest", str(synth_dir / "manifest.json"),
+                   "--labels", str(synth_dir / "labels.txt"),
+                   "--split", str(split_dir / "split.json"), "--out-dir", str(out)) == 1
+        assert f"error: {error}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_split_into_no_bins(self, synth_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run("split", "--manifest", str(synth_dir / "manifest.json"),
+                   "--labels", str(synth_dir / "labels.txt"), "--out-dir", str(out),
+                   "--bins", "0", "--test-bins", "1", "--val-bins", "1") == 1
+        assert "error: bin counts must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("header, error", [
+        ((0, 1, 0), "header declares empty matrix L=0 D=1"),
+        ((1, 0, 0), "header declares empty matrix L=1 D=0"),
+        ((1, 1, 0x02), "unknown flag bits 0x02")])
+    def test_egoseq_header(self, synth_dir, tmp_path, header, error, capsys):
+        day = tmp_path / "day.egoseq"
+        day.write_bytes(egoseq_header(*header))
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(
+            [{"sequence_id": "s", "user_id": "u", "path": "day.egoseq"}]))
+        out = tmp_path / "out"
+        assert run("split", "--manifest", str(manifest),
+                   "--labels", str(synth_dir / "labels.txt"), "--out-dir", str(out),
+                   "--bins", "4", "--test-bins", "1", "--val-bins", "1") == 2
+        assert f"error: {day}: {error}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("what", ["manifest", "timelines"])
+    def test_json_that_is_not_an_array(self, synth_dir, tmp_path, what, capsys):
+        broken = tmp_path / f"{what}.json"
+        broken.write_text('{"sequence_id": "s"}\n')
+        out = tmp_path / "out"
+        labels = str(synth_dir / "labels.txt")
+        if what == "manifest":
+            argv = ["split", "--manifest", str(broken), "--labels", labels,
+                    "--bins", "4", "--test-bins", "1", "--val-bins", "1"]
+            error = "manifest must be a JSON array"
+        else:
+            argv = ["eval", "--timelines", str(broken), "--labels", labels]
+            error = "expected a JSON array of timelines"
+        assert run(*argv, "--out-dir", str(out)) == 2
+        assert f"error: {broken}: {error}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_labels_beyond_u16_ids(self, tmp_path, capsys):
+        labels = tmp_path / "labels.txt"
+        labels.write_text("".join(f"c{k}\n" for k in range(65537)))
+        timelines = tmp_path / "timelines.json"
+        timelines.write_text("[]\n")
+        out = tmp_path / "out"
+        assert run("eval", "--timelines", str(timelines), "--labels", str(labels),
+                   "--out-dir", str(out)) == 2
+        assert "error: at most 65536 categories (u16 label ids)" in \
+            capsys.readouterr().err
+        assert not out.exists()

@@ -12,6 +12,7 @@ from hypothesis.extra.numpy import arrays
 from egobatch import (
     ConfigError,
     DataError,
+    Dataset,
     DayLabels,
     DaySequence,
     FormatError,
@@ -248,6 +249,13 @@ class TestSequenceFile:
         with pytest.raises(DataError):
             write_sequence_file(seq, tmp_path / "bad.egoseq")
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
+    def test_feature_beyond_float32_rejected_on_write(self, tmp_path):
+        path = tmp_path / "big.egoseq"
+        with pytest.raises(DataError, match="feature value overflows float32 storage"):
+            write_sequence_file(make_seq([[0.0], [1e39]], [0, 1]), path)
+        assert not path.exists()
+
     def test_round_trip_fuzz(self, tmp_path):
         rng = np.random.default_rng(7)
         for case in range(40):
@@ -300,6 +308,27 @@ class TestSequenceFile:
             assert np.array_equal(back.timestamps, stamps)
         write_sequence_file(back, path)
         assert path.read_bytes() == first
+
+
+class TestDataset:
+    def test_rejects_duplicate_ids(self):
+        days = [make_seq([[0.0]], [0], sid=sid) for sid in ("a", "b", "a")]
+        with pytest.raises(DataError, match="sequence ids must be unique within a dataset"):
+            Dataset(LABELS_AB, days)
+
+    def test_by_id_refuses_an_unknown_id(self):
+        data = Dataset(LABELS_AB, [make_seq([[0.0]], [0], sid="a")])
+        with pytest.raises(DataError, match="no sequence with id 'b'"):
+            data.by_id("b")
+
+    def test_by_id_finds_a_day_renamed_after_construction(self):
+        data = generate_synthetic(SynthConfig(num_sequences=3, frames_per_sequence=4,
+                                              seed=2))
+        day = data.sequences[1]
+        old_id, day.sequence_id = day.sequence_id, "renamed"
+        assert data.by_id("renamed") is day
+        with pytest.raises(DataError):
+            data.by_id(old_id)
 
 
 class TestManifest:

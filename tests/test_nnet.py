@@ -29,10 +29,12 @@ from egobatch import (
     softmax,
     write_checkpoint,
 )
+from egobatch.models import LayerStack
 from egobatch.nnet import SGD_CHUNK, _masked_xent_rows, _sigmoid, flatten_layers
 from oracles import (
     reference_lstm_backward,
     reference_lstm_recur,
+    reference_lstm_step,
     reference_masked_xent_rows,
     reference_sgd_update,
     softmax_xent,
@@ -102,6 +104,38 @@ class TestLstmStep:
             for _ in range(4):
                 state = layer.step(rng.normal(scale=10.0, size=in_dim), state)
                 assert np.abs(state.h).max() < 1.0
+
+    def test_step_refuses_an_infinite_cell_behind_a_finite_output(self):
+        # o * tanh(inf) is finite, so only the cell check sees it
+        layer = LstmLayer.create(2, 3, np.random.default_rng(4))
+        state = LstmState(np.zeros(3), np.array([0.0, np.inf, 0.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="non-finite recurrent state"):
+                layer.step(np.ones(2), state)
+
+    def test_step_matches_the_per_gate_reference(self):
+        # states drawn as in test_output_bound; the reference reads only
+        # the per-gate tensors of the stack's params()
+        rng = np.random.default_rng(3)
+        for _ in range(25):
+            hidden = int(rng.integers(1, 6))
+            in_dim = int(rng.integers(1, 6))
+            layer = LstmLayer(
+                rng.normal(scale=20.0, size=(4 * hidden, in_dim)),
+                rng.normal(scale=20.0, size=(4 * hidden, hidden)),
+                rng.normal(scale=5.0, size=4 * hidden),
+            )
+            params = LayerStack(DenseLayer(np.zeros((1, hidden)), np.zeros(1)),
+                                layer).params()
+            state = LstmState(rng.uniform(-1, 1, hidden), rng.normal(size=hidden))
+            h, c = state.h, state.c
+            for _ in range(4):
+                x = rng.normal(scale=10.0, size=in_dim)
+                state = layer.step(x, state)
+                h, c = reference_lstm_step(params, x, h, c)
+                assert np.abs(state.h - h).max() <= 1e-12
+                assert np.abs(state.c - c).max() <= 1e-12
 
     def test_run_matches_steps(self):
         rng = np.random.default_rng(2)
