@@ -254,7 +254,7 @@ def _cmd_predict(args) -> int:
         "manifest": str(args.manifest),
         "labels": str(args.labels),
         "split": str(args.split) if args.split else None,
-        "subset": args.subset,
+        "subset": args.subset if args.split else None,
         "architecture": model.architecture,
         "timestep": args.timestep,
         "overlap": args.overlap,

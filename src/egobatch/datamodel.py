@@ -174,7 +174,8 @@ def write_sequence_file(seq: DaySequence, path: str | Path) -> None:
     | L u16 labels | (flag bit 0) L u32 timestamps. Little-endian throughout.
     """
     seq.validate()
-    feats32 = np.ascontiguousarray(seq.features, dtype="<f4")
+    with np.errstate(over="ignore"):  # an overflow becomes inf, refused below
+        feats32 = np.ascontiguousarray(seq.features, dtype="<f4")
     if not np.isfinite(feats32).all():
         raise DataError("feature value overflows float32 storage")
     length, dim = seq.features.shape

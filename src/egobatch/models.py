@@ -17,7 +17,7 @@ import numpy as np
 from .batching import BatchPlan, batch_plan
 from .datamodel import DaySequence, read_json
 from .errors import ConfigError, DataError, FormatError, NumericError, ShapeError
-from .nnet import GATES, DenseLayer, LstmLayer, run_window, softmax
+from .nnet import GATES, DenseLayer, LstmLayer, layer_views, run_window, softmax
 
 ARCHITECTURES = ("baseline", "sliding", "piggyback")
 DEFAULT_HIDDEN = 256
@@ -67,29 +67,28 @@ class LayerStack:
         """Feature width the stack consumes."""
         return (self.embed or self.lstm or self.head).in_dim
 
-    def params(self) -> dict[str, np.ndarray]:
-        """Live parameter tensors, canonically named, in `layers` order."""
+    def _named(self, per_layer: list) -> dict[str, np.ndarray]:
+        """Canonical names, in `layers` order, for tensors shaped like each
+        layer's `_tensors()`; each gate is a row block of a stack, a view."""
         out: dict[str, np.ndarray] = {}
-        if self.embed is not None:
-            out["embed.W"] = self.embed.weight
-            out["embed.b"] = self.embed.bias
-        lstm = self.lstm
-        if lstm is not None:  # each gate is a row block of the stacks, a view
-            for kind, stack in zip("WUb", (lstm.w_stack, lstm.u_stack, lstm.b_stack)):
-                for k, g in enumerate(GATES):
-                    out[f"lstm.{kind}_{g}"] = stack[k * lstm.hidden:(k + 1) * lstm.hidden]
-        out["head.W"] = self.head.weight
-        out["head.b"] = self.head.bias
+        present = [name for name in ("embed", "lstm", "head") if getattr(self, name) is not None]
+        for prefix, tensors in zip(present, per_layer):
+            if prefix != "lstm":
+                out[f"{prefix}.W"], out[f"{prefix}.b"] = tensors
+                continue
+            for kind, stack in zip("WUb", tensors):
+                for g, block in zip(GATES, np.split(stack, len(GATES))):
+                    out[f"lstm.{kind}_{g}"] = block
         return out
 
+    def params(self) -> dict[str, np.ndarray]:
+        """Live parameter tensors, canonically named, in `layers` order."""
+        return self._named([layer._tensors() for layer in self.layers])
+
     def unflatten(self, vector: np.ndarray) -> dict[str, np.ndarray]:
-        """Views of a vector laid out like `flatten_layers(self.layers)`,
+        """Views of a vector laid out by `layer_views(self.layers, ...)`,
         named like `params()`."""
-        views, offset = {}, 0
-        for name, w in self.params().items():
-            views[name] = vector[offset:offset + w.size].reshape(w.shape)
-            offset += w.size
-        return views
+        return self._named(layer_views(self.layers, vector))
 
     def carry_stage(self) -> "LayerStack":
         """The sub-stack trained when the embedding is frozen; it shares this

@@ -8,9 +8,9 @@ optional recurrent `lstm` and an affine `head` producing class logits, with
 A training run lays the tensors of the layers it trains back to back in one
 vector (`flatten_layers`), rebinding the layers to views of it.
 `backprop_window` writes a window's gradients into one vector with the same
-layout, so each step updates the whole stack with one `sgd_update` over the
-two vectors, which runs its element-wise passes chunk by chunk to stay in
-cache.
+layout, which `layer_views` alone computes, so each step updates the whole
+stack with one `sgd_update` over the two vectors, which runs its element-wise
+passes chunk by chunk to stay in cache.
 
 Checkpoints (.egomdl) store named float64 tensors, lexicographically ordered,
 little-endian.
@@ -88,11 +88,6 @@ class DenseLayer:
     @property
     def out_dim(self) -> int:
         return self.weight.shape[0]
-
-    @property
-    def size(self) -> int:
-        """Parameter count."""
-        return self.weight.size + self.bias.size
 
     def _tensors(self) -> tuple[np.ndarray, ...]:
         return self.weight, self.bias
@@ -186,11 +181,6 @@ class LstmLayer:
     def in_dim(self) -> int:
         return self.w_stack.shape[1]
 
-    @property
-    def size(self) -> int:
-        """Parameter count."""
-        return self.w_stack.size + self.u_stack.size + self.b_stack.size
-
     def step(self, x: np.ndarray, state: LstmState) -> LstmState:
         """Advance one position; the returned h is strictly inside (-1, 1)."""
         x = np.asarray(x, dtype=np.float64)
@@ -259,22 +249,16 @@ class LstmLayer:
                 f"expected B x T x {self.in_dim} inputs, got {inputs.shape}")
         return self._recur(inputs)[3]
 
-    def backward(self, cache: _LstmCache, d_outputs: np.ndarray,
-                 out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def backward(self, cache: _LstmCache, d_outputs: np.ndarray, dw: np.ndarray,
+                 du: np.ndarray, db: np.ndarray) -> np.ndarray:
         """Exact truncated-BPTT gradients for one window.
 
         `d_outputs` is dLoss/dh per position. The parameter gradients go into
-        `out`, a vector of the layer's size laid out like its storage:
-        dW (4H x D), dU (4H x H) and db (4H) back to back, stacked like the
-        gates. Returns `out` and the T x 4H gate pre-activation gradient;
-        dLoss/dinputs is that times `w_stack`, for a caller that needs it.
+        `dw` (4H x D), `du` (4H x H) and `db` (4H), stacked like the gates.
+        Returns the T x 4H gate pre-activation gradient; dLoss/dinputs is
+        that times `w_stack`, for a caller that needs it.
         """
         steps, hid = d_outputs.shape
-        w_end = self.w_stack.size
-        u_end = w_end + self.u_stack.size
-        dw = out[:w_end].reshape(self.w_stack.shape)
-        du = out[w_end:u_end].reshape(self.u_stack.shape)
-        db = out[u_end:]
         # Per position and gate the chain rule is ((s * a) * b) * c with
         # s = (dc, dc, dh, dc); the factors a, b, c of every position are
         # built first. The products run in the order of the per-gate
@@ -311,22 +295,27 @@ class LstmLayer:
         np.matmul(d_pre.T, cache.inputs, out=dw)
         np.matmul(d_pre.T, h_prev, out=du)
         d_pre.sum(axis=0, out=db)
-        return out, d_pre
+        return d_pre
+
+
+def layer_views(layers: list, vector: np.ndarray) -> list[list[np.ndarray]]:
+    """For each layer, views of `vector` shaped like its `_tensors()`; the
+    tensors of `layers` lie back to back in order, as `flatten_layers` and
+    `backprop_window` lay them out."""
+    views, offset = [], 0
+    for layer in layers:
+        views.append([])
+        for t in layer._tensors():
+            views[-1].append(vector[offset:offset + t.size].reshape(t.shape))
+            offset += t.size
+    return views
 
 
 def flatten_layers(layers: list) -> np.ndarray:
-    """A new vector holding the tensors of `layers` back to back, in order.
-
-    Every layer is rebound to views of the vector, so updating the vector
-    updates the layers.
-    """
+    """A new vector holding the tensors of `layers`, laid out by `layer_views`;
+    every layer is rebound to its views, so updating the vector updates it."""
     flat = np.concatenate([t.reshape(-1) for layer in layers for t in layer._tensors()])
-    offset = 0
-    for layer in layers:
-        views = []
-        for t in layer._tensors():
-            views.append(flat[offset:offset + t.size].reshape(t.shape))
-            offset += t.size
+    for layer, views in zip(layers, layer_views(layers, flat)):
         layer._bind(*views)
     return flat
 
@@ -413,7 +402,7 @@ def backprop_window(model, inputs: np.ndarray, labels: np.ndarray,
                     ) -> tuple[float, np.ndarray, WindowForward]:
     """Loss and exact gradients of the mean masked cross-entropy over a window.
 
-    The gradients are one new vector laid out like `flatten_layers` lays out
+    The gradients are one new vector laid out by `layer_views` over
     `model.layers`; `model.unflatten` names its parts. Masked-out steps
     contribute nothing to the loss or any gradient, and a window with no
     supervised step is refused. Dropout follows `dropout_rate` alone (as in
@@ -425,7 +414,6 @@ def backprop_window(model, inputs: np.ndarray, labels: np.ndarray,
     mask = np.ones(steps, dtype=bool) if loss_mask is None else np.asarray(loss_mask, dtype=bool)
     if labels.shape != (steps,) or mask.shape != (steps,):
         raise ShapeError("labels and loss mask must have one entry per step")
-    size = sum(layer.size for layer in model.layers)
     if not mask.any():
         raise DataError("degenerate window: every step is loss-masked")
     supervised = labels[mask]
@@ -437,26 +425,25 @@ def backprop_window(model, inputs: np.ndarray, labels: np.ndarray,
     if not np.isfinite(loss):
         raise NumericError("non-finite window loss")
 
-    grads = np.empty(size)
-    _dense_grads(dlogits, fwd._head_inputs, grads[size - model.head.size:])
+    grads = np.empty(sum(t.size for layer in model.layers for t in layer._tensors()))
+    *below, head_grads = layer_views(model.layers, grads)
+    _dense_grads(dlogits, fwd._head_inputs, *head_grads)
     if model.lstm is None:  # nothing below the head reads its input gradient
         return loss, grads, fwd
     d_rows = dlogits @ model.head.weight
     if fwd._dropout_scale is not None:
         d_rows = d_rows * fwd._dropout_scale
-    start = 0 if model.embed is None else model.embed.size
-    _, d_pre = model.lstm.backward(fwd._lstm_cache, d_rows,
-                                   out=grads[start:start + model.lstm.size])
+    d_pre = model.lstm.backward(fwd._lstm_cache, d_rows, *below[-1])
     if model.embed is not None:
-        _dense_grads(d_pre @ model.lstm.w_stack, inputs, grads[:start])
+        _dense_grads(d_pre @ model.lstm.w_stack, inputs, *below[0])
     return loss, grads, fwd
 
 
-def _dense_grads(d_outputs: np.ndarray, inputs: np.ndarray, out: np.ndarray) -> None:
-    """Write an affine layer's dW | db for a window into `out`."""
-    rows, cols = d_outputs.shape[1], inputs.shape[1]
-    np.matmul(d_outputs.T, inputs, out=out[:rows * cols].reshape(rows, cols))
-    d_outputs.sum(axis=0, out=out[rows * cols:])
+def _dense_grads(d_outputs: np.ndarray, inputs: np.ndarray, dw: np.ndarray,
+                 db: np.ndarray) -> None:
+    """Write an affine layer's dW and db for a window into `dw` and `db`."""
+    np.matmul(d_outputs.T, inputs, out=dw)
+    d_outputs.sum(axis=0, out=db)
 
 
 # ---------------------------------------------------------------------------
@@ -590,8 +577,6 @@ def write_checkpoint(params: dict[str, np.ndarray], path: str | Path) -> None:
         encoded = name.encode("utf-8")
         if len(encoded) > 0xFFFF:
             raise DataError(f"tensor name too long: {name!r}")
-        if arr.ndim > 0xFF:
-            raise DataError(f"tensor rank too large: {name!r}")
         parts.append(struct.pack(f"<H{len(encoded)}sB{arr.ndim}I", len(encoded),
                                  encoded, arr.ndim, *arr.shape))
         # the bytes of a C-ordered array; memoryview.cast refuses a size-0 dim

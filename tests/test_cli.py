@@ -5,6 +5,7 @@ import struct
 import subprocess
 import sys
 import time
+import warnings
 import weakref
 from pathlib import Path
 
@@ -1119,6 +1120,21 @@ class TestConfigJson:
         assert list(config)[4] == "hidden"
         assert config["hidden"] == hidden
 
+    @pytest.mark.parametrize("split, subset, days", [(False, None, 8), (True, "val", 1)])
+    def test_predict_records_the_subset_it_predicted(self, synth_dir, split_dir, tmp_path,
+                                                     split, subset, days):
+        # without --split every day is predicted, and --subset means nothing
+        checkpoint = tmp_path / "model.egomdl"
+        write_checkpoint(build_baseline(16, 6, seed=2).params(), checkpoint)
+        flags = ["--split", str(split_dir / "split.json")] if split else []
+        assert run("predict", "--model", str(checkpoint), *flags, "--subset", "val",
+                   "--manifest", str(synth_dir / "manifest.json"),
+                   "--labels", str(synth_dir / "labels.txt"),
+                   "--out-dir", str(tmp_path / "out")) == 0
+        config = json.loads((tmp_path / "out" / "config.json").read_text())
+        assert config["subset"] == subset
+        assert len(json.loads((tmp_path / "out" / "timelines.json").read_text())) == days
+
 
 def no_grad_check(*args, **kwargs):
     raise AssertionError("a gradient check ran")
@@ -1174,6 +1190,14 @@ class TestRefusals:
                    "--split", str(split_dir / "split.json"), "--out-dir", str(out)) == 1
         assert f"error: {error}" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_synth_beyond_float32_warns_nothing(self, tmp_path, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run("synth", "--out-dir", str(tmp_path / "out"), "--mean-scale", "1e39",
+                       "--sequences", "1", "--frames", "4") == 2
+        assert capsys.readouterr().err == "error: feature value overflows float32 storage\n"
+        assert caught == []
 
     def test_split_into_no_bins(self, synth_dir, tmp_path, capsys):
         out = tmp_path / "out"

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 import struct
 
 import numpy as np
@@ -249,7 +250,6 @@ class TestSequenceFile:
         with pytest.raises(DataError):
             write_sequence_file(seq, tmp_path / "bad.egoseq")
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
     def test_feature_beyond_float32_rejected_on_write(self, tmp_path):
         path = tmp_path / "big.egoseq"
         with pytest.raises(DataError, match="feature value overflows float32 storage"):
@@ -607,3 +607,30 @@ class TestSynthetic:
             SynthConfig(context_map={4: 0, 5: 0})
         with pytest.raises(ConfigError):
             SynthConfig(feature_dim=3)
+
+
+class TestGuards:
+    """Each guard raises its error with its message."""
+
+    @pytest.mark.parametrize("call, error, message", [
+        pytest.param(lambda: make_seq(np.zeros((0, 2)), []), DataError,
+                     "features must be a non-empty 2-D matrix, got shape (0, 2)",
+                     id="day-no-rows"),
+        pytest.param(lambda: DaySequence("s", "u", np.zeros(3), [0, 0, 0]), DataError,
+                     "features must be a non-empty 2-D matrix, got shape (3,)",
+                     id="day-features-1d"),
+        pytest.param(lambda: make_seq([[1.0]], [65536]), DataError,
+                     "label ids must be in [0, 65535]", id="day-label-beyond-u16"),
+        pytest.param(lambda: make_seq([[1.0], [2.0]], [0, 0], timestamps=[1]), DataError,
+                     "timestamps length must equal frame count", id="day-timestamps-length"),
+        pytest.param(lambda: Dataset(LABELS_AB, [make_seq([[1.0]], [2])]), DataError,
+                     "sequence 'seq0' uses label ids >= K=2", id="dataset-label-k"),
+        pytest.param(lambda: Dataset(LABELS_AB, []).feature_dim, DataError,
+                     "empty dataset has no feature dim", id="empty-dataset-feature-dim"),
+        pytest.param(lambda: SynthConfig(context_map={4: 0, 3: 1}), ConfigError,
+                     "context_map must give a predecessor for each pair member",
+                     id="synth-context-keys"),
+    ])
+    def test_refuses(self, call, error, message):
+        with pytest.raises(error, match=re.escape(message)):
+            call()

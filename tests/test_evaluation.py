@@ -1,5 +1,7 @@
 import csv
 import json
+import os
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -185,3 +187,19 @@ class TestExports:
         lines = path.read_text().strip().split("\n")
         assert lines[1] == "walk,0.500000,0.500000"
         assert lines[2] == "eat,0.000000,1.000000"
+
+
+class TestGuards:
+    """Each guard raises its error with its message."""
+
+    @pytest.mark.parametrize("call, error, message", [
+        pytest.param(lambda: macro_report(np.ones((2, 3), dtype=np.int64)), DataError,
+                     "confusion matrix must be square and non-empty", id="report-not-square"),
+        pytest.param(lambda: write_confusion_csv(np.ones((3, 3), dtype=np.int64),
+                                                 LabelSet(("a", "b")), os.devnull),
+                     DataError, "matrix shape (3, 3) does not match 2 classes",
+                     id="csv-not-k-by-k"),
+    ])
+    def test_refuses(self, call, error, message):
+        with pytest.raises(error, match=re.escape(message)):
+            call()

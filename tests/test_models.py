@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -576,3 +577,18 @@ class TestTimelineValidation:
         with pytest.raises(DataError):
             PredictionTimeline("x", np.zeros(0, int), np.zeros(0, int),
                                np.zeros((0, 2)))
+
+
+class TestGuards:
+    """Each guard raises its error with its message."""
+
+    @pytest.mark.parametrize("call, error, message", [
+        pytest.param(lambda: PredictionTimeline("s", [0, 1], [0], np.full((2, 2), 0.5)),
+                     DataError, "timeline fields must cover the same frame count",
+                     id="timeline-lengths"),
+        pytest.param(lambda: PredictionTimeline("s", [0, 1], [0, 1], np.full(2, 0.5)),
+                     DataError, "probabilities must be an L x K matrix", id="timeline-probs-1d"),
+    ])
+    def test_refuses(self, call, error, message):
+        with pytest.raises(error, match=re.escape(message)):
+            call()

@@ -1,4 +1,6 @@
 import math
+import os
+import re
 import struct
 import warnings
 
@@ -30,7 +32,8 @@ from egobatch import (
     write_checkpoint,
 )
 from egobatch.models import LayerStack
-from egobatch.nnet import SGD_CHUNK, _masked_xent_rows, _sigmoid, flatten_layers
+from egobatch.nnet import (SGD_CHUNK, _masked_xent_rows, _sigmoid, flatten_layers,
+                           layer_views)
 from oracles import (
     reference_lstm_backward,
     reference_lstm_recur,
@@ -299,12 +302,9 @@ class TestLstmBackward:
                 layer.b_stack[...] = rng.normal(size=4 * hidden)
                 _, cache = layer.run(rng.normal(scale=2.0, size=(steps, in_dim)))
                 d_outputs = rng.normal(size=(steps, hidden))
-                grads, d_pre = layer.backward(cache, d_outputs, np.empty(layer.size))
+                stacked = {kind: np.empty_like(t) for kind, t in zip("WUb", layer._tensors())}
+                d_pre = layer.backward(cache, d_outputs, *stacked.values())
                 want, want_inputs = reference_lstm_backward(layer, cache, d_outputs)
-                w_end, u_end = layer.w_stack.size, layer.w_stack.size + layer.u_stack.size
-                stacked = {"W": grads[:w_end].reshape(layer.w_stack.shape),
-                           "U": grads[w_end:u_end].reshape(layer.u_stack.shape),
-                           "b": grads[u_end:]}
                 for k, gate in enumerate("ifoc"):
                     for kind, stack in stacked.items():
                         got = stack[k * hidden:(k + 1) * hidden]
@@ -315,9 +315,10 @@ class TestLstmBackward:
         rng = np.random.default_rng(28)
         layer = LstmLayer.create(3, 4, rng)
         _, cache = layer.run(rng.normal(size=(5, 3)))
-        out = np.full(layer.size + 2, np.nan)
-        got, _ = layer.backward(cache, rng.normal(size=(5, 4)), out=out[1:-1])
-        assert np.shares_memory(got, out)
+        out = np.full(sum(t.size for t in layer._tensors()) + 2, np.nan)
+        (views,) = layer_views([layer], out[1:-1])
+        assert all(np.shares_memory(view, out) for view in views)
+        layer.backward(cache, rng.normal(size=(5, 4)), *views)
         assert np.isfinite(out[1:-1]).all()
         assert np.isnan(out[[0, -1]]).all()
 
@@ -790,3 +791,40 @@ def test_masked_xent_rows_matches_per_frame():
             assert np.allclose(dlogits[t], singles[t][1] / mask.sum(), atol=1e-12)
         else:
             assert np.array_equal(dlogits[t], np.zeros(4))
+
+
+def small_sliding():
+    return build_sliding(3, 2, hidden=2, seed=0)
+
+
+class TestGuards:
+    """Each guard raises its error with its message."""
+
+    @pytest.mark.parametrize("call, error, message", [
+        pytest.param(lambda: DenseLayer(np.zeros((2, 3)), np.zeros(3)), ShapeError,
+                     "dense layer needs (out,in) weight and (out,) bias", id="dense-shapes"),
+        pytest.param(lambda: LstmLayer(np.zeros((8, 3)), np.zeros((8, 3)), np.zeros(8)),
+                     ShapeError, "inconsistent stacked gate shapes", id="lstm-stacks"),
+        pytest.param(lambda: zero_lstm(3, 2).step(np.zeros(4), LstmState.zeros(2)),
+                     ShapeError, "expected input of length 3, got (4,)", id="step-input"),
+        pytest.param(lambda: zero_lstm(3, 2).step(np.zeros(3), LstmState.zeros(5)),
+                     ShapeError, "state size does not match the hidden size",
+                     id="step-state"),
+        pytest.param(lambda: run_window(small_sliding(), np.zeros(3)),
+                     ShapeError, "window inputs must be a T x D matrix", id="window-rank"),
+        pytest.param(lambda: run_window(small_sliding(), np.zeros((4, 3)), dropout_rate=0.5),
+                     ConfigError, "dropout requires an rng", id="dropout-without-rng"),
+        pytest.param(lambda: backprop_window(small_sliding(), np.zeros((4, 3)), [0, 1, 0]),
+                     ShapeError, "labels and loss mask must have one entry per step",
+                     id="labels-length"),
+        pytest.param(lambda: backprop_window(small_sliding(), np.zeros((4, 3)), [0, 1, 0, 1],
+                                             [True, True, False]),
+                     ShapeError, "labels and loss mask must have one entry per step",
+                     id="mask-length"),
+        # 32768 characters, 65536 UTF-8 bytes
+        pytest.param(lambda: write_checkpoint({"\u00e9" * 32768: np.zeros(1)}, os.devnull),
+                     DataError, "tensor name too long", id="checkpoint-name-bytes"),
+    ])
+    def test_refuses(self, call, error, message):
+        with pytest.raises(error, match=re.escape(message)):
+            call()

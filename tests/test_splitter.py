@@ -1,4 +1,5 @@
 import math
+import re
 import time
 
 import numpy as np
@@ -425,3 +426,17 @@ class TestSplitJson:
         assert set(obj) == {"test", "val", "train", "objective_test",
                             "objective_val", "bins"}
         assert obj["test"] == ["s2"]
+
+
+class TestGuards:
+    """Each guard raises its error with its message."""
+
+    @pytest.mark.parametrize("call, error, message", [
+        pytest.param(lambda: ffd_pack([], capacity=10), ConfigError, "nothing to pack",
+                     id="pack-nothing"),
+        pytest.param(lambda: ffd_pack([3, 0], capacity=10), ConfigError,
+                     "item sizes must be positive", id="pack-size-0"),
+    ])
+    def test_refuses(self, call, error, message):
+        with pytest.raises(error, match=re.escape(message)):
+            call()

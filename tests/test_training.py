@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -453,3 +454,18 @@ class TestReportSerialization:
         assert obj["best_epoch"] == result.report.best_epoch
         assert len(obj["epochs"]) == len(result.report.epochs)
         assert obj["epochs"][0]["train_loss"] == result.report.epochs[0].train_loss
+
+
+class TestGuards:
+    """Each guard raises its error with its message."""
+
+    @pytest.mark.parametrize("call, error, message", [
+        pytest.param(lambda: TrainConfig("piggyback", overlap=2, phase=3), ConfigError,
+                     "phase must be 1 or 2", id="piggyback-phase-3"),
+        pytest.param(lambda: training_module.validate_model(build_baseline(3, 2), [], 5, 0),
+                     ConfigError, "validation needs at least one frame",
+                     id="validate-no-days"),
+    ])
+    def test_refuses(self, call, error, message):
+        with pytest.raises(error, match=re.escape(message)):
+            call()
