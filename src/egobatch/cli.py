@@ -47,7 +47,7 @@ from .models import (
     ARCHITECTURES,
     build_stack,
     model_from_params,
-    predict_sequence,
+    predict_days,
     read_timelines_json,
     write_timelines_json,
 )
@@ -228,22 +228,19 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_predict(args) -> int:
+    if args.subset is not None and not args.split:
+        raise ConfigError("--subset needs --split; without it every day is predicted")
+    subset = args.subset or "test"
     days = read_manifest(args.manifest, args.labels)
     if args.split:
-        days = days.subset(read_split_ids(args.split)[args.subset])
+        days = days.subset(read_split_ids(args.split)[subset])
     model = model_from_params(read_checkpoint(args.model))
     if model.head.out_dim != days.label_set.size:
         raise ShapeError("model class count does not match the label set")
 
-    # each day, in the split's order, is predicted and dropped before the next
-    timelines = []
-    for seq in days:
-        if seq.feature_dim != model.input_dim:
-            raise ShapeError(f"model input width does not match sequence "
-                             f"{seq.sequence_id!r}")
-        timelines.append(predict_sequence(model, seq, args.timestep, args.overlap,
-                                          retention=args.retention))
-        del seq
+    # the days are read in the split's order, and the timelines keep it
+    timelines = predict_days(model, days, args.timestep, args.overlap,
+                             retention=args.retention)
 
     out = _out_dir(args)
     write_timelines_json(timelines, out / "timelines.json",
@@ -254,7 +251,7 @@ def _cmd_predict(args) -> int:
         "manifest": str(args.manifest),
         "labels": str(args.labels),
         "split": str(args.split) if args.split else None,
-        "subset": args.subset if args.split else None,
+        "subset": subset if args.split else None,
         "architecture": model.architecture,
         "timestep": args.timestep,
         "overlap": args.overlap,
@@ -392,7 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--split", default=None, help="restrict to one split subset")
-    p.add_argument("--subset", choices=("test", "val", "train"), default="test")
+    p.add_argument("--subset", choices=("test", "val", "train"), default=None,
+                   help="the --split subset to predict (default: test)")
     p.add_argument("--timestep", type=int, default=5)
     p.add_argument("--overlap", type=int, default=2)
     p.add_argument("--retention", choices=("earlier", "later"), default="earlier",

@@ -8,6 +8,7 @@ previous batch's recurrent outputs at overlapped positions.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .batching import BatchPlan, batch_plan
-from .datamodel import DaySequence, read_json
+from .datamodel import DayLabels, DaySequence, read_json
 from .errors import ConfigError, DataError, FormatError, NumericError, ShapeError
 from .nnet import GATES, DenseLayer, LstmLayer, layer_views, run_window, softmax
 
@@ -211,48 +212,11 @@ def predict_baseline(model: LayerStack, seq: DaySequence) -> PredictionTimeline:
     return _timeline_from_logits(seq, logits)
 
 
-def _plan_logits(model, seq: DaySequence, plan: BatchPlan, overlap: int = 0,
-                 retention: str = "earlier") -> np.ndarray:
-    """Per-frame logits of a recurrent stack run over the batches of `plan`.
-
-    The padded day's rows are gathered and widened to float64 once, before
-    the embedding and before any carry writes into them, and embedded once
-    (when the stack has an embedding).
-    Without overlap the batches are independent and run in one batched
-    recurrent pass and one head product. With overlap m they run in plan
-    order, and the first m recurrent inputs of every batch after the first
-    are the previous batch's last m recurrent outputs. A frame inside an
-    overlap then has two outputs; `retention` keeps the one of the batch
-    where the frame was new ("earlier") or of the batch that carried it
-    ("later").
-    """
-    n, m = plan.size, overlap
-    count = len(plan.starts)
+def _embedded_rows(model, seq: DaySequence, plan: BatchPlan) -> np.ndarray:
+    """The padded day's rows of `plan`, gathered and widened to float64 once,
+    then embedded once when the stack has an embedding."""
     rows = np.asarray(plan.rows(seq.features), dtype=np.float64)
-    if model.embed is not None:
-        rows = model.embed.forward_rows(rows)
-    if not m:
-        h_rows = model.lstm.forward_batch(rows.reshape(count, n, -1))
-        logits = model.head.forward_rows(h_rows.reshape(count * n, -1))
-    else:
-        # the head runs per batch: one product over all batches can round
-        # the rows of a batch's tail differently
-        logits = np.empty((count * n, model.head.out_dim))
-        for k, start in enumerate(plan.starts):
-            inputs = rows[start:start + n]
-            if k:
-                # overwrites positions the previous batch has already read
-                inputs[:m] = h_rows[-m:]
-            h_rows = model.lstm.forward_batch(inputs[np.newaxis])[0]
-            logits[k * n:(k + 1) * n] = model.head.forward_rows(h_rows)
-    kept = np.ones((count, n), dtype=bool)
-    if retention == "earlier":
-        kept[1:, :m] = False
-    else:
-        kept[:-1, n - m:] = False
-    kept &= plan.valid[plan.starts[:, np.newaxis] + np.arange(n)]
-    # batches and positions ascend, so the kept rows are in frame order
-    return logits.reshape(count, n, -1)[kept]
+    return rows if model.embed is None else model.embed.forward_rows(rows)
 
 
 def predict_sliding_sequence(model, seq: DaySequence, timestep: int) -> PredictionTimeline:
@@ -265,24 +229,86 @@ def predict_sliding_sequence(model, seq: DaySequence, timestep: int) -> Predicti
     The windows are independent, so all of them run in one batched pass.
     """
     plan = batch_plan(len(seq), timestep)
-    return _timeline_from_logits(seq, _plan_logits(model, seq, plan))
+    count = len(plan.starts)
+    rows = _embedded_rows(model, seq, plan)
+    h_rows = model.lstm.forward_batch(rows.reshape(count, timestep, -1))
+    logits = model.head.forward_rows(h_rows.reshape(count * timestep, -1))
+    # the windows abut, so the padded positions are the last window's tail
+    return _timeline_from_logits(seq, logits[plan.valid])
 
 
-def piggyback_logits(model: LayerStack, seq: DaySequence, batch_size: int,
-                     overlap: int, retention: str = "earlier") -> np.ndarray:
-    """Per-frame logits of the batched carry-over forward pass.
+def _check_width(model: LayerStack, seq: DaySequence) -> None:
+    if seq.feature_dim != model.input_dim:
+        raise ShapeError(f"model input width does not match sequence {seq.sequence_id!r}")
 
-    Batches of n frames with stride n - m run in plan order, each carrying
-    the previous batch's last m recurrent outputs; see `_plan_logits` for
-    `retention`. A day of at most n frames is one right-padded batch with no
-    carry.
+
+def piggyback_days_logits(model: LayerStack, days: Iterable[DaySequence], batch_size: int,
+                          overlap: int, retention: str = "earlier"
+                          ) -> list[tuple[DayLabels, np.ndarray]]:
+    """Each day's labels and per-frame logits from the carried forward pass,
+    in the order of `days`.
+
+    A day runs in batches of n frames with stride n - m. From its second
+    batch on, the first m recurrent inputs of a batch are the previous
+    batch's last m recurrent outputs. A frame inside an overlap then has two
+    outputs; `retention` keeps the one of the batch where the frame was new
+    ("earlier") or of the batch that carried it ("later"). A day of at most
+    n frames is one right-padded batch with no carry.
+
+    Only the batches of one day are sequential, so the days run in lock
+    step. Each day is embedded as it is read, and only its h-wide float64
+    rows are kept. The days are ordered by batch count, most first (a stable
+    sort), so the days that have a batch k are a prefix. Batch k of all of
+    them runs in one recurrent pass, each day taking its own carry, and one
+    head product. A day alone rounds as it did when its batches ran one at a
+    time; a batch shared by several days can round differently in the last
+    bits.
     """
     if retention not in RETENTIONS:
         raise ConfigError(f"retention must be one of {RETENTIONS}, got {retention!r}")
     if overlap < 1:
         raise ConfigError(f"overlap must satisfy 0 < m < n, got n={batch_size} m={overlap}")
-    plan = batch_plan(len(seq), batch_size, overlap)
-    return _plan_logits(model, seq, plan, overlap, retention)
+    n, m = batch_size, overlap
+    held = []  # per day: its input position, labels, plan and embedded rows
+    for seq in days:
+        _check_width(model, seq)
+        plan = batch_plan(len(seq), n, m)
+        held.append((len(held), DayLabels(seq.sequence_id, seq.labels, seq.feature_dim),
+                     plan, _embedded_rows(model, seq, plan)))
+        del seq  # dropped before the next day is read
+    held.sort(key=lambda day: -len(day[2].starts))  # stable
+    counts = [len(plan.starts) for _, _, plan, _ in held]
+    per_day = [np.empty((count, n, model.head.out_dim)) for count in counts]
+    live = len(held)
+    for k in range(counts[0] if held else 0):
+        while counts[live - 1] <= k:
+            live -= 1
+        start = k * (n - m)
+        inputs = np.stack([rows[start:start + n] for *_, rows in held[:live]])
+        if k:
+            inputs[:, :m] = h_rows[:live, -m:]
+        h_rows = model.lstm.forward_batch(inputs)
+        step = model.head.forward_rows(h_rows.reshape(live * n, -1))
+        for logits, batch in zip(per_day, step.reshape(live, n, -1)):
+            logits[k] = batch
+    result = [None] * len(held)
+    for (position, labels, plan, _), logits in zip(held, per_day):
+        kept = np.ones(logits.shape[:2], dtype=bool)
+        if retention == "earlier":
+            kept[1:, :m] = False
+        else:
+            kept[:-1, n - m:] = False
+        kept &= plan.valid[plan.starts[:, np.newaxis] + np.arange(n)]
+        # batches and positions ascend, so the kept rows are in frame order
+        result[position] = (labels, logits[kept])
+    return result
+
+
+def piggyback_logits(model: LayerStack, seq: DaySequence, batch_size: int,
+                     overlap: int, retention: str = "earlier") -> np.ndarray:
+    """Per-frame logits of one day's carried forward pass; see
+    `piggyback_days_logits`, whose one-day call this is."""
+    return piggyback_days_logits(model, [seq], batch_size, overlap, retention)[0][1]
 
 
 def predict_piggyback_sequence(model: LayerStack, seq: DaySequence,
@@ -305,6 +331,26 @@ def predict_sequence(model: LayerStack, seq: DaySequence, timestep: int, overlap
     if model.embed is None or overlap == 0:
         return predict_sliding_sequence(model, seq, timestep)
     return predict_piggyback_sequence(model, seq, timestep, overlap, retention=retention)
+
+
+def predict_days(model: LayerStack, days: Iterable[DaySequence], timestep: int,
+                 overlap: int, retention: str = "earlier") -> list[PredictionTimeline]:
+    """Timelines of `days`, in their order, predicted as `predict_sequence`
+    predicts each day; `predict` and validation call this.
+
+    A piggyback stack at overlap m > 0 runs its days in lock step through
+    `piggyback_days_logits`. Every other stack, and a piggyback stack at
+    m = 0, predicts each day as it is read and drops it before the next.
+    """
+    if model.embed is not None and overlap:
+        return [_timeline_from_logits(day, logits) for day, logits in
+                piggyback_days_logits(model, days, timestep, overlap, retention)]
+    timelines = []
+    for seq in days:
+        _check_width(model, seq)
+        timelines.append(predict_sequence(model, seq, timestep, overlap, retention))
+        del seq  # dropped before the next day is read
+    return timelines
 
 
 # ---------------------------------------------------------------------------

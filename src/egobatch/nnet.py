@@ -571,12 +571,13 @@ def write_checkpoint(params: dict[str, np.ndarray], path: str | Path) -> None:
     # written from the tensors' own memory: no in-memory copy of the model.
     parts = [CHECKPOINT_MAGIC, struct.pack("<I", len(params))]
     for name in sorted(params):
+        encoded = name.encode("utf-8")
+        if len(encoded) > 0xFFFF:  # checked first: the other messages quote the name
+            raise DataError(f"tensor name too long: {len(encoded)} UTF-8 bytes, "
+                            f"the limit is 65535")
         arr = np.asarray(params[name], dtype="<f8", order="C")  # keeps rank 0
         if not np.isfinite(arr).all():
             raise DataError(f"refusing to write non-finite tensor {name!r}")
-        encoded = name.encode("utf-8")
-        if len(encoded) > 0xFFFF:
-            raise DataError(f"tensor name too long: {name!r}")
         parts.append(struct.pack(f"<H{len(encoded)}sB{arr.ndim}I", len(encoded),
                                  encoded, arr.ndim, *arr.shape))
         # the bytes of a C-ordered array; memoryview.cast refuses a size-0 dim

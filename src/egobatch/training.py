@@ -7,8 +7,9 @@ Each run lays the trained layers' tensors out in one vector, so a step is
 one update over that vector and its gradient.
 The overlap architecture trains in two phases: phase 1 on non-overlapping
 consecutive batches with the full stack, phase 2 on the overlap plan with
-carry-over and a frozen embedding. Validation predicts each day as `predict`
-does, through `predict_sequence` at the run's size and overlap (0 in phase 1).
+carry-over and a frozen embedding. Validation predicts the val days as
+`predict` does, through `predict_days` at the run's size and overlap (0 in
+phase 1).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from .batching import batch_plan, sliding_plan
 from .datamodel import DaySequence, write_json
 from .errors import ConfigError, NumericError
-from .models import ARCHITECTURES, LayerStack, PredictionTimeline, predict_sequence
+from .models import ARCHITECTURES, LayerStack, predict_days
 from .nnet import OptimizerState, backprop_window, flatten_layers, sgd_update
 
 _IMPROVEMENT = 1e-12  # a validation loss must beat the best by more than this
@@ -108,18 +109,19 @@ class TrainResult:
 def validate_model(model, val_seqs: Sequence[DaySequence], timestep: int,
                    overlap: int) -> tuple[float, float]:
     """Mean per-frame cross-entropy and accuracy over validation sequences,
-    each predicted by `predict_sequence` at `timestep` and `overlap`, as
-    `predict` predicts it.
+    predicted by `predict_days` at `timestep` and `overlap`, as `predict`
+    predicts them.
 
     Summation order is fixed (sequence order, ascending frames) so the result
-    is bit-reproducible; each day is dropped before the next is read.
+    is bit-reproducible. A carried piggyback stack (overlap > 0) runs the
+    days in lock step and keeps each day's embedded rows, not its features,
+    until all are predicted; any other stack drops each day before the next
+    is read.
     """
     total_loss = 0.0
     total_correct = 0
     total_frames = 0
-    for seq in val_seqs:
-        timeline: PredictionTimeline = predict_sequence(model, seq, timestep, overlap)
-        del seq  # dropped before the next day is read
+    for timeline in predict_days(model, val_seqs, timestep, overlap):
         p_true = timeline.probs[np.arange(len(timeline)), timeline.true_labels]
         total_loss += float(-np.log(np.maximum(p_true, 1e-300)).sum())
         total_correct += int((timeline.pred_labels == timeline.true_labels).sum())
@@ -147,6 +149,8 @@ def _train(model: LayerStack, train_seqs: Sequence[DaySequence],
     run in order, and the first m inputs of each are replaced by the
     previous batch's last m recurrent outputs. Each day is dropped, with its
     rows and last forward pass, before the next is read (from a `Manifest`).
+    Validation does the same, except in phase 2, where it runs the val days
+    in lock step and holds their embedded rows until all are predicted.
 
     The report holds every decision: an epoch whose validation loss
     undercuts the best epoch's by more than 1e-12 becomes the best epoch (the

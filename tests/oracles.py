@@ -7,9 +7,12 @@ split reference enumerates subsets with plain-Python bitmask loops; the
 cross-entropy reference scores one frame at a time. The recurrence,
 backward, masked cross-entropy, SGD and split-stage references are the plain
 loops the library's kernels replaced; the kernels must match them bit for
-bit. The timeline reference builds the objects that `json.dumps` writes,
-which the direct timelines writer must match byte for byte, and the
-`.egoseq` reference is the writer that assembled each day in one copy.
+bit. The per-batch carried pass is the loop that lock-step prediction
+replaced, one batch of one day per recurrent call; a day predicted alone
+must match it bit for bit. The timeline reference builds the objects that
+`json.dumps` writes, which the direct timelines writer must match byte for
+byte, and the `.egoseq` reference is the writer that assembled each day in
+one copy.
 """
 
 import itertools
@@ -19,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from egobatch.batching import batch_plan
 from egobatch.errors import DataError, ShapeError
 from egobatch.nnet import GATES
 from egobatch.splitter import bhattacharyya
@@ -92,6 +96,31 @@ def unbatched_reference_logits(model, seq, batch_size, overlap,
         store = h_list[-m:]
     assert not np.isnan(logits).any()
     return logits
+
+
+def per_batch_carried_logits(model, seq, batch_size, overlap, retention="earlier"):
+    """The carried piggyback pass one batch at a time, through the library's
+    layers: the padded day is widened and embedded once, each batch runs
+    through `forward_batch` alone with its first m inputs replaced by the
+    previous batch's last m outputs, and the head runs per batch."""
+    n, m = batch_size, overlap
+    plan = batch_plan(len(seq), n, m)
+    count = len(plan.starts)
+    rows = model.embed.forward_rows(np.asarray(plan.rows(seq.features), dtype=np.float64))
+    logits = np.empty((count * n, model.head.out_dim))
+    for k, start in enumerate(plan.starts):
+        inputs = rows[start:start + n]
+        if k:
+            inputs[:m] = h_rows[-m:]
+        h_rows = model.lstm.forward_batch(inputs[np.newaxis])[0]
+        logits[k * n:(k + 1) * n] = model.head.forward_rows(h_rows)
+    kept = np.ones((count, n), dtype=bool)
+    if retention == "earlier":
+        kept[1:, :m] = False
+    else:
+        kept[:-1, n - m:] = False
+    kept &= plan.valid[plan.starts[:, np.newaxis] + np.arange(n)]
+    return logits.reshape(count, n, -1)[kept]
 
 
 def reference_lstm_step(p, x, h, c):

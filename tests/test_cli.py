@@ -717,13 +717,17 @@ class TestOneDayAtATime:
         assert earlier_day_alive == [False] * 8
 
     def test_predict(self, synth_dir, tmp_path, earlier_day_alive):
-        checkpoint = tmp_path / "model.egomdl"
-        write_checkpoint(build_baseline(16, 6, seed=2).params(), checkpoint)
-        assert run("predict", "--model", str(checkpoint),
-                   "--manifest", str(synth_dir / "manifest.json"),
-                   "--labels", str(synth_dir / "labels.txt"),
-                   "--out-dir", str(tmp_path / "out")) == 0
-        assert earlier_day_alive == [False] * 8
+        # the carried piggyback pass keeps each day's embedded rows, not the day
+        for name, model in (("baseline", build_baseline(16, 6, seed=2)),
+                            ("piggyback", build_piggyback(16, 6, hidden=4, seed=2))):
+            checkpoint = tmp_path / f"{name}.egomdl"
+            write_checkpoint(model.params(), checkpoint)
+            earlier_day_alive.clear()
+            assert run("predict", "--model", str(checkpoint), "--overlap", "2",
+                       "--manifest", str(synth_dir / "manifest.json"),
+                       "--labels", str(synth_dir / "labels.txt"),
+                       "--out-dir", str(tmp_path / name)) == 0
+            assert earlier_day_alive == [False] * 8
 
     @pytest.mark.parametrize("arch, phase", [("baseline", 1), ("sliding", 1),
                                              ("piggyback", 1), ("piggyback", 2)])
@@ -1123,17 +1127,37 @@ class TestConfigJson:
     @pytest.mark.parametrize("split, subset, days", [(False, None, 8), (True, "val", 1)])
     def test_predict_records_the_subset_it_predicted(self, synth_dir, split_dir, tmp_path,
                                                      split, subset, days):
-        # without --split every day is predicted, and --subset means nothing
+        # without --split every day would be predicted, so --subset is refused
         checkpoint = tmp_path / "model.egomdl"
         write_checkpoint(build_baseline(16, 6, seed=2).params(), checkpoint)
         flags = ["--split", str(split_dir / "split.json")] if split else []
-        assert run("predict", "--model", str(checkpoint), *flags, "--subset", "val",
+        code = run("predict", "--model", str(checkpoint), *flags, "--subset", "val",
+                   "--manifest", str(synth_dir / "manifest.json"),
+                   "--labels", str(synth_dir / "labels.txt"),
+                   "--out-dir", str(tmp_path / "out"))
+        if not split:
+            assert code == 1
+            assert not (tmp_path / "out").exists()
+            return
+        assert code == 0
+        config = json.loads((tmp_path / "out" / "config.json").read_text())
+        assert config["subset"] == subset
+        assert len(json.loads((tmp_path / "out" / "timelines.json").read_text())) == days
+
+    def test_predict_with_split_and_no_subset_predicts_the_test_days(
+            self, synth_dir, split_dir, tmp_path):
+        checkpoint = tmp_path / "model.egomdl"
+        write_checkpoint(build_baseline(16, 6, seed=2).params(), checkpoint)
+        assert run("predict", "--model", str(checkpoint),
+                   "--split", str(split_dir / "split.json"),
                    "--manifest", str(synth_dir / "manifest.json"),
                    "--labels", str(synth_dir / "labels.txt"),
                    "--out-dir", str(tmp_path / "out")) == 0
         config = json.loads((tmp_path / "out" / "config.json").read_text())
-        assert config["subset"] == subset
-        assert len(json.loads((tmp_path / "out" / "timelines.json").read_text())) == days
+        assert config["subset"] == "test"
+        timelines = json.loads((tmp_path / "out" / "timelines.json").read_text())
+        split = json.loads((split_dir / "split.json").read_text())
+        assert [t["sequence_id"] for t in timelines] == split["test"]
 
 
 def no_grad_check(*args, **kwargs):

@@ -29,9 +29,16 @@ from egobatch import (
     write_timelines_json,
 )
 from egobatch.batching import batch_plan
-from egobatch.models import ARCHITECTURES, build_stack, piggyback_logits, predict_sequence
+from egobatch.models import (
+    ARCHITECTURES,
+    build_stack,
+    piggyback_days_logits,
+    piggyback_logits,
+    predict_days,
+    predict_sequence,
+)
 from egobatch.nnet import LstmLayer, flatten_layers, softmax
-from oracles import timeline_to_obj, unbatched_reference_logits
+from oracles import per_batch_carried_logits, timeline_to_obj, unbatched_reference_logits
 
 
 def random_seq(rng, length, dim, num_classes, sid="s0"):
@@ -232,6 +239,114 @@ class TestPiggybackPredict:
         seq = random_seq(np.random.default_rng(13), 11, 3, 2)
         with pytest.raises(ConfigError):
             predict_piggyback_sequence(model, seq, 5, 2, retention="latest")
+
+
+def batch_count(length, n, m):
+    return len(batch_plan(length, n, m).starts)
+
+
+def mixed_days(rng, n, m, dim, classes):
+    """Days in no length order: long, one frame, at most m, n + 1 and
+    2n - m (two lengths of one batch count), n, and longer again."""
+    lengths = [5 * n, 1, m, n + 1, 2 * n - m, n, 3 * n + 2]
+    assert batch_count(n + 1, n, m) == batch_count(2 * n - m, n, m) == 2
+    return [random_seq(rng, length, dim, classes, sid=f"d{k}")
+            for k, length in enumerate(lengths)]
+
+
+# (n, m) with m = 1 and m = n - 1 among them
+LOCKSTEP_SIZES = [(2, 1), (5, 1), (5, 4), (6, 2), (10, 3)]
+
+
+class TestLockStep:
+    """`piggyback_days_logits` runs batch k of every day in one recurrent pass."""
+
+    @pytest.mark.parametrize("hidden", [5, 32])
+    def test_one_day_matches_the_per_batch_pass_bit_for_bit(self, hidden):
+        rng = np.random.default_rng(50)
+        for n, m in LOCKSTEP_SIZES:
+            model = build_piggyback(6, 4, hidden=hidden, seed=n + m)
+            for seq in mixed_days(rng, n, m, 6, 4):
+                for retention in ("earlier", "later"):
+                    want = per_batch_carried_logits(model, seq, n, m, retention)
+                    got = piggyback_logits(model, seq, n, m, retention)
+                    assert got.tobytes() == want.tobytes(), (n, m, len(seq), retention)
+                    [(_, alone)] = piggyback_days_logits(model, [seq], n, m, retention)
+                    assert alone.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("retention", ["earlier", "later"])
+    def test_mixed_days_match_the_unbatched_reference(self, retention):
+        rng = np.random.default_rng(51)
+        for n, m in LOCKSTEP_SIZES:
+            model = build_piggyback(6, 4, hidden=7, seed=3 * n + m)
+            days = mixed_days(rng, n, m, 6, 4)
+            got = piggyback_days_logits(model, days, n, m, retention)
+            assert len(got) == len(days)
+            for seq, (labels, logits) in zip(days, got):
+                want = unbatched_reference_logits(model, seq, n, m, retention=retention)
+                assert labels.sequence_id == seq.sequence_id
+                assert np.array_equal(labels.labels, seq.labels)
+                assert logits.shape == want.shape
+                assert np.abs(logits - want).max() <= 1e-12, (n, m, len(seq))
+
+    def test_batch_k_of_every_live_day_runs_in_one_pass(self, monkeypatch):
+        rng = np.random.default_rng(52)
+        n, m = 5, 2
+        model = build_piggyback(3, 2, hidden=4, seed=1)
+        days = mixed_days(rng, n, m, 3, 2)
+        counts = [batch_count(len(seq), n, m) for seq in days]
+        forward_batch = model.lstm.forward_batch
+        widths = []
+
+        def recording(inputs):
+            widths.append(len(inputs))
+            return forward_batch(inputs)
+
+        monkeypatch.setattr(model.lstm, "forward_batch", recording)
+        piggyback_days_logits(model, days, n, m)
+        assert widths == [sum(c > k for c in counts) for k in range(max(counts))]
+
+    def test_keeps_input_order(self):
+        rng = np.random.default_rng(53)
+        model = build_piggyback(3, 2, hidden=4, seed=2)
+        days = mixed_days(rng, 5, 2, 3, 2)
+        for order in (days, days[::-1]):
+            ids = [seq.sequence_id for seq in order]
+            got = piggyback_days_logits(model, order, 5, 2)
+            assert [labels.sequence_id for labels, _ in got] == ids
+            assert [len(logits) for _, logits in got] == [len(seq) for seq in order]
+            assert [t.sequence_id for t in predict_days(model, order, 5, 2)] == ids
+
+    def test_no_days_give_no_timelines(self):
+        model = build_piggyback(3, 2, hidden=4, seed=2)
+        assert piggyback_days_logits(model, [], 5, 2) == []
+        for overlap in (0, 2):
+            assert predict_days(model, [], 5, overlap) == []
+
+    @pytest.mark.parametrize("architecture", ARCHITECTURES)
+    @pytest.mark.parametrize("overlap", [0, 2])
+    def test_predict_days_predicts_as_predict_sequence(self, architecture, overlap):
+        rng = np.random.default_rng(54)
+        model = build_stack(architecture, 3, 2, hidden=4, seed=3)
+        days = mixed_days(rng, 5, 2, 3, 2)
+        got = predict_days(model, days, 5, overlap, retention="later")
+        for seq, timeline in zip(days, got):
+            want = predict_sequence(model, seq, 5, overlap, retention="later")
+            assert timeline.sequence_id == want.sequence_id
+            assert np.array_equal(timeline.pred_labels, want.pred_labels)
+            if architecture == "piggyback" and overlap:
+                # a batch shared by several days may round apart
+                assert np.abs(timeline.probs - want.probs).max() <= 1e-12
+            else:
+                assert timeline.probs.tobytes() == want.probs.tobytes()
+
+    @pytest.mark.parametrize("overlap", [0, 2])
+    def test_predict_days_names_a_day_of_another_width(self, overlap):
+        rng = np.random.default_rng(55)
+        model = build_piggyback(3, 2, hidden=4, seed=3)
+        days = [random_seq(rng, 9, 3, 2, sid="fits"), random_seq(rng, 9, 4, 2, sid="wide")]
+        with pytest.raises(ShapeError, match="input width does not match sequence 'wide'"):
+            predict_days(model, days, 5, overlap)
 
 
 class TestEveryFramePredictedOnce:

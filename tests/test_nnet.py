@@ -826,5 +826,7 @@ class TestGuards:
                      DataError, "tensor name too long", id="checkpoint-name-bytes"),
     ])
     def test_refuses(self, call, error, message):
-        with pytest.raises(error, match=re.escape(message)):
+        with pytest.raises(error, match=re.escape(message)) as refused:
             call()
+        # a message names what was refused without quoting a whole input
+        assert len(str(refused.value)) <= 200

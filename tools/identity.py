@@ -10,7 +10,9 @@ and the best parameters and the training report (per-epoch train
 and validation losses, validation accuracy, best epoch and stop reason)
 after baseline, sliding (T = 8, dropout 0.5) and piggyback phase 1 and
 phase 2 training (n = 10, m = 3), the outputs of `piggyback_logits` and
-`predict_sliding_sequence`, and the same outputs of the trained sliding and
+`predict_sliding_sequence`, the logits of all the size's days run together
+through `piggyback_days_logits` by the trained phase-2 model at both
+retentions ("lockstep"), and the one-day outputs of the trained sliding and
 piggyback models after a round trip through `write_checkpoint`,
 `read_checkpoint` and `model_from_params` ("reloaded"). The `split` line
 digests `select_split` (2 test and 2 val bins) on the training and
@@ -80,7 +82,7 @@ from egobatch import (  # noqa: E402
     write_sequence_file,
 )
 from egobatch.cli import dispatch  # noqa: E402
-from egobatch.models import piggyback_logits  # noqa: E402
+from egobatch.models import RETENTIONS, piggyback_days_logits, piggyback_logits  # noqa: E402
 from egobatch.training import EpochStats  # noqa: E402
 
 SIZES = ((12, 24), (16, 32), (64, 256))
@@ -166,6 +168,9 @@ def run_size(feature_dim: int, hidden: int):
             "piggyback", timestep=N, overlap=M, dropout=dropout, phase=phase))
         yield from report(f"piggyback-phase{phase}", result, piggyback)
     yield f"{tag} piggyback logits {digest_arrays(piggyback_outputs(piggyback))}"
+    lockstep = [logits for retention in RETENTIONS for _, logits in
+                piggyback_days_logits(piggyback, everything, N, M, retention)]
+    yield f"{tag} lockstep {digest_arrays(lockstep)}"
 
     outputs = []
     with tempfile.TemporaryDirectory() as tmp:
