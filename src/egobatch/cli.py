@@ -230,6 +230,10 @@ def _cmd_train(args) -> int:
 def _cmd_predict(args) -> int:
     if args.subset is not None and not args.split:
         raise ConfigError("--subset needs --split; without it every day is predicted")
+    if args.timestep < 1:
+        raise ConfigError(f"--timestep must be >= 1, got {args.timestep}")
+    if args.overlap < 0:
+        raise ConfigError(f"--overlap must be >= 0, got {args.overlap}")
     subset = args.subset or "test"
     days = read_manifest(args.manifest, args.labels)
     if args.split:
@@ -237,6 +241,9 @@ def _cmd_predict(args) -> int:
     model = model_from_params(read_checkpoint(args.model))
     if model.head.out_dim != days.label_set.size:
         raise ShapeError("model class count does not match the label set")
+    if model.architecture == "piggyback" and args.overlap >= args.timestep:
+        raise ConfigError(f"a piggyback model needs --overlap below --timestep, got "
+                          f"--timestep {args.timestep} --overlap {args.overlap}")
 
     # the days are read in the split's order, and the timelines keep it
     timelines = predict_days(model, days, args.timestep, args.overlap,

@@ -41,15 +41,21 @@ CHECKPOINT_MAGIC = b"EGOMDL01"
 SGD_CHUNK = 32768
 
 
-def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _sigmoid(x: np.ndarray, out: np.ndarray | None = None,
+             scratch: np.ndarray | None = None) -> np.ndarray:
     # per element the usual two branches, 1/(1+e^-x) for x >= 0 and
-    # e^x/(1+e^x) below, so the same bits; exp sees only -|x|, which copysign
-    # gives in one call, and cannot overflow. `out` may be `x` itself.
-    ex = np.copysign(x, -1.0)
-    np.exp(ex, out=ex)
-    num = np.where(x >= 0, 1.0, ex)
-    ex += 1.0
-    return np.divide(num, ex, out=out)
+    # e^x/(1+e^x) below, as one quotient e^min(x,0) / (1+e^-|x|), so the same
+    # bits; exp sees only non-positive values and cannot overflow. One exp
+    # call takes numerator and denominator, stacked in `scratch` (2 x the
+    # shape of x, allocated when None). `out` may be `x` itself.
+    if scratch is None:
+        scratch = np.empty((2,) + x.shape)
+    num, den = scratch
+    np.minimum(x, 0.0, out=num)
+    np.copysign(x, -1.0, out=den)
+    np.exp(scratch, out=scratch)
+    den += 1.0
+    return np.divide(num, den, out=out)
 
 
 def _glorot(rng: np.random.Generator, out_dim: int, in_dim: int) -> np.ndarray:
@@ -120,13 +126,69 @@ class LstmState:
         return cls(np.zeros(hidden), np.zeros(hidden))
 
 
-@dataclass
+class _Recurrence:
+    """The rows and scratch of the recurrence over B x T windows of hidden
+    size H, with each position's (B, .) views built once.
+
+    The rows are the activated gates (4H, laid out like the stacks), cells,
+    tanh of the cells and outputs, each B x T; every `LstmLayer._recur` that
+    is handed them overwrites them.
+    """
+
+    def __init__(self, batch: int, steps: int, hid: int):
+        self.gate_rows = np.empty((batch, steps, 4 * hid))
+        # three arrays, not one block: `forward_batch` keeps only the outputs
+        self.c_rows, self.tanh_c_rows, self.h_rows = (
+            np.empty((batch, steps, hid)) for _ in range(3))
+        self.zero_state = np.zeros((batch, hid))
+        self.h_times_u = np.empty((batch, 4 * hid))
+        self.i_times_g = np.empty((batch, hid))
+        self.sigmoid_scratch = np.empty((2, batch, 3 * hid))
+        # per position: all gates, the three sigmoid gates, i, f, o, g, then
+        # cell, tanh of the cell and output
+        by_pos = self.gate_rows.swapaxes(0, 1)
+        views = [by_pos, by_pos[..., :3 * hid]]
+        views += [by_pos[..., k * hid:(k + 1) * hid] for k in range(4)]
+        views += [rows.swapaxes(0, 1) for rows in (self.c_rows, self.tanh_c_rows, self.h_rows)]
+        self.positions = list(zip(*views))
+
+
 class _LstmCache:
-    inputs: np.ndarray
-    gate_rows: np.ndarray  # T x 4H activated gates, laid out like the stacks
-    c_rows: np.ndarray
-    tanh_c_rows: np.ndarray
-    h_rows: np.ndarray
+    """One layer's rows of a T-position window, which `LstmLayer.run` fills,
+    and the blocks `LstmLayer.backward` builds from them; allocated once, with
+    their per-position views, and overwritten by every run and backward
+    that is handed them. `inputs` is the last run's input window."""
+
+    def __init__(self, steps: int, hid: int):
+        self.inputs: np.ndarray | None = None
+        self.recurrence = rec = _Recurrence(1, steps, hid)
+        self.gate_rows, self.c_rows, self.tanh_c_rows, self.h_rows = (
+            rows[0] for rows in (rec.gate_rows, rec.c_rows, rec.tanh_c_rows, rec.h_rows))
+        # Per position and gate the chain rule is ((s * a) * b) * c with
+        # s = (dc, dc, dh, dc): a = (g, c_prev, tanh c, i),
+        # b = (i, f, o, 1 - g^2), c = (1 - i, 1 - f, 1 - o, 1).
+        self.a, self.b, self.c = np.empty((3, steps, 4 * hid))
+        self.c[:, 3 * hid:] = 1.0
+        self.a[0, hid:2 * hid] = 0.0  # the window starts from zero state
+        self.h_prev = np.zeros((steps, hid))
+        self.d_tanh_c = np.empty((steps, hid))
+        self.d_pre = np.empty((steps, 4 * hid))
+        s = np.empty((4, hid))
+        self.s_flat, self.dc, self.dh, self.dc_twice = s.reshape(-1), s[0], s[2], s[1::2]
+        self.dh_next, self.dc_next = np.empty((2, hid))
+        gates, a, b, c = self.gate_rows, self.a, self.b, self.c
+        i, f, o, g = (gates[:, k * hid:(k + 1) * hid] for k in range(4))
+        # (destination, source) of the factors copied from the rows
+        self.copies = [(a[:, :hid], g), (a[1:, hid:2 * hid], self.c_rows[:-1]),
+                       (a[:, 2 * hid:3 * hid], self.tanh_c_rows), (a[:, 3 * hid:], i),
+                       (b[:, :3 * hid], gates[:, :3 * hid]),
+                       (self.h_prev[1:], self.h_rows[:-1])]
+        # (destination, x) of the factors 1 - x^2, and the sigmoid gates of 1 - x
+        self.squares = [(b[:, 3 * hid:], g), (self.d_tanh_c, self.tanh_c_rows)]
+        self.sigmoid_gates, self.sigmoid_complements = gates[:, :3 * hid], c[:, :3 * hid]
+        # backward walks the positions last to first
+        self.backward_positions = list(zip(*(
+            rows[::-1] for rows in (o, self.d_tanh_c, a, b, c, f, self.d_pre))))
 
 
 class LstmLayer:
@@ -193,51 +255,58 @@ class LstmLayer:
             raise NumericError("non-finite recurrent state")
         return LstmState(h_rows[0, 0], c_rows[0, 0])
 
-    def _recur(self, inputs: np.ndarray, start: LstmState | None = None
+    def _recur(self, inputs: np.ndarray, start: LstmState | None = None,
+               rows: _Recurrence | None = None
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The recurrence over B x T x D windows, each from zero state or
         from `start`, whose h and c broadcast against B x H.
 
         The input projection is one matrix product over all B*T rows and each
         position advances every window with one (B x H)(H x 4H) product.
-        Returns the B x T activated gates (4H, laid out like the stacks),
-        cells, tanh of the cells and outputs.
+        The results go into `rows`, a `_Recurrence` of this shape, or into a
+        new one when None. Returns its B x T activated gates (4H, laid out
+        like the stacks), cells, tanh of the cells and outputs.
         """
         batch, steps, _ = inputs.shape
-        hid = self.hidden
-        gate_rows = (inputs.reshape(batch * steps, -1) @ self.w_stack.T
-                     + self.b_stack).reshape(batch, steps, 4 * hid)
-        # three arrays, not one block: `forward_batch` keeps only the outputs
-        c_rows, tanh_c_rows, h_rows = (np.empty((batch, steps, hid)) for _ in range(3))
+        if rows is None:
+            rows = _Recurrence(batch, steps, self.hidden)
+        np.matmul(inputs.reshape(batch * steps, -1), self.w_stack.T,
+                  out=rows.gate_rows.reshape(batch * steps, -1))
+        rows.gate_rows += self.b_stack
         u_t = self.u_stack.T
-        h, c = (np.zeros((batch, hid)),) * 2 if start is None else (start.h, start.c)
-        i_times_g = np.empty((batch, hid))
-        # each position gets (B, .) views of its rows: all gates, the three
-        # sigmoid gates, i, f, o, g, then cell, tanh of the cell and output
-        by_pos = gate_rows.swapaxes(0, 1)
-        views = [by_pos, by_pos[..., :3 * hid]]
-        views += [by_pos[..., k * hid:(k + 1) * hid] for k in range(4)]
-        views += [rows.swapaxes(0, 1) for rows in (c_rows, tanh_c_rows, h_rows)]
-        for gates, ifo, i, f, o, g, c_out, tanh_c, h_out in zip(*views):
-            gates += h @ u_t
-            _sigmoid(ifo, out=ifo)
+        h, c = (rows.zero_state,) * 2 if start is None else (start.h, start.c)
+        h_times_u, i_times_g, scratch = rows.h_times_u, rows.i_times_g, rows.sigmoid_scratch
+        for gates, ifo, i, f, o, g, c_out, tanh_c, h_out in rows.positions:
+            gates += np.matmul(h, u_t, out=h_times_u)
+            _sigmoid(ifo, out=ifo, scratch=scratch)
             np.tanh(g, out=g)
             np.multiply(f, c, out=c_out)
             c_out += np.multiply(i, g, out=i_times_g)
             np.tanh(c_out, out=tanh_c)
             np.multiply(o, tanh_c, out=h_out)
             h, c = h_out, c_out
-        if not np.isfinite(h_rows).all():
+        if not np.isfinite(rows.h_rows).all():
             raise NumericError("non-finite recurrent outputs")
-        return gate_rows, c_rows, tanh_c_rows, h_rows
+        return rows.gate_rows, rows.c_rows, rows.tanh_c_rows, rows.h_rows
 
-    def run(self, inputs: np.ndarray) -> tuple[np.ndarray, _LstmCache]:
+    def run(self, inputs: np.ndarray, cache: _LstmCache | None = None
+            ) -> tuple[np.ndarray, _LstmCache]:
         """Forward over a T x D window from zero state; returns (T x H
-        outputs, backward cache). This is the training path."""
+        outputs, backward cache). This is the training path.
+
+        `cache`, from an earlier run of a window of T positions through a
+        layer of this size, is refilled and returned: the outputs and the
+        cache of that run are overwritten. When None, a new one is built."""
         inputs = np.asarray(inputs, dtype=np.float64)
         if inputs.ndim != 2 or inputs.shape[1] != self.in_dim:
             raise ShapeError(f"expected rows of width {self.in_dim}, got {inputs.shape}")
-        cache = _LstmCache(inputs, *(rows[0] for rows in self._recur(inputs[np.newaxis])))
+        if cache is None:
+            cache = _LstmCache(len(inputs), self.hidden)
+        elif cache.h_rows.shape != (len(inputs), self.hidden):
+            raise ShapeError(f"a cache of {cache.h_rows.shape} outputs cannot hold "
+                             f"{len(inputs)} x {self.hidden}")
+        cache.inputs = inputs
+        self._recur(inputs[np.newaxis], rows=cache.recurrence)
         return cache.h_rows, cache
 
     def forward_batch(self, inputs: np.ndarray) -> np.ndarray:
@@ -255,45 +324,43 @@ class LstmLayer:
 
         `d_outputs` is dLoss/dh per position. The parameter gradients go into
         `dw` (4H x D), `du` (4H x H) and `db` (4H), stacked like the gates.
-        Returns the T x 4H gate pre-activation gradient; dLoss/dinputs is
-        that times `w_stack`, for a caller that needs it.
+        Returns the T x 4H gate pre-activation gradient, a block of `cache`
+        that the next backward over it overwrites; dLoss/dinputs is that
+        times `w_stack`, for a caller that needs it.
         """
         steps, hid = d_outputs.shape
-        # Per position and gate the chain rule is ((s * a) * b) * c with
-        # s = (dc, dc, dh, dc); the factors a, b, c of every position are
-        # built first. The products run in the order of the per-gate
-        # formulas, and the candidate gate's c = 1 is exact, so the bits are
-        # those of the formulas.
-        gates = cache.gate_rows
-        i, f, o, g = (gates[:, k * hid:(k + 1) * hid] for k in range(4))
-        # the window starts from zero state
-        c_prev, h_prev = np.zeros((2, steps, hid))
-        c_prev[1:], h_prev[1:] = cache.c_rows[:-1], cache.h_rows[:-1]
-        a = np.concatenate([g, c_prev, cache.tanh_c_rows, i], axis=1)
-        b = np.concatenate([i, f, o, 1.0 - g * g], axis=1)
-        c = np.concatenate([1.0 - gates[:, :3 * hid], np.ones((steps, hid))], axis=1)
-        d_tanh_c = 1.0 - cache.tanh_c_rows * cache.tanh_c_rows
-        d_pre = np.empty((steps, 4 * hid))
-        s = np.empty((4, hid))
-        dc, dh = s[0], s[2]
-        s_flat = s.reshape(-1)
-        dh_next = np.zeros(hid)
-        dc_next = np.zeros(hid)
+        if cache.h_rows.shape != (steps, hid):
+            raise ShapeError(f"output gradients of shape {d_outputs.shape} do not "
+                             f"match a cache of {cache.h_rows.shape} outputs")
+        # The factors a, b, c of every position are built first. The products
+        # run in the order of the per-gate formulas, and the candidate gate's
+        # c = 1 is exact, so the bits are those of the formulas.
+        for dst, src in cache.copies:
+            np.copyto(dst, src)
+        for dst, x in cache.squares:
+            np.multiply(x, x, out=dst)
+            np.subtract(1.0, dst, out=dst)
+        np.subtract(1.0, cache.sigmoid_gates, out=cache.sigmoid_complements)
+        s_flat, dc, dh, dc_twice = cache.s_flat, cache.dc, cache.dh, cache.dc_twice
+        dh_next, dc_next = cache.dh_next, cache.dc_next
+        dh_next.fill(0.0)
+        dc_next.fill(0.0)
         u_t = self.u_stack.T
-        for d_out, o_t, d_tanh_t, a_t, b_t, c_t, f_t, row in zip(
-                *(rows[::-1] for rows in (d_outputs, o, d_tanh_c, a, b, c, f, d_pre))):
+        for d_out, (o_t, d_tanh_t, a_t, b_t, c_t, f_t, row) in zip(
+                d_outputs[::-1], cache.backward_positions):
             np.add(d_out, dh_next, out=dh)
             np.multiply(dh, o_t, out=dc)
             dc *= d_tanh_t
             dc += dc_next
-            s[1::2] = dc
+            np.copyto(dc_twice, dc)
             np.multiply(s_flat, a_t, out=row)
             row *= b_t
             row *= c_t
             np.multiply(dc, f_t, out=dc_next)
             np.matmul(u_t, row, out=dh_next)
+        d_pre = cache.d_pre
         np.matmul(d_pre.T, cache.inputs, out=dw)
-        np.matmul(d_pre.T, h_prev, out=du)
+        np.matmul(d_pre.T, cache.h_prev, out=du)
         d_pre.sum(axis=0, out=db)
         return d_pre
 
@@ -364,22 +431,39 @@ class WindowForward:
     _lstm_cache: _LstmCache | None = field(repr=False, default=None)
 
 
+class StepWorkspace:
+    """The buffers of an SGD step of one layer stack over windows of `steps`
+    positions: the gradient vector with its `layer_views` over the stack's
+    layers and, when the stack has a recurrent layer, that layer's cache
+    (`LstmLayer.run`). A training run builds one; every `backprop_window`
+    handed it overwrites them."""
+
+    def __init__(self, model, steps: int):
+        if steps < 1:
+            raise ConfigError(f"a window needs at least one position, got {steps}")
+        self.steps = steps
+        self.layers = model.layers
+        self.grads = np.empty(sum(t.size for layer in self.layers for t in layer._tensors()))
+        self.grad_views = layer_views(self.layers, self.grads)
+        self.lstm_cache = None if model.lstm is None else _LstmCache(steps, model.lstm.hidden)
+
+
 def run_window(model, inputs: np.ndarray, *, dropout_rate: float = 0.0,
-               rng: np.random.Generator | None = None) -> WindowForward:
+               rng: np.random.Generator | None = None,
+               lstm_cache: _LstmCache | None = None) -> WindowForward:
     """Forward one T x D window through a layer stack to per-step logits.
 
     A positive `dropout_rate` applies inverted dropout to the head input
     (activations scaled by 1/(1-rate)), so evaluation, at rate 0, needs no
-    rescaling.
+    rescaling. `lstm_cache` is handed to `LstmLayer.run`.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 2:
         raise ShapeError("window inputs must be a T x D matrix")
     rows = inputs if model.embed is None else model.embed.forward_rows(inputs)
-    lstm_cache = None
     lstm_outputs = None
     if model.lstm is not None:
-        rows, lstm_cache = model.lstm.run(rows)
+        rows, lstm_cache = model.lstm.run(rows, lstm_cache)
         lstm_outputs = rows
     scale = None
     head_in = rows
@@ -398,15 +482,22 @@ def run_window(model, inputs: np.ndarray, *, dropout_rate: float = 0.0,
 def backprop_window(model, inputs: np.ndarray, labels: np.ndarray,
                     loss_mask: np.ndarray | None = None, *,
                     dropout_rate: float = 0.0,
-                    rng: np.random.Generator | None = None
+                    rng: np.random.Generator | None = None,
+                    workspace: StepWorkspace | None = None
                     ) -> tuple[float, np.ndarray, WindowForward]:
     """Loss and exact gradients of the mean masked cross-entropy over a window.
 
-    The gradients are one new vector laid out by `layer_views` over
+    The gradients are one vector laid out by `layer_views` over
     `model.layers`; `model.unflatten` names its parts. Masked-out steps
     contribute nothing to the loss or any gradient, and a window with no
     supervised step is refused. Dropout follows `dropout_rate` alone (as in
     `run_window`), so rate 0 gives the deterministic loss.
+
+    The buffers come from `workspace`, a `StepWorkspace` of this stack and
+    window length, or from a new one when None. The returned gradient
+    vector and the forward's `lstm_outputs` are that workspace's: they hold
+    until the next call handed it, which overwrites them. The workspace
+    keeps no reference to `inputs` after the call.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -419,24 +510,32 @@ def backprop_window(model, inputs: np.ndarray, labels: np.ndarray,
     supervised = labels[mask]
     if supervised.min() < 0 or supervised.max() >= model.head.out_dim:
         raise DataError("label id out of range for the head's class count")
+    if workspace is None:
+        workspace = StepWorkspace(model, steps)
+    elif workspace.steps != steps:
+        raise ShapeError(f"a workspace for windows of {workspace.steps} positions "
+                         f"cannot run a window of {steps}")
+    elif workspace.layers != model.layers:
+        raise ShapeError("the workspace was built for the layers of another stack")
 
-    fwd = run_window(model, inputs, dropout_rate=dropout_rate, rng=rng)
+    fwd = run_window(model, inputs, dropout_rate=dropout_rate, rng=rng,
+                     lstm_cache=workspace.lstm_cache)
     loss, dlogits = _masked_xent_rows(fwd.logits, labels, mask)
     if not np.isfinite(loss):
         raise NumericError("non-finite window loss")
 
-    grads = np.empty(sum(t.size for layer in model.layers for t in layer._tensors()))
-    *below, head_grads = layer_views(model.layers, grads)
+    *below, head_grads = workspace.grad_views
     _dense_grads(dlogits, fwd._head_inputs, *head_grads)
     if model.lstm is None:  # nothing below the head reads its input gradient
-        return loss, grads, fwd
+        return loss, workspace.grads, fwd
     d_rows = dlogits @ model.head.weight
     if fwd._dropout_scale is not None:
         d_rows = d_rows * fwd._dropout_scale
     d_pre = model.lstm.backward(fwd._lstm_cache, d_rows, *below[-1])
+    fwd._lstm_cache.inputs = None  # the caller's rows are not kept alive
     if model.embed is not None:
         _dense_grads(d_pre @ model.lstm.w_stack, inputs, *below[0])
-    return loss, grads, fwd
+    return loss, workspace.grads, fwd
 
 
 def _dense_grads(d_outputs: np.ndarray, inputs: np.ndarray, dw: np.ndarray,

@@ -24,7 +24,8 @@ from .batching import batch_plan, sliding_plan
 from .datamodel import DaySequence, write_json
 from .errors import ConfigError, NumericError
 from .models import ARCHITECTURES, LayerStack, predict_days
-from .nnet import OptimizerState, backprop_window, flatten_layers, sgd_update
+from .nnet import (OptimizerState, StepWorkspace, backprop_window, flatten_layers,
+                   sgd_update)
 
 _IMPROVEMENT = 1e-12  # a validation loss must beat the best by more than this
 
@@ -144,7 +145,12 @@ def _train(model: LayerStack, train_seqs: Sequence[DaySequence],
     model, or in phase 2 its carry stage, whose embedding is frozen. The
     stage's layers are rebound to views of one new vector, the optimizer
     state is one velocity vector as long, and each step is one `sgd_update`
-    over the vector and the window's gradient. In phase 2 the frozen
+    over the vector and the window's gradient. Every step's
+    `backprop_window` runs in one `StepWorkspace`, built for the stage and
+    window length once per run: the gradient it returns and the recurrent
+    outputs of its forward pass are the workspace's, so they hold only until
+    the next step, and the update and the carry read them before that step
+    starts. In phase 2 the frozen
     embedding turns the padded day into recurrent inputs once, the batches
     run in order, and the first m inputs of each are replaced by the
     previous batch's last m recurrent outputs. Each day is dropped, with its
@@ -179,6 +185,7 @@ def _train(model: LayerStack, train_seqs: Sequence[DaySequence],
     flat = flatten_layers(stage.layers)
     opt = OptimizerState.create(flat.size, cfg.learning_rate, cfg.momentum,
                                 cfg.weight_decay)
+    workspace = StepWorkspace(stage, size)
     report = TrainReport()
     best_params = None
     for epoch in range(cfg.epochs):
@@ -201,7 +208,7 @@ def _train(model: LayerStack, train_seqs: Sequence[DaySequence],
                         inputs[:overlap] = h_prev[-overlap:]
                     loss, grads, fwd = backprop_window(
                         stage, inputs, labels[batch], day.valid[batch],
-                        dropout_rate=cfg.dropout, rng=dropout_rng,
+                        dropout_rate=cfg.dropout, rng=dropout_rng, workspace=workspace,
                     )
                     sgd_update(flat, grads, opt)
                     step_losses.append(loss)

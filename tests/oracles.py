@@ -25,7 +25,7 @@ import numpy as np
 from egobatch.batching import batch_plan
 from egobatch.errors import DataError, ShapeError
 from egobatch.nnet import GATES
-from egobatch.splitter import bhattacharyya
+from egobatch.splitter import _distance, bhattacharyya
 
 
 def timeline_to_obj(timeline, include_probs=False):
@@ -217,6 +217,27 @@ def reference_best_subset(bin_counts, candidates, choose, reference):
         ids = tuple(candidates[i] for i in picks)
         subset = np.sum([bin_counts[b] for b in ids], axis=0)
         value = pair_objective(subset, pool - subset)
+        if best_ids is None or value < best_value:
+            best_ids = ids
+            best_value = value
+    return best_ids, best_value
+
+
+def per_subset_best_subset(counts, candidates, choose, reference):
+    """The split search's stage as it scored one subset at a time from the
+    bins x K count matrix: each subset's count sum, the rest's as the pool
+    minus it, both scored by `splitter._distance` and kept on the first strict
+    minimum. `splitter._best_subset` must return the same ids and objective
+    bit for bit."""
+    pool = counts[candidates].sum(axis=0)
+    best_ids = None
+    best_value = math.inf
+    for picks in itertools.combinations(range(len(candidates)), choose):
+        ids = tuple(candidates[i] for i in picks)
+        subset = counts[list(ids)].sum(axis=0)
+        rest = pool - subset
+        value = (_distance(subset / float(subset.sum()), reference)
+                 + _distance(rest / float(rest.sum()), reference))
         if best_ids is None or value < best_value:
             best_ids = ids
             best_value = value

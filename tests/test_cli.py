@@ -1215,6 +1215,39 @@ class TestRefusals:
         assert f"error: {error}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    @pytest.mark.parametrize("flags, error", [
+        (["--timestep", "0"], "--timestep must be >= 1, got 0"),
+        (["--timestep", "-2", "--overlap", "-3"], "--timestep must be >= 1, got -2"),
+        (["--overlap", "-1"], "--overlap must be >= 0, got -1"),
+        (["--timestep", "3", "--overlap", "3"], "a piggyback model needs --overlap below "
+                                                "--timestep, got --timestep 3 --overlap 3"),
+        (["--timestep", "3", "--overlap", "7"], "a piggyback model needs --overlap below "
+                                                "--timestep, got --timestep 3 --overlap 7")])
+    def test_predict_flags_before_any_day(self, synth_dir, split_dir, tmp_path,
+                                          monkeypatch, arch, flags, error, capsys):
+        checkpoint = tmp_path / "model.egomdl"
+        write_checkpoint(build_stack(arch, 16, 6, hidden=4, seed=0).params(), checkpoint)
+
+        def no_day(*args, **kwargs):
+            raise AssertionError("a day was read")
+
+        monkeypatch.setattr(datamodel, "read_sequence_file", no_day)
+        out = tmp_path / "out"
+        argv = ["predict", "--model", str(checkpoint),
+                "--manifest", str(synth_dir / "manifest.json"),
+                "--labels", str(synth_dir / "labels.txt"),
+                "--split", str(split_dir / "split.json"), "--out-dir", str(out), *flags]
+        if error.startswith("a piggyback") and arch != "piggyback":
+            # the other stacks ignore the overlap
+            monkeypatch.undo()
+            assert run(*argv) == 0
+            assert (out / "timelines.json").is_file()
+            return
+        assert run(*argv) == 1
+        assert f"error: {error}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_synth_beyond_float32_warns_nothing(self, tmp_path, capsys):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

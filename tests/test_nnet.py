@@ -32,8 +32,8 @@ from egobatch import (
     write_checkpoint,
 )
 from egobatch.models import LayerStack
-from egobatch.nnet import (SGD_CHUNK, _masked_xent_rows, _sigmoid, flatten_layers,
-                           layer_views)
+from egobatch.nnet import (SGD_CHUNK, StepWorkspace, _masked_xent_rows, _sigmoid,
+                           flatten_layers, layer_views)
 from oracles import (
     reference_lstm_backward,
     reference_lstm_recur,
@@ -793,6 +793,76 @@ def test_masked_xent_rows_matches_per_frame():
             assert np.array_equal(dlogits[t], np.zeros(4))
 
 
+class TestStepWorkspace:
+    """A workspace reused across windows against a new one per window."""
+
+    @staticmethod
+    def windows(rng, in_dim, classes, steps, count):
+        """Windows with their labels and masks; every third masks a padded tail."""
+        for k in range(count):
+            mask = np.ones(steps, dtype=bool)
+            if k % 3 == 2:
+                mask[int(rng.integers(1, steps)):] = False
+            yield (rng.normal(scale=2.0, size=(steps, in_dim)),
+                   rng.integers(classes, size=steps), mask)
+
+    @pytest.mark.parametrize("build", [build_baseline, build_sliding, build_piggyback])
+    @pytest.mark.parametrize("rate", [0.0, 0.4])
+    def test_reused_equals_new_bit_for_bit(self, build, rate):
+        rng = np.random.default_rng(34)
+        kwargs = {} if build is build_baseline else {"hidden": 5}
+        model = build(4, 3, seed=7, **kwargs)
+        workspace = StepWorkspace(model, 6)
+        reused_rng, new_rng = np.random.default_rng(8), np.random.default_rng(8)
+        for inputs, labels, mask in self.windows(rng, 4, 3, 6, 12):
+            want = backprop_window(model, inputs, labels, mask, dropout_rate=rate,
+                                   rng=new_rng)
+            got = backprop_window(model, inputs, labels, mask, dropout_rate=rate,
+                                  rng=reused_rng, workspace=workspace)
+            assert got[0].hex() == want[0].hex()
+            assert got[1] is workspace.grads and same_bits(got[1], want[1])
+            assert same_bits(got[2].logits, want[2].logits)
+            if model.lstm is not None:
+                assert same_bits(got[2].lstm_outputs, want[2].lstm_outputs)
+            assert got[2].lstm_outputs is None or \
+                np.shares_memory(got[2].lstm_outputs, workspace.lstm_cache.h_rows)
+            # an SGD step between windows, as in training
+            flat = flatten_layers(model.layers)
+            sgd_update(flat, got[1], OptimizerState.create(flat.size, learning_rate=0.1))
+
+    def test_results_hold_until_the_next_call(self):
+        rng = np.random.default_rng(35)
+        model = build_piggyback(4, 3, hidden=5, seed=8)
+        workspace = StepWorkspace(model, 6)
+        (x1, y1, m1), (x2, y2, m2) = self.windows(rng, 4, 3, 6, 2)
+        _, grads, fwd = backprop_window(model, x1, y1, m1, workspace=workspace)
+        kept = grads.copy(), fwd.lstm_outputs.copy()
+        # the workspace keeps no reference to the window it ran
+        assert workspace.lstm_cache.inputs is None
+        _, grads2, fwd2 = backprop_window(model, x2, y2, m2, workspace=workspace)
+        assert grads2 is grads and fwd2.lstm_outputs is fwd.lstm_outputs
+        assert not np.array_equal(grads, kept[0])
+        assert not np.array_equal(fwd.lstm_outputs, kept[1])
+        again = backprop_window(model, x1, y1, m1, workspace=workspace)
+        assert same_bits(again[1], kept[0]) and same_bits(again[2].lstm_outputs, kept[1])
+
+    def test_a_reused_cache_runs_and_backpropagates_as_a_new_one(self):
+        rng = np.random.default_rng(36)
+        layer = LstmLayer.create(3, 4, rng)
+        _, cache = layer.run(rng.normal(size=(5, 3)))
+        for _ in range(4):
+            inputs, d_outputs = rng.normal(scale=3.0, size=(5, 3)), rng.normal(size=(5, 4))
+            want_rows, want_cache = layer.run(inputs)
+            got_rows, got_cache = layer.run(inputs, cache)
+            assert got_cache is cache and same_bits(got_rows, want_rows)
+            want = [np.empty_like(t) for t in layer._tensors()]
+            got = [np.empty_like(t) for t in layer._tensors()]
+            want_pre = layer.backward(want_cache, d_outputs, *want)
+            got_pre = layer.backward(cache, d_outputs, *got)
+            assert same_bits(got_pre, want_pre)
+            assert all(same_bits(a, b) for a, b in zip(got, want))
+
+
 def small_sliding():
     return build_sliding(3, 2, hidden=2, seed=0)
 
@@ -821,6 +891,24 @@ class TestGuards:
                                              [True, True, False]),
                      ShapeError, "labels and loss mask must have one entry per step",
                      id="mask-length"),
+        pytest.param(lambda: StepWorkspace(small_sliding(), 0), ConfigError,
+                     "a window needs at least one position, got 0", id="workspace-steps"),
+        pytest.param(lambda: backprop_window(small_sliding(), np.zeros((4, 3)), [0, 1, 0, 1],
+                                             workspace=StepWorkspace(small_sliding(), 5)),
+                     ShapeError, "a workspace for windows of 5 positions cannot run a "
+                     "window of 4", id="workspace-window"),
+        pytest.param(lambda: backprop_window(small_sliding(), np.zeros((4, 3)), [0, 1, 0, 1],
+                                             workspace=StepWorkspace(small_sliding(), 4)),
+                     ShapeError, "the workspace was built for the layers of another stack",
+                     id="workspace-stack"),
+        pytest.param(lambda: zero_lstm(3, 2).run(np.zeros((4, 3)),
+                                                 zero_lstm(3, 2).run(np.zeros((5, 3)))[1]),
+                     ShapeError, "a cache of (5, 2) outputs cannot hold 4 x 2", id="run-cache"),
+        pytest.param(lambda: zero_lstm(3, 2).backward(
+                         zero_lstm(3, 2).run(np.zeros((5, 3)))[1], np.zeros((4, 2)),
+                         np.empty((8, 3)), np.empty((8, 2)), np.empty(8)),
+                     ShapeError, "output gradients of shape (4, 2) do not match a cache of "
+                     "(5, 2) outputs", id="backward-outputs"),
         # 32768 characters, 65536 UTF-8 bytes
         pytest.param(lambda: write_checkpoint({"\u00e9" * 32768: np.zeros(1)}, os.devnull),
                      DataError, "tensor name too long", id="checkpoint-name-bytes"),

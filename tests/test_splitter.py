@@ -21,7 +21,7 @@ from egobatch import (
     select_split,
     splitter,
 )
-from oracles import brute_force_split, reference_best_subset
+from oracles import brute_force_split, per_subset_best_subset, reference_best_subset
 
 
 def seq_with_labels(labels, sid, length_pad=None):
@@ -214,6 +214,56 @@ class TestBestSubset:
             reference = np.append(rng.dirichlet(np.ones(2)), 0.0)
             self.check(counts, list(range(count)), int(rng.integers(1, count)),
                        reference)
+
+
+class TestChunkedSearch:
+    """The chunked search against the per-subset loop it replaced, bit for bit."""
+
+    def check(self, counts, candidates, choose, reference):
+        ids, value = splitter._best_subset(counts, candidates, choose, reference)
+        expect_ids, expect_value = per_subset_best_subset(counts, candidates, choose,
+                                                          reference)
+        assert ids == expect_ids
+        assert type(value) is float and value.hex() == expect_value.hex()
+        return ids
+
+    @pytest.mark.parametrize("chunk", [1, 3, 64, splitter.SUBSET_CHUNK])
+    def test_equals_the_per_subset_loop_on_random_counts(self, monkeypatch, chunk):
+        # more than 8 classes sums each row's terms in blocks, as numpy does
+        monkeypatch.setattr(splitter, "SUBSET_CHUNK", chunk)
+        rng = np.random.default_rng(15)
+        for case in range(80):
+            classes = int(rng.choice([2, 3, 6, 9, 21]))
+            count = int(rng.integers(2, 11))
+            counts = random_counts(rng, count, classes)
+            if case % 3 == 0:  # repeated rows tie whole subsets
+                counts[rng.integers(0, count, size=count // 2)] = counts[0]
+            reference = rng.dirichlet(np.ones(classes))
+            if case % 4 == 1:  # a class absent from some bins and the reference
+                absent = int(rng.integers(classes))
+                counts[rng.random(count) < 0.5, absent] = 0
+                reference[absent] = 0.0
+                reference /= reference.sum()
+            candidates = sorted(rng.choice(count, size=int(rng.integers(2, count + 1)),
+                                           replace=False).tolist())
+            self.check(counts, candidates, int(rng.integers(1, len(candidates))),
+                       reference)
+
+    def test_a_tie_across_chunks_goes_to_the_first_subset(self):
+        # every subset of identical bins ties; 12870 subsets span four chunks
+        counts = np.tile([[5, 2, 9]], (16, 1))
+        whole = counts.sum(axis=0) / float(counts.sum())
+        assert math.comb(16, 8) > 3 * splitter.SUBSET_CHUNK
+        assert self.check(counts, list(range(16)), 8, whole) == tuple(range(8))
+        # the one bin that matches the reference is the last, in the second chunk
+        counts = np.array([[1, 2]] * 4999 + [[1, 1]])
+        assert self.check(counts, list(range(5000)), 1, np.array([0.5, 0.5])) == (4999,)
+
+    def test_every_subset_at_inf_keeps_the_first(self):
+        # the reference lacks the only class of bins 0 and 3
+        counts = np.array([[0, 0, 3], [0, 0, 1], [0, 0, 5], [0, 0, 2]])
+        ids = self.check(counts, [0, 1, 2, 3], 2, np.array([0.5, 0.5, 0.0]))
+        assert ids == (0, 1)
 
 
 def build_dataset(label_lists):

@@ -438,6 +438,74 @@ class TestPiggyback:
         assert phase2_acc >= phase1_acc
 
 
+class TestStepWorkspace:
+    """A run's one workspace against a new one per step, bit for bit."""
+
+    @staticmethod
+    def record(monkeypatch, new_each_step):
+        """Each step's inputs, loss, gradient object and copies of the gradient
+        and recurrent outputs, taken as the step returns; with
+        `new_each_step`, no step is handed the run's workspace."""
+        real = training_module.backprop_window
+        steps = []
+
+        def recording(stage, inputs, *args, workspace, **kwargs):
+            loss, grads, fwd = real(stage, inputs, *args,
+                                    workspace=None if new_each_step else workspace, **kwargs)
+            outputs = None if fwd.lstm_outputs is None else fwd.lstm_outputs.copy()
+            steps.append((inputs.copy(), loss, grads, grads.copy(), outputs))
+            return loss, grads, fwd
+
+        monkeypatch.setattr(training_module, "backprop_window", recording)
+        return steps
+
+    @pytest.mark.parametrize("arch, phase, timestep, overlap", [
+        ("baseline", 1, 5, 0), ("sliding", 1, 4, 0),
+        ("piggyback", 1, 7, 2), ("piggyback", 2, 7, 2)])
+    def test_one_workspace_per_run_gives_the_same_steps(self, monkeypatch, arch, phase,
+                                                        timestep, overlap):
+        _, train, val = desk_data()
+        # 60-frame days pad the last batch at n = 7; a 3-frame day pads its window
+        first = train[0]
+        days = [*train[:2], DaySequence("short", first.user_id, first.features[:3],
+                                        first.labels[:3])]
+        cfg = TrainConfig(arch, timestep=timestep, overlap=overlap, learning_rate=0.05,
+                          epochs=2, dropout=0.3, seed=4, phase=phase)
+        runs = []
+        for new_each_step in (False, True):
+            steps = self.record(monkeypatch, new_each_step)
+            model = build_stack(arch, DESK.feature_dim, DESK.num_classes, hidden=6, seed=1)
+            result = {"baseline": train_baseline, "sliding": train_sliding,
+                      "piggyback": train_piggyback}[arch](model, days, val[:1], cfg)
+            runs.append((steps, model.params(), result.report))
+            monkeypatch.undo()
+        (reused, params, report), (new, new_params, new_report) = runs
+        assert len(reused) == len(new) > 12
+        assert report == new_report
+        for k, (a, b) in enumerate(zip(reused, new)):
+            assert a[0].tobytes() == b[0].tobytes(), k
+            assert a[1].hex() == b[1].hex(), k
+            assert a[3].tobytes() == b[3].tobytes(), k
+            assert (a[4] is None and b[4] is None) or a[4].tobytes() == b[4].tobytes(), k
+        # the run's steps share one gradient vector; new workspaces do not
+        assert all(step[2] is reused[0][2] for step in reused)
+        assert len({id(step[2]) for step in new[:2]}) == 2
+        assert all(params[name].tobytes() == w.tobytes() for name, w in new_params.items())
+
+    def test_phase2_carry_reads_outputs_before_the_next_step(self, monkeypatch):
+        steps = self.record(monkeypatch, new_each_step=False)
+        _, train, val = desk_data()
+        model = build_piggyback(DESK.feature_dim, DESK.num_classes, hidden=4, seed=0)
+        cfg = TrainConfig("piggyback", timestep=7, overlap=2, learning_rate=0.01,
+                          epochs=1, dropout=0.3, seed=0, phase=2)
+        train_piggyback(model, train[:2], val, cfg)
+        per_day = -(-(60 - 7) // 5) + 1
+        assert len(steps) == 2 * per_day
+        for k in range(1, len(steps)):
+            if k % per_day:  # each day's first batch carries nothing
+                assert steps[k][0][:2].tobytes() == steps[k - 1][4][-2:].tobytes(), k
+
+
 class TestReportSerialization:
     def test_report_json_round_trip(self, tmp_path):
         import json
