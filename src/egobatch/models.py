@@ -208,8 +208,7 @@ def _timeline_from_logits(seq: DaySequence, logits: np.ndarray) -> PredictionTim
 
 def predict_baseline(model: LayerStack, seq: DaySequence) -> PredictionTimeline:
     """Classify every frame independently."""
-    logits = run_window(model, seq.features).logits
-    return _timeline_from_logits(seq, logits)
+    return _timeline_from_logits(seq, run_window(model, seq.features))
 
 
 def _embedded_rows(model, seq: DaySequence, plan: BatchPlan) -> np.ndarray:

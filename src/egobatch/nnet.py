@@ -10,7 +10,8 @@ vector (`flatten_layers`), rebinding the layers to views of it.
 `backprop_window` writes a window's gradients into one vector with the same
 layout, which `layer_views` alone computes, so each step updates the whole
 stack with one `sgd_update` over the two vectors, which runs its element-wise
-passes chunk by chunk to stay in cache.
+passes chunk by chunk to stay in cache. Each step writes into one
+`StepWorkspace`, built once per run.
 
 Checkpoints (.egomdl) store named float64 tensors, lexicographically ordered,
 little-endian.
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -153,38 +154,38 @@ class _Recurrence:
         self.positions = list(zip(*views))
 
 
-class _LstmCache:
-    """One layer's rows of a T-position window, which `LstmLayer.run` fills,
-    and the blocks `LstmLayer.backward` builds from them; allocated once, with
-    their per-position views, and overwritten by every run and backward
-    that is handed them. `inputs` is the last run's input window."""
+class _LstmCache(_Recurrence):
+    """One layer's recurrence rows over a window of T positions (B = 1),
+    which `LstmLayer.run` fills, with their T x H `outputs`, and the blocks
+    `LstmLayer.backward` builds from them; allocated once, with their
+    per-position views, and overwritten by every run and backward that is
+    handed them. `inputs` is the last run's input window."""
 
     def __init__(self, steps: int, hid: int):
+        super().__init__(1, steps, hid)
         self.inputs: np.ndarray | None = None
-        self.recurrence = rec = _Recurrence(1, steps, hid)
-        self.gate_rows, self.c_rows, self.tanh_c_rows, self.h_rows = (
-            rows[0] for rows in (rec.gate_rows, rec.c_rows, rec.tanh_c_rows, rec.h_rows))
+        gates, c_rows, tanh_c_rows, self.outputs = (
+            rows[0] for rows in (self.gate_rows, self.c_rows, self.tanh_c_rows, self.h_rows))
         # Per position and gate the chain rule is ((s * a) * b) * c with
         # s = (dc, dc, dh, dc): a = (g, c_prev, tanh c, i),
         # b = (i, f, o, 1 - g^2), c = (1 - i, 1 - f, 1 - o, 1).
-        self.a, self.b, self.c = np.empty((3, steps, 4 * hid))
-        self.c[:, 3 * hid:] = 1.0
-        self.a[0, hid:2 * hid] = 0.0  # the window starts from zero state
+        a, b, c = np.empty((3, steps, 4 * hid))
+        c[:, 3 * hid:] = 1.0
+        a[0, hid:2 * hid] = 0.0  # the window starts from zero state
         self.h_prev = np.zeros((steps, hid))
         self.d_tanh_c = np.empty((steps, hid))
         self.d_pre = np.empty((steps, 4 * hid))
         s = np.empty((4, hid))
         self.s_flat, self.dc, self.dh, self.dc_twice = s.reshape(-1), s[0], s[2], s[1::2]
         self.dh_next, self.dc_next = np.empty((2, hid))
-        gates, a, b, c = self.gate_rows, self.a, self.b, self.c
         i, f, o, g = (gates[:, k * hid:(k + 1) * hid] for k in range(4))
         # (destination, source) of the factors copied from the rows
-        self.copies = [(a[:, :hid], g), (a[1:, hid:2 * hid], self.c_rows[:-1]),
-                       (a[:, 2 * hid:3 * hid], self.tanh_c_rows), (a[:, 3 * hid:], i),
+        self.copies = [(a[:, :hid], g), (a[1:, hid:2 * hid], c_rows[:-1]),
+                       (a[:, 2 * hid:3 * hid], tanh_c_rows), (a[:, 3 * hid:], i),
                        (b[:, :3 * hid], gates[:, :3 * hid]),
-                       (self.h_prev[1:], self.h_rows[:-1])]
+                       (self.h_prev[1:], self.outputs[:-1])]
         # (destination, x) of the factors 1 - x^2, and the sigmoid gates of 1 - x
-        self.squares = [(b[:, 3 * hid:], g), (self.d_tanh_c, self.tanh_c_rows)]
+        self.squares = [(b[:, 3 * hid:], g), (self.d_tanh_c, tanh_c_rows)]
         self.sigmoid_gates, self.sigmoid_complements = gates[:, :3 * hid], c[:, :3 * hid]
         # backward walks the positions last to first
         self.backward_positions = list(zip(*(
@@ -295,19 +296,20 @@ class LstmLayer:
         outputs, backward cache). This is the training path.
 
         `cache`, from an earlier run of a window of T positions through a
-        layer of this size, is refilled and returned: the outputs and the
-        cache of that run are overwritten. When None, a new one is built."""
+        layer of this size, is refilled and returned; when None, a new one is
+        built. The outputs are its `outputs`, and its `inputs` is `inputs`
+        itself, not a copy, until the caller clears it."""
         inputs = np.asarray(inputs, dtype=np.float64)
         if inputs.ndim != 2 or inputs.shape[1] != self.in_dim:
             raise ShapeError(f"expected rows of width {self.in_dim}, got {inputs.shape}")
         if cache is None:
             cache = _LstmCache(len(inputs), self.hidden)
-        elif cache.h_rows.shape != (len(inputs), self.hidden):
-            raise ShapeError(f"a cache of {cache.h_rows.shape} outputs cannot hold "
+        elif cache.outputs.shape != (len(inputs), self.hidden):
+            raise ShapeError(f"a cache of {cache.outputs.shape} outputs cannot hold "
                              f"{len(inputs)} x {self.hidden}")
         cache.inputs = inputs
-        self._recur(inputs[np.newaxis], rows=cache.recurrence)
-        return cache.h_rows, cache
+        self._recur(inputs[np.newaxis], rows=cache)
+        return cache.outputs, cache
 
     def forward_batch(self, inputs: np.ndarray) -> np.ndarray:
         """Forward over B x T x D independent windows, each from zero state;
@@ -329,9 +331,9 @@ class LstmLayer:
         times `w_stack`, for a caller that needs it.
         """
         steps, hid = d_outputs.shape
-        if cache.h_rows.shape != (steps, hid):
+        if cache.outputs.shape != (steps, hid):
             raise ShapeError(f"output gradients of shape {d_outputs.shape} do not "
-                             f"match a cache of {cache.h_rows.shape} outputs")
+                             f"match a cache of {cache.outputs.shape} outputs")
         # The factors a, b, c of every position are built first. The products
         # run in the order of the per-gate formulas, and the candidate gate's
         # c = 1 is exact, so the bits are those of the formulas.
@@ -420,23 +422,13 @@ def _masked_xent_rows(logits: np.ndarray, labels: np.ndarray, mask: np.ndarray
 # Layer-stack forward / backward over one window
 # ---------------------------------------------------------------------------
 
-@dataclass
-class WindowForward:
-    """Forward results for one window plus the caches backward needs."""
-
-    logits: np.ndarray
-    lstm_outputs: np.ndarray | None
-    _head_inputs: np.ndarray = field(repr=False, default=None)
-    _dropout_scale: np.ndarray | None = field(repr=False, default=None)
-    _lstm_cache: _LstmCache | None = field(repr=False, default=None)
-
-
 class StepWorkspace:
-    """The buffers of an SGD step of one layer stack over windows of `steps`
-    positions: the gradient vector with its `layer_views` over the stack's
-    layers and, when the stack has a recurrent layer, that layer's cache
-    (`LstmLayer.run`). A training run builds one; every `backprop_window`
-    handed it overwrites them."""
+    """What an SGD step of one layer stack over windows of `steps` positions
+    writes: the gradient vector `grads` with its `layer_views`, the `logits`
+    and, for a stack with a recurrent layer, that layer's cache
+    (`LstmLayer.run`) and T x H `lstm_outputs` (else None). A training run
+    builds one; every `backprop_window` handed it overwrites them all and
+    leaves none of them holding the window's inputs."""
 
     def __init__(self, model, steps: int):
         if steps < 1:
@@ -446,37 +438,37 @@ class StepWorkspace:
         self.grads = np.empty(sum(t.size for layer in self.layers for t in layer._tensors()))
         self.grad_views = layer_views(self.layers, self.grads)
         self.lstm_cache = None if model.lstm is None else _LstmCache(steps, model.lstm.hidden)
+        self.lstm_outputs = None if model.lstm is None else self.lstm_cache.outputs
+        self.logits = self.head_inputs = self.dropout_scale = None
 
 
 def run_window(model, inputs: np.ndarray, *, dropout_rate: float = 0.0,
                rng: np.random.Generator | None = None,
-               lstm_cache: _LstmCache | None = None) -> WindowForward:
-    """Forward one T x D window through a layer stack to per-step logits.
+               workspace: StepWorkspace | None = None) -> np.ndarray:
+    """Forward one T x D window through a layer stack; returns the logits.
 
     A positive `dropout_rate` applies inverted dropout to the head input
     (activations scaled by 1/(1-rate)), so evaluation, at rate 0, needs no
-    rescaling. `lstm_cache` is handed to `LstmLayer.run`.
+    rescaling. A `workspace` runs the recurrent layer in its cache and keeps
+    the head's inputs (the caller's rows for a lone head at rate 0, which
+    `backprop_window` drops) and the dropout scale (None at rate 0).
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 2:
         raise ShapeError("window inputs must be a T x D matrix")
     rows = inputs if model.embed is None else model.embed.forward_rows(inputs)
-    lstm_outputs = None
     if model.lstm is not None:
-        rows, lstm_cache = model.lstm.run(rows, lstm_cache)
-        lstm_outputs = rows
+        rows = model.lstm.run(rows, None if workspace is None else workspace.lstm_cache)[0]
     scale = None
-    head_in = rows
     if dropout_rate > 0.0:
         if rng is None:
             raise ConfigError("dropout requires an rng")
         keep = 1.0 - dropout_rate
         scale = (rng.random(rows.shape) < keep).astype(np.float64) / keep
-        head_in = rows * scale
-    logits = model.head.forward_rows(head_in)
-    return WindowForward(logits=logits, lstm_outputs=lstm_outputs,
-                         _head_inputs=head_in, _dropout_scale=scale,
-                         _lstm_cache=lstm_cache)
+        rows = rows * scale
+    if workspace is not None:
+        workspace.head_inputs, workspace.dropout_scale = rows, scale
+    return model.head.forward_rows(rows)
 
 
 def backprop_window(model, inputs: np.ndarray, labels: np.ndarray,
@@ -484,20 +476,20 @@ def backprop_window(model, inputs: np.ndarray, labels: np.ndarray,
                     dropout_rate: float = 0.0,
                     rng: np.random.Generator | None = None,
                     workspace: StepWorkspace | None = None
-                    ) -> tuple[float, np.ndarray, WindowForward]:
+                    ) -> tuple[float, np.ndarray, StepWorkspace]:
     """Loss and exact gradients of the mean masked cross-entropy over a window.
 
-    The gradients are one vector laid out by `layer_views` over
-    `model.layers`; `model.unflatten` names its parts. Masked-out steps
-    contribute nothing to the loss or any gradient, and a window with no
-    supervised step is refused. Dropout follows `dropout_rate` alone (as in
-    `run_window`), so rate 0 gives the deterministic loss.
+    Returns (loss, `workspace.grads`, `workspace`). The gradients are one
+    vector laid out by `layer_views` over `model.layers`; `model.unflatten`
+    names its parts. Masked-out steps contribute nothing to the loss or any
+    gradient, and a window with no supervised step is refused. Dropout
+    follows `dropout_rate` alone (as in `run_window`), so rate 0 gives the
+    deterministic loss.
 
-    The buffers come from `workspace`, a `StepWorkspace` of this stack and
-    window length, or from a new one when None. The returned gradient
-    vector and the forward's `lstm_outputs` are that workspace's: they hold
-    until the next call handed it, which overwrites them. The workspace
-    keeps no reference to `inputs` after the call.
+    `workspace` is a `StepWorkspace` of this stack and window length, or a
+    new one when None. Its gradients, logits and recurrent outputs hold
+    until the next call handed it overwrites them; it keeps no reference to
+    `inputs` after the call.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -518,24 +510,25 @@ def backprop_window(model, inputs: np.ndarray, labels: np.ndarray,
     elif workspace.layers != model.layers:
         raise ShapeError("the workspace was built for the layers of another stack")
 
-    fwd = run_window(model, inputs, dropout_rate=dropout_rate, rng=rng,
-                     lstm_cache=workspace.lstm_cache)
-    loss, dlogits = _masked_xent_rows(fwd.logits, labels, mask)
+    workspace.logits = run_window(model, inputs, dropout_rate=dropout_rate, rng=rng,
+                                  workspace=workspace)
+    loss, dlogits = _masked_xent_rows(workspace.logits, labels, mask)
     if not np.isfinite(loss):
         raise NumericError("non-finite window loss")
 
     *below, head_grads = workspace.grad_views
-    _dense_grads(dlogits, fwd._head_inputs, *head_grads)
+    _dense_grads(dlogits, workspace.head_inputs, *head_grads)
+    workspace.head_inputs = None  # may be the caller's rows
     if model.lstm is None:  # nothing below the head reads its input gradient
-        return loss, workspace.grads, fwd
+        return loss, workspace.grads, workspace
     d_rows = dlogits @ model.head.weight
-    if fwd._dropout_scale is not None:
-        d_rows = d_rows * fwd._dropout_scale
-    d_pre = model.lstm.backward(fwd._lstm_cache, d_rows, *below[-1])
-    fwd._lstm_cache.inputs = None  # the caller's rows are not kept alive
+    if workspace.dropout_scale is not None:
+        d_rows *= workspace.dropout_scale
+    d_pre = model.lstm.backward(workspace.lstm_cache, d_rows, *below[-1])
+    workspace.lstm_cache.inputs = None  # may be the caller's rows
     if model.embed is not None:
         _dense_grads(d_pre @ model.lstm.w_stack, inputs, *below[0])
-    return loss, workspace.grads, fwd
+    return loss, workspace.grads, workspace
 
 
 def _dense_grads(d_outputs: np.ndarray, inputs: np.ndarray, dw: np.ndarray,
@@ -617,9 +610,7 @@ class GradCheckReport:
 
 
 def _window_loss(model, inputs, labels, mask) -> float:
-    fwd = run_window(model, inputs)
-    loss, _ = _masked_xent_rows(fwd.logits, labels, mask)
-    return loss
+    return _masked_xent_rows(run_window(model, inputs), labels, mask)[0]
 
 
 def grad_check(model, inputs: np.ndarray, labels: np.ndarray,

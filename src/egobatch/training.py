@@ -146,15 +146,15 @@ def _train(model: LayerStack, train_seqs: Sequence[DaySequence],
     stage's layers are rebound to views of one new vector, the optimizer
     state is one velocity vector as long, and each step is one `sgd_update`
     over the vector and the window's gradient. Every step's
-    `backprop_window` runs in one `StepWorkspace`, built for the stage and
-    window length once per run: the gradient it returns and the recurrent
-    outputs of its forward pass are the workspace's, so they hold only until
-    the next step, and the update and the carry read them before that step
-    starts. In phase 2 the frozen
-    embedding turns the padded day into recurrent inputs once, the batches
-    run in order, and the first m inputs of each are replaced by the
-    previous batch's last m recurrent outputs. Each day is dropped, with its
-    rows and last forward pass, before the next is read (from a `Manifest`).
+    `backprop_window` writes into one `StepWorkspace`, built for the stage
+    and window length once per run, and returns it: the gradient, the logits
+    and the recurrent outputs are its fields, so they hold only until the
+    next step, and the update and the carry read them before that step
+    starts. The workspace holds none of a day's rows between steps. In
+    phase 2 the frozen embedding turns the padded day into recurrent inputs
+    once, the batches run in order, and the first m inputs of each are
+    replaced by the previous batch's last m recurrent outputs. Each day is
+    dropped, with its rows, before the next is read (from a `Manifest`).
     Validation does the same, except in phase 2, where it runs the val days
     in lock step and holds their embedded rows until all are predicted.
 
@@ -205,15 +205,14 @@ def _train(model: LayerStack, train_seqs: Sequence[DaySequence],
                     inputs = rows[batch]
                     if overlap and start:
                         # overwrites positions the previous batch has already read
-                        inputs[:overlap] = h_prev[-overlap:]
-                    loss, grads, fwd = backprop_window(
+                        inputs[:overlap] = step.lstm_outputs[-overlap:]
+                    loss, grads, step = backprop_window(
                         stage, inputs, labels[batch], day.valid[batch],
                         dropout_rate=cfg.dropout, rng=dropout_rng, workspace=workspace,
                     )
                     sgd_update(flat, grads, opt)
                     step_losses.append(loss)
-                    h_prev = fwd.lstm_outputs
-                del rows, inputs, fwd  # dropped before the next day is read
+                del rows, inputs  # dropped before the next day is read
             # a last step that overflowed the weights fails here
             val_loss, val_acc = validate_model(model, val_seqs, size, overlap)
         except NumericError:

@@ -251,16 +251,16 @@ def reference_lstm_backward(layer, cache, d_outputs):
     """
     steps, hid = d_outputs.shape
     # the window starts from zero state
-    c_prev_rows = np.vstack([np.zeros(hid), cache.c_rows[:-1]])
-    h_prev_rows = np.vstack([np.zeros(hid), cache.h_rows[:-1]])
+    c_prev_rows = np.vstack([np.zeros(hid), cache.c_rows[0, :-1]])
+    h_prev_rows = np.vstack([np.zeros(hid), cache.h_rows[0, :-1]])
     d_pre = np.empty((steps, 4 * hid))
     dh_next = np.zeros(hid)
     dc_next = np.zeros(hid)
     for t in range(steps - 1, -1, -1):
-        gates = cache.gate_rows[t]
+        gates = cache.gate_rows[0, t]
         i, f = gates[:hid], gates[hid:2 * hid]
         o, g = gates[2 * hid:3 * hid], gates[3 * hid:]
-        tanh_c = cache.tanh_c_rows[t]
+        tanh_c = cache.tanh_c_rows[0, t]
         dh = d_outputs[t] + dh_next
         do = dh * tanh_c
         dc = dh * o * (1.0 - tanh_c * tanh_c) + dc_next

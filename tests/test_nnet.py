@@ -555,9 +555,8 @@ class TestDropout:
     def test_train_dropout_changes_logits(self):
         model = build_sliding(3, 2, hidden=4, seed=8)
         inputs = np.random.default_rng(14).normal(size=(4, 3))
-        plain = run_window(model, inputs).logits
-        dropped = run_window(model, inputs, dropout_rate=0.5,
-                             rng=np.random.default_rng(1)).logits
+        plain = run_window(model, inputs)
+        dropped = run_window(model, inputs, dropout_rate=0.5, rng=np.random.default_rng(1))
         assert not np.array_equal(plain, dropped)
 
 
@@ -830,21 +829,54 @@ class TestStepWorkspace:
             flat = flatten_layers(model.layers)
             sgd_update(flat, got[1], OptimizerState.create(flat.size, learning_rate=0.1))
 
-    def test_results_hold_until_the_next_call(self):
+    @staticmethod
+    def held_arrays(obj):
+        """Every array among the attributes, lists and tuples of `obj`, and of
+        the objects it holds."""
+        if isinstance(obj, np.ndarray):
+            yield obj
+        elif isinstance(obj, (list, tuple)):
+            for item in obj:
+                yield from TestStepWorkspace.held_arrays(item)
+        elif hasattr(obj, "__dict__"):
+            for value in vars(obj).values():
+                yield from TestStepWorkspace.held_arrays(value)
+
+    @pytest.mark.parametrize("build", [build_baseline, build_sliding, build_piggyback])
+    @pytest.mark.parametrize("rate", [0.0, 0.4])
+    def test_results_hold_until_the_next_call(self, build, rate):
         rng = np.random.default_rng(35)
-        model = build_piggyback(4, 3, hidden=5, seed=8)
+        kwargs = {} if build is build_baseline else {"hidden": 5}
+        model = build(4, 3, seed=8, **kwargs)
         workspace = StepWorkspace(model, 6)
         (x1, y1, m1), (x2, y2, m2) = self.windows(rng, 4, 3, 6, 2)
-        _, grads, fwd = backprop_window(model, x1, y1, m1, workspace=workspace)
-        kept = grads.copy(), fwd.lstm_outputs.copy()
-        # the workspace keeps no reference to the window it ran
-        assert workspace.lstm_cache.inputs is None
-        _, grads2, fwd2 = backprop_window(model, x2, y2, m2, workspace=workspace)
-        assert grads2 is grads and fwd2.lstm_outputs is fwd.lstm_outputs
+
+        def step(inputs, labels, mask):
+            result = backprop_window(model, inputs, labels, mask, dropout_rate=rate,
+                                     rng=np.random.default_rng(9), workspace=workspace)
+            assert result[2] is workspace
+            # the workspace keeps no reference to the window it ran
+            assert not any(np.shares_memory(held, inputs)
+                           for held in self.held_arrays(workspace))
+            assert workspace.lstm_cache is None or workspace.lstm_cache.inputs is None
+            return result
+
+        def copies(result):
+            outputs = result[2].lstm_outputs
+            return (result[1].copy(), result[2].logits.copy(),
+                    None if outputs is None else outputs.copy())
+
+        first = step(x1, y1, m1)
+        grads, outputs, kept = first[1], first[2].lstm_outputs, copies(first)
+        assert (outputs is None) == (model.lstm is None)
+        second = step(x2, y2, m2)
+        assert second[1] is grads and second[2].lstm_outputs is outputs
         assert not np.array_equal(grads, kept[0])
-        assert not np.array_equal(fwd.lstm_outputs, kept[1])
-        again = backprop_window(model, x1, y1, m1, workspace=workspace)
-        assert same_bits(again[1], kept[0]) and same_bits(again[2].lstm_outputs, kept[1])
+        assert not np.array_equal(workspace.logits, kept[1])
+        assert outputs is None or not np.array_equal(outputs, kept[2])
+        again = copies(step(x1, y1, m1))
+        assert same_bits(again[0], kept[0]) and same_bits(again[1], kept[1])
+        assert outputs is None or same_bits(again[2], kept[2])
 
     def test_a_reused_cache_runs_and_backpropagates_as_a_new_one(self):
         rng = np.random.default_rng(36)

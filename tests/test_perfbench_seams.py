@@ -173,3 +173,29 @@ def test_baseline_predictor_once_per_day(probed):
     models.predict_days(build_stack("baseline", 16, 6, seed=0), days, 5, 2)
     assert probed["models.predict_baseline"].calls == len(days)
     assert probed["models.predict_baseline"].counts["frames"] == 3 * 23
+
+
+@pytest.mark.parametrize("arch, timestep", [("sliding", 4), ("piggyback", 5)])
+def test_traced_lstm_posts_count_flops_on_every_call(arch, timestep):
+    # a `--trace 1` run wraps every span with its post; these two posts read
+    # `run(inputs, ...)` and the `cache.inputs` that `backward` leaves set
+    seams = ["nnet.LstmLayer.run", "nnet.LstmLayer.backward"]
+    days, hidden = synthetic_days(2, 23), 4
+    model = build_stack(arch, 16, 6, hidden=hidden, seed=0)
+    cfg = TrainConfig(arch, timestep=timestep, overlap=2, learning_rate=0.01, epochs=1,
+                      dropout=0.2, seed=0, phase=1)
+    tracer = load("spans").Tracer(load("posts").POSTS)
+    assert sorted(tracer.install(set(seams).__contains__)) == sorted(seams)
+    try:
+        getattr(training, f"train_{arch}")(model, days, days[:1], cfg)
+    finally:
+        tracer.uninstall()
+    steps = sum(plan_steps(arch, len(day), timestep, 0) for day in days)
+    width = model.lstm.in_dim
+    per_call = {"nnet.LstmLayer.run": 2 * timestep * 4 * hidden * (width + hidden),
+                "nnet.LstmLayer.backward": 2 * timestep * 4 * hidden * (2 * width + 2 * hidden)}
+    for name in seams:
+        record = tracer.table[name]
+        # validation predicts through `forward_batch`, so every call is a step's
+        assert record.calls == steps, name
+        assert record.counts["flops"] == steps * per_call[name] > 0, name
