@@ -259,9 +259,11 @@ def piggyback_days_logits(model: LayerStack, days: Iterable[DaySequence], batch_
     rows are kept. The days are ordered by batch count, most first (a stable
     sort), so the days that have a batch k are a prefix. Batch k of all of
     them runs in one recurrent pass, each day taking its own carry, and one
-    head product. A day alone rounds as it did when its batches ran one at a
-    time; a batch shared by several days can round differently in the last
-    bits.
+    head product. One set of recurrence rows serves every pass of a
+    live-day count, each pass overwriting the last once its carry is taken,
+    so a run builds one set per distinct count. A day alone rounds
+    as it did when its batches ran one at a time; a batch shared by several
+    days can round differently in the last bits.
     """
     if retention not in RETENTIONS:
         raise ConfigError(f"retention must be one of {RETENTIONS}, got {retention!r}")
@@ -278,18 +280,22 @@ def piggyback_days_logits(model: LayerStack, days: Iterable[DaySequence], batch_
     held.sort(key=lambda day: -len(day[2].starts))  # stable
     counts = [len(plan.starts) for _, _, plan, _ in held]
     per_day = [np.empty((count, n, model.head.out_dim)) for count in counts]
-    live = len(held)
+    live, recurrence = len(held), None
     for k in range(counts[0] if held else 0):
         while counts[live - 1] <= k:
             live -= 1
+            recurrence = None  # freed before the narrower rows are built
         start = k * (n - m)
         inputs = np.stack([rows[start:start + n] for *_, rows in held[:live]])
-        if k:
+        if k:  # the previous pass's outputs, before this pass overwrites them
             inputs[:, :m] = h_rows[:live, -m:]
-        h_rows = model.lstm.forward_batch(inputs)
+        if recurrence is None:
+            recurrence = model.lstm.batch_rows(live, n)
+        h_rows = model.lstm.forward_batch(inputs, recurrence)
         step = model.head.forward_rows(h_rows.reshape(live * n, -1))
         for logits, batch in zip(per_day, step.reshape(live, n, -1)):
             logits[k] = batch
+    recurrence = None  # freed before the days' outputs are gathered
     result = [None] * len(held)
     for (position, labels, plan, _), logits in zip(held, per_day):
         kept = np.ones(logits.shape[:2], dtype=bool)

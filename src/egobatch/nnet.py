@@ -133,7 +133,9 @@ class _Recurrence:
 
     The rows are the activated gates (4H, laid out like the stacks), cells,
     tanh of the cells and outputs, each B x T; every `LstmLayer._recur` that
-    is handed them overwrites them.
+    is handed them overwrites them, so one set serves every pass of this
+    shape until the next pass overwrites it. A window that starts from
+    `zero_state` has no h·Uᵀ product at its first position.
     """
 
     def __init__(self, batch: int, steps: int, hid: int):
@@ -263,14 +265,16 @@ class LstmLayer:
         from `start`, whose h and c broadcast against B x H.
 
         The input projection is one matrix product over all B*T rows and each
-        position advances every window with one (B x H)(H x 4H) product.
+        position advances every window with one (B x H)(H x 4H) product,
+        except the first position of windows from zero state, whose product
+        would be zero and is skipped (adding it gives the same bits).
         The results go into `rows`, a `_Recurrence` of this shape, or into a
         new one when None. Returns its B x T activated gates (4H, laid out
         like the stacks), cells, tanh of the cells and outputs.
         """
         batch, steps, _ = inputs.shape
         if rows is None:
-            rows = _Recurrence(batch, steps, self.hidden)
+            rows = self.batch_rows(batch, steps)
         np.matmul(inputs.reshape(batch * steps, -1), self.w_stack.T,
                   out=rows.gate_rows.reshape(batch * steps, -1))
         rows.gate_rows += self.b_stack
@@ -278,7 +282,8 @@ class LstmLayer:
         h, c = (rows.zero_state,) * 2 if start is None else (start.h, start.c)
         h_times_u, i_times_g, scratch = rows.h_times_u, rows.i_times_g, rows.sigmoid_scratch
         for gates, ifo, i, f, o, g, c_out, tanh_c, h_out in rows.positions:
-            gates += np.matmul(h, u_t, out=h_times_u)
+            if h is not rows.zero_state:
+                gates += np.matmul(h, u_t, out=h_times_u)
             _sigmoid(ifo, out=ifo, scratch=scratch)
             np.tanh(g, out=g)
             np.multiply(f, c, out=c_out)
@@ -311,14 +316,26 @@ class LstmLayer:
         self._recur(inputs[np.newaxis], rows=cache)
         return cache.outputs, cache
 
-    def forward_batch(self, inputs: np.ndarray) -> np.ndarray:
+    def batch_rows(self, batch: int, steps: int) -> _Recurrence:
+        """New rows for `forward_batch` over B x T windows through this layer."""
+        return _Recurrence(batch, steps, self.hidden)
+
+    def forward_batch(self, inputs: np.ndarray, rows: _Recurrence | None = None
+                      ) -> np.ndarray:
         """Forward over B x T x D independent windows, each from zero state;
-        returns the B x T x H outputs. This is the inference path."""
+        returns the B x T x H outputs. This is the inference path.
+
+        `rows`, from `batch_rows` of B x T windows through a layer of this
+        size, is refilled, and the outputs are its `h_rows`, valid until the
+        next pass handed it; when None, new rows are built."""
         inputs = np.asarray(inputs, dtype=np.float64)
         if inputs.ndim != 3 or inputs.shape[2] != self.in_dim:
             raise ShapeError(
                 f"expected B x T x {self.in_dim} inputs, got {inputs.shape}")
-        return self._recur(inputs)[3]
+        if rows is not None and rows.h_rows.shape != (*inputs.shape[:2], self.hidden):
+            raise ShapeError(f"rows of {rows.h_rows.shape} outputs cannot hold "
+                             f"{inputs.shape[0]} x {inputs.shape[1]} x {self.hidden}")
+        return self._recur(inputs, rows=rows)[3]
 
     def backward(self, cache: _LstmCache, d_outputs: np.ndarray, dw: np.ndarray,
                  du: np.ndarray, db: np.ndarray) -> np.ndarray:
@@ -451,14 +468,18 @@ def run_window(model, inputs: np.ndarray, *, dropout_rate: float = 0.0,
     (activations scaled by 1/(1-rate)), so evaluation, at rate 0, needs no
     rescaling. A `workspace` runs the recurrent layer in its cache and keeps
     the head's inputs (the caller's rows for a lone head at rate 0, which
-    `backprop_window` drops) and the dropout scale (None at rate 0).
+    `backprop_window` drops) and the dropout scale (None at rate 0); with
+    none, the recurrent layer runs forward only, as a batch of one window.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 2:
         raise ShapeError("window inputs must be a T x D matrix")
     rows = inputs if model.embed is None else model.embed.forward_rows(inputs)
     if model.lstm is not None:
-        rows = model.lstm.run(rows, None if workspace is None else workspace.lstm_cache)[0]
+        if workspace is None:  # forward only: nothing reads a backward cache
+            rows = model.lstm.forward_batch(rows[np.newaxis])[0]
+        else:
+            rows = model.lstm.run(rows, workspace.lstm_cache)[0]
     scale = None
     if dropout_rate > 0.0:
         if rng is None:

@@ -176,8 +176,8 @@ def record_lstm_inputs(monkeypatch, model):
     calls = []
     original = model.lstm.forward_batch
 
-    def recording(inputs):
-        out = original(inputs)
+    def recording(inputs, *args):
+        out = original(inputs, *args)
         calls.append((inputs[0].copy(), out[0].copy()))
         return out
 

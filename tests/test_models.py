@@ -201,8 +201,8 @@ class TestPiggybackPredict:
         forward_batch = model.lstm.forward_batch
         calls = []
 
-        def recording(inputs):
-            out = forward_batch(inputs)
+        def recording(inputs, *args):
+            out = forward_batch(inputs, *args)
             calls.append((inputs[0].copy(), out[0].copy()))
             return out
 
@@ -298,13 +298,49 @@ class TestLockStep:
         forward_batch = model.lstm.forward_batch
         widths = []
 
-        def recording(inputs):
+        def recording(inputs, *args):
             widths.append(len(inputs))
-            return forward_batch(inputs)
+            return forward_batch(inputs, *args)
 
         monkeypatch.setattr(model.lstm, "forward_batch", recording)
         piggyback_days_logits(model, days, n, m)
         assert widths == [sum(c > k for c in counts) for k in range(max(counts))]
+
+    @pytest.mark.parametrize("hidden", [4, 32])
+    def test_one_set_of_rows_per_live_day_count(self, monkeypatch, hidden):
+        rng = np.random.default_rng(56)
+        n, m = 5, 2
+        model = build_piggyback(3, 2, hidden=hidden, seed=4)
+        days = [random_seq(rng, length, 3, 2, sid=f"d{k}")
+                for k, length in enumerate((17, 15, 11, 4))]
+        assert [batch_count(len(seq), n, m) for seq in days] == [5, 5, 3, 1]
+        forward_batch = model.lstm.forward_batch
+        handed = []
+
+        def recording(inputs, *args):
+            handed.append((len(inputs), *args))
+            return forward_batch(inputs, *args)
+
+        def fresh_rows(inputs, *args):  # every pass in new rows
+            return forward_batch(inputs)
+
+        monkeypatch.setattr(model.lstm, "forward_batch", recording)
+        got = piggyback_days_logits(model, days, n, m)
+        assert [live for live, _ in handed] == [4, 3, 3, 2, 2]
+        distinct = []
+        for live, rows in handed:
+            if all(rows is not seen for seen in distinct):
+                distinct.append(rows)
+            assert rows.h_rows.shape == (live, n, hidden)
+        assert [len(rows.h_rows) for rows in distinct] == [4, 3, 2]
+        monkeypatch.setattr(model.lstm, "forward_batch", fresh_rows)
+        fresh = piggyback_days_logits(model, days, n, m)
+        for seq, (_, logits), (_, want) in zip(days, got, fresh):
+            assert logits.tobytes() == want.tobytes(), len(seq)
+            # every day here shares a batch, which may round apart from
+            # running the day's batches one at a time
+            alone = per_batch_carried_logits(model, seq, n, m)
+            assert np.abs(logits - alone).max() <= 1e-12, len(seq)
 
     def test_keeps_input_order(self):
         rng = np.random.default_rng(53)

@@ -172,12 +172,26 @@ class TestLstmStep:
             expected, _ = layer.run(inputs)
             assert np.array_equal(layer.forward_batch(inputs[np.newaxis])[0], expected)
 
+    def test_forward_batch_refills_the_rows_it_is_handed(self):
+        rng = np.random.default_rng(26)
+        layer = LstmLayer.create(3, 4, rng)
+        rows = layer.batch_rows(2, 5)
+        for _ in range(3):
+            inputs = rng.normal(scale=3.0, size=(2, 5, 3))
+            got = layer.forward_batch(inputs, rows)
+            assert got is rows.h_rows
+            assert got.tobytes() == layer.forward_batch(inputs).tobytes()
+
     def test_forward_batch_shape_checked(self):
         layer = LstmLayer.create(3, 4, np.random.default_rng(22))
         with pytest.raises(ShapeError):
             layer.forward_batch(np.zeros((5, 3)))
         with pytest.raises(ShapeError):
             layer.forward_batch(np.zeros((2, 5, 4)))
+        narrower = LstmLayer.create(3, 3, np.random.default_rng(23))
+        for rows in (layer.batch_rows(3, 5), layer.batch_rows(2, 6), narrower.batch_rows(2, 5)):
+            with pytest.raises(ShapeError, match=re.escape("cannot hold 2 x 5 x 4")):
+                layer.forward_batch(np.zeros((2, 5, 3)), rows)
 
     def test_non_finite_input_raises_numeric_error_without_warnings(self):
         rng = np.random.default_rng(31)
