@@ -44,7 +44,6 @@ from .models import (
     model_from_params,
     predict_baseline,
     predict_piggyback_sequence,
-    predict_sequence,
     predict_sliding_sequence,
     read_timelines_json,
     write_timelines_json,

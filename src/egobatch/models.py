@@ -324,28 +324,17 @@ def predict_piggyback_sequence(model: LayerStack, seq: DaySequence,
         seq, piggyback_logits(model, seq, batch_size, overlap, retention))
 
 
-def predict_sequence(model: LayerStack, seq: DaySequence, timestep: int, overlap: int,
-                     retention: str = "earlier") -> PredictionTimeline:
-    """Predict a day as the stack's layers and `overlap` call for: the
-    baseline frame by frame, a sliding stack over windows of `timestep`
-    frames (both ignore `overlap`), and a piggyback stack over batches of
-    n = `timestep`, carried with overlap m = `overlap`, or at m = 0
-    carry-free as phase 1 trains it."""
-    if model.lstm is None:
-        return predict_baseline(model, seq)
-    if model.embed is None or overlap == 0:
-        return predict_sliding_sequence(model, seq, timestep)
-    return predict_piggyback_sequence(model, seq, timestep, overlap, retention=retention)
-
-
 def predict_days(model: LayerStack, days: Iterable[DaySequence], timestep: int,
                  overlap: int, retention: str = "earlier") -> list[PredictionTimeline]:
-    """Timelines of `days`, in their order, predicted as `predict_sequence`
-    predicts each day; `predict` and validation call this.
+    """Timelines of `days`, in their order; `predict` and validation call
+    this, and it decides how each stack predicts a day.
 
     A piggyback stack at overlap m > 0 runs its days in lock step through
-    `piggyback_days_logits`. Every other stack, and a piggyback stack at
-    m = 0, predicts each day as it is read and drops it before the next.
+    `piggyback_days_logits`, over batches of n = `timestep` carried with
+    overlap m. Every other stack predicts each day as it is read and drops
+    it before the next: the baseline frame by frame, and a stack with a
+    recurrent layer over windows of `timestep` frames (so a piggyback stack
+    at m = 0 runs carry-free, as phase 1 trains it).
     """
     if model.embed is not None and overlap:
         return [_timeline_from_logits(day, logits) for day, logits in
@@ -353,7 +342,8 @@ def predict_days(model: LayerStack, days: Iterable[DaySequence], timestep: int,
     timelines = []
     for seq in days:
         _check_width(model, seq)
-        timelines.append(predict_sequence(model, seq, timestep, overlap, retention))
+        timelines.append(predict_baseline(model, seq) if model.lstm is None
+                         else predict_sliding_sequence(model, seq, timestep))
         del seq  # dropped before the next day is read
     return timelines
 

@@ -466,20 +466,17 @@ def run_window(model, inputs: np.ndarray, *, dropout_rate: float = 0.0,
 
     A positive `dropout_rate` applies inverted dropout to the head input
     (activations scaled by 1/(1-rate)), so evaluation, at rate 0, needs no
-    rescaling. A `workspace` runs the recurrent layer in its cache and keeps
-    the head's inputs (the caller's rows for a lone head at rate 0, which
-    `backprop_window` drops) and the dropout scale (None at rate 0); with
-    none, the recurrent layer runs forward only, as a batch of one window.
+    rescaling. The recurrent layer runs through `LstmLayer.run`, in the
+    cache of `workspace` or, with none, in a new cache. A `workspace` also
+    keeps the head's inputs (the caller's rows for a lone head at rate 0,
+    which `backprop_window` drops) and the dropout scale (None at rate 0).
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 2:
         raise ShapeError("window inputs must be a T x D matrix")
     rows = inputs if model.embed is None else model.embed.forward_rows(inputs)
     if model.lstm is not None:
-        if workspace is None:  # forward only: nothing reads a backward cache
-            rows = model.lstm.forward_batch(rows[np.newaxis])[0]
-        else:
-            rows = model.lstm.run(rows, workspace.lstm_cache)[0]
+        rows = model.lstm.run(rows, None if workspace is None else workspace.lstm_cache)[0]
     scale = None
     if dropout_rate > 0.0:
         if rng is None:
@@ -630,8 +627,9 @@ class GradCheckReport:
         return max((t.max_rel_error for t in self.tensors), default=0.0)
 
 
-def _window_loss(model, inputs, labels, mask) -> float:
-    return _masked_xent_rows(run_window(model, inputs), labels, mask)[0]
+def _window_loss(model, inputs, labels, mask, workspace: StepWorkspace) -> float:
+    """The window's loss without dropout, its forward pass run in `workspace`."""
+    return _masked_xent_rows(run_window(model, inputs, workspace=workspace), labels, mask)[0]
 
 
 def grad_check(model, inputs: np.ndarray, labels: np.ndarray,
@@ -641,14 +639,17 @@ def grad_check(model, inputs: np.ndarray, labels: np.ndarray,
     coordinate of every tensor.
 
     Relative error is |a - n| / max(|a|, |n|, 1e-12); failures are reported,
-    never raised. A window with no supervised step is refused.
+    never raised. A window with no supervised step is refused. Every
+    finite-difference loss runs in the workspace that `backprop_window`
+    built for the analytic gradients, so no evaluation allocates rows.
     """
     if not 1e-7 <= epsilon <= 1e-3:
         raise ConfigError("epsilon must lie in [1e-7, 1e-3]")
     inputs = np.asarray(inputs, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     mask = np.ones(inputs.shape[0], dtype=bool) if loss_mask is None else np.asarray(loss_mask, dtype=bool)
-    grads = model.unflatten(backprop_window(model, inputs, labels, mask)[1])
+    _, flat_grads, workspace = backprop_window(model, inputs, labels, mask)
+    grads = model.unflatten(flat_grads)
     checks = []
     for name, w in sorted(model.params().items()):
         flat = w.reshape(-1)
@@ -657,9 +658,9 @@ def grad_check(model, inputs: np.ndarray, labels: np.ndarray,
         for idx in range(flat.size):
             saved = flat[idx]
             flat[idx] = saved + epsilon
-            hi = _window_loss(model, inputs, labels, mask)
+            hi = _window_loss(model, inputs, labels, mask, workspace)
             flat[idx] = saved - epsilon
-            lo = _window_loss(model, inputs, labels, mask)
+            lo = _window_loss(model, inputs, labels, mask, workspace)
             flat[idx] = saved
             numeric = (hi - lo) / (2.0 * epsilon)
             analytic = gflat[idx]

@@ -20,7 +20,7 @@ from egobatch import (
     train_sliding,
     write_sequence_file,
 )
-from egobatch.models import model_from_params, piggyback_logits, predict_sequence
+from egobatch.models import model_from_params, piggyback_logits, predict_days
 
 # day lengths 1-2 (at most m), 7 (one batch) and longer, with several batches
 DAYS = SynthConfig(num_sequences=5, frames_per_sequence=23, seed=8)
@@ -62,8 +62,8 @@ def test_predict_sequence_same_bits(days, architecture, timestep, overlap):
     model = build_stack(architecture, DAYS.feature_dim, DAYS.num_classes, hidden=6,
                         seed=4)
     for disk, memory in zip(*days):
-        want = predict_sequence(model, memory, timestep, overlap)
-        got = predict_sequence(model, disk, timestep, overlap)
+        want = predict_days(model, [memory], timestep, overlap)[0]
+        got = predict_days(model, [disk], timestep, overlap)[0]
         assert_same_bits(got.probs, want.probs)
         assert_same_bits(got.pred_labels, want.pred_labels)
 

@@ -35,7 +35,6 @@ from egobatch.models import (
     piggyback_days_logits,
     piggyback_logits,
     predict_days,
-    predict_sequence,
 )
 from egobatch.nnet import LstmLayer, flatten_layers, softmax
 from oracles import per_batch_carried_logits, timeline_to_obj, unbatched_reference_logits
@@ -361,13 +360,13 @@ class TestLockStep:
 
     @pytest.mark.parametrize("architecture", ARCHITECTURES)
     @pytest.mark.parametrize("overlap", [0, 2])
-    def test_predict_days_predicts_as_predict_sequence(self, architecture, overlap):
+    def test_predict_days_in_lock_step_predicts_as_each_day_alone(self, architecture, overlap):
         rng = np.random.default_rng(54)
         model = build_stack(architecture, 3, 2, hidden=4, seed=3)
         days = mixed_days(rng, 5, 2, 3, 2)
         got = predict_days(model, days, 5, overlap, retention="later")
         for seq, timeline in zip(days, got):
-            want = predict_sequence(model, seq, 5, overlap, retention="later")
+            want = predict_days(model, [seq], 5, overlap, retention="later")[0]
             assert timeline.sequence_id == want.sequence_id
             assert np.array_equal(timeline.pred_labels, want.pred_labels)
             if architecture == "piggyback" and overlap:
@@ -485,7 +484,7 @@ class TestPredictSequence:
             direct = predict_sliding_sequence(model, seq, 6)
         else:
             direct = predict_piggyback_sequence(model, seq, 6, 2, retention="later")
-        got = predict_sequence(model, seq, 6, 2, retention="later")
+        got = predict_days(model, [seq], 6, 2, retention="later")[0]
         assert got.sequence_id == direct.sequence_id
         assert np.array_equal(got.true_labels, direct.true_labels)
         assert np.array_equal(got.pred_labels, direct.pred_labels)
@@ -496,12 +495,12 @@ class TestPredictSequence:
         # trains and validates it
         model = build_stack("piggyback", 4, 3, hidden=5, seed=2)
         seq = random_seq(np.random.default_rng(23), 29, 4, 3)
-        got = predict_sequence(model, seq, 6, 0, retention="later")
+        got = predict_days(model, [seq], 6, 0, retention="later")[0]
         direct = predict_sliding_sequence(model, seq, 6)
         assert np.array_equal(got.pred_labels, direct.pred_labels)
         assert got.probs.tobytes() == direct.probs.tobytes()
         with pytest.raises(ConfigError, match="overlap"):
-            predict_sequence(model, seq, 6, -1)
+            predict_days(model, [seq], 6, -1)[0]
 
 
 def address(array):

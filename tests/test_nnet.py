@@ -32,8 +32,8 @@ from egobatch import (
     write_checkpoint,
 )
 from egobatch.models import LayerStack
-from egobatch.nnet import (SGD_CHUNK, StepWorkspace, _masked_xent_rows, _sigmoid,
-                           flatten_layers, layer_views)
+from egobatch.nnet import (SGD_CHUNK, StepWorkspace, _LstmCache, _masked_xent_rows,
+                           _Recurrence, _sigmoid, flatten_layers, layer_views)
 from oracles import (
     reference_lstm_backward,
     reference_lstm_recur,
@@ -596,6 +596,23 @@ class TestGradCheck:
         report = grad_check(model, rng.normal(size=(6, 5)) * 2.0,
                             rng.integers(3, size=6), epsilon=1e-5)
         assert report.max_rel_error < 1e-5
+
+    @pytest.mark.parametrize("build", [build_sliding, build_piggyback])
+    def test_builds_recurrence_rows_once(self, build, monkeypatch):
+        # every finite-difference loss runs in the cache of the workspace
+        # that the analytic gradients were computed in
+        built = []
+        init = _Recurrence.__init__
+
+        def counting(rows, *args):
+            built.append(type(rows))
+            init(rows, *args)
+
+        monkeypatch.setattr(_Recurrence, "__init__", counting)
+        rng = np.random.default_rng(27)
+        model = build(4, 3, hidden=3, seed=5)
+        grad_check(model, rng.normal(size=(5, 4)), rng.integers(3, size=5))
+        assert built == [_LstmCache]
 
     def test_zero_gradient_coordinate_reports_zero(self):
         # a feature column that is identically zero leaves its head weights

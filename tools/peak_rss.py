@@ -5,8 +5,12 @@ code and peak resident set size.
 
 Everything after the script name is the command line of `egobatch`. The
 child imports the package from the `src/` next to this directory and runs
-BLAS at one thread. Its peak is read with `getrusage(RUSAGE_CHILDREN)` once
-it has exited: on Linux that is the largest peak of any waited-for child,
+BLAS at one thread. This script first compiles the package's bytecode into
+its `__pycache__`, in its own process, which the reading does not count: a
+child that compiled the package from source, as it does under
+`PYTHONDONTWRITEBYTECODE` when no bytecode is cached, would peak higher.
+The child's peak is read with `getrusage(RUSAGE_CHILDREN)` once it has
+exited: on Linux that is the largest peak of any waited-for child,
 and the command is this script's only child, so the reading is the
 command's own, apart from anything this script holds. The last line printed
 is `exit <code> peak_rss_mib <MiB>`, and the script exits with the
@@ -15,6 +19,7 @@ command's code.
 
 from __future__ import annotations
 
+import compileall
 import os
 import resource
 import subprocess
@@ -28,6 +33,7 @@ def main(argv: list[str]) -> int:
     if not argv:
         print(__doc__.strip(), file=sys.stderr)
         return 1
+    compileall.compile_dir(SRC / "egobatch", quiet=1)
     env = dict(os.environ)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
