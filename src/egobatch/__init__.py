@@ -62,7 +62,7 @@ from .nnet import (
     softmax,
     write_checkpoint,
 )
-from .splitter import Bin, SplitResult, bhattacharyya, combinations, ffd_pack, select_split
+from .splitter import Bin, SplitResult, combinations, ffd_pack, select_split
 from .training import (
     TrainConfig,
     TrainReport,

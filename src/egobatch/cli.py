@@ -356,8 +356,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--bins", type=int, required=True,
-                   help="requested bin count; sets only the packing capacity, "
-                        "and the packing decides the actual count")
+                   help="requested bin count; sets only the packing capacity "
+                        "(irrelevant with --capacity), and the packing decides "
+                        "the actual count")
     p.add_argument("--test-bins", type=int, required=True)
     p.add_argument("--val-bins", type=int, required=True)
     p.add_argument("--capacity", type=int, default=None,

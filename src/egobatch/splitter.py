@@ -124,35 +124,10 @@ def combinations(count: int, choose: int) -> Iterator[tuple[int, ...]]:
     return _combinations(range(count), choose)
 
 
-def bhattacharyya(p: Sequence[float], q: Sequence[float]) -> float:
-    """Bhattacharyya distance -ln(sum_k sqrt(p_k q_k)); inf on disjoint support."""
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    if p.shape != q.shape or p.ndim != 1:
-        raise DataError("distributions must be 1-D vectors of equal length")
-    for vec in (p, q):
-        if not np.isfinite(vec).all():
-            raise DataError("distribution entries must be finite")
-        if (vec < 0).any():
-            raise DataError("distribution entries must be non-negative")
-        if abs(vec.sum() - 1.0) > 1e-9:
-            raise DataError(f"distribution sums to {vec.sum()}, not 1")
-    return _distance(p, q)
-
-
-def _distance(p: np.ndarray, q: np.ndarray) -> float:
-    """`bhattacharyya` without its checks, for distributions built here."""
-    coefficient = float(np.sqrt(p * q).sum())
-    if coefficient <= 0.0:
-        return math.inf
-    # rounding can push the coefficient a hair above 1 when p == q
-    return max(0.0, -math.log(min(coefficient, 1.0)))
-
-
 def _row_distances(counts: np.ndarray, reference: np.ndarray) -> np.ndarray:
-    """`_distance` of each row's distribution, count / row total, from
-    `reference`: the same products, row sums and `math.log`, so the same
-    bits."""
+    """Bhattacharyya distance -ln(sum_k sqrt(p_k q_k)) of each row's
+    distribution p, count / row total, from `reference` q; inf where the
+    supports are disjoint, and `math.log` per row."""
     coefficients = np.sqrt(counts / counts.sum(axis=1, keepdims=True) * reference).sum(axis=1)
     distances = np.full(len(coefficients), math.inf)
     positive = coefficients > 0.0
@@ -201,22 +176,22 @@ def select_split(dataset: Dataset, num_bins: int, test_bins: int, val_bins: int,
     """Two-stage exhaustive split of whole days into test/validation/train.
 
     Sequences are FFD-packed into bins (default capacity
-    ceil(1.1 * total_frames / num_bins); the request sets the capacity, the
-    packing determines the actual bin count). Stage 1 picks the `test_bins`
-    subset minimizing d(test, whole) + d(rest, whole); stage 2 picks
-    `val_bins` from the remainder the same way. `stage2_reference` switches
-    the stage-2 reference distribution between the whole dataset ("whole",
-    the default) and the remaining pool ("rest"). Ties always go to the
-    lexicographically smallest bin-id set. A search of more than
-    `MAX_SUBSETS` subsets in the two stages together is refused before it
-    starts, with a `ConfigError`. Only each day's id, length and
-    labels are read, so the days may be `DayLabels`.
+    ceil(1.1 * total_frames / num_bins); `num_bins` sets only the capacity, so
+    an explicit `capacity` makes it irrelevant, and the packing determines the
+    actual bin count). Stage 1 picks the `test_bins` subset minimizing
+    d(test, whole) + d(rest, whole); stage 2 picks `val_bins` from the
+    remainder the same way. `stage2_reference` switches the stage-2 reference
+    distribution between the whole dataset ("whole", the default) and the
+    remaining pool ("rest"). Ties always go to the lexicographically smallest
+    bin-id set. A search of more than `MAX_SUBSETS` subsets in the two stages
+    together is refused before it starts, with a `ConfigError`. Only each
+    day's id, length and labels are read, so the days may be `DayLabels`.
     """
     if stage2_reference not in ("whole", "rest"):
         raise ConfigError("stage2_reference must be 'whole' or 'rest'")
     if num_bins < 1 or test_bins < 1 or val_bins < 1:
         raise ConfigError("bin counts must be positive")
-    if test_bins + val_bins >= num_bins:
+    if capacity is None and test_bins + val_bins >= num_bins:
         raise ConfigError(
             f"need test_bins + val_bins < num_bins, got {test_bins}+{val_bins} vs {num_bins}"
         )

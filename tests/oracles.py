@@ -3,7 +3,8 @@
 These deliberately avoid the library's vectorized paths: the carry-over
 reference walks frame by frame through gate equations it writes itself from
 the per-gate tensors (`reference_lstm_step`), calling no library layer, and the
-split reference enumerates subsets with plain-Python bitmask loops; the
+split reference enumerates subsets with plain-Python bitmask loops, scoring
+them with its own distance (`bhattacharyya_distance`); the
 cross-entropy reference scores one frame at a time. The recurrence,
 backward, masked cross-entropy, SGD and split-stage references are the plain
 loops the library's kernels replaced; the kernels must match them bit for
@@ -25,7 +26,6 @@ import numpy as np
 from egobatch.batching import batch_plan
 from egobatch.errors import DataError, ShapeError
 from egobatch.nnet import GATES
-from egobatch.splitter import _distance, bhattacharyya
 
 
 def timeline_to_obj(timeline, include_probs=False):
@@ -136,6 +136,18 @@ def reference_lstm_step(p, x, h, c):
     return o * np.tanh(c), c
 
 
+def bhattacharyya_distance(p, q):
+    """Bhattacharyya distance -ln(sum_k sqrt(p_k q_k)) of two distributions;
+    inf on disjoint support. numpy's sum and `math.log`, as the split search
+    scores each row, so a reference stage gives the search's bits."""
+    coefficient = float(np.sqrt(np.asarray(p, dtype=np.float64)
+                                * np.asarray(q, dtype=np.float64)).sum())
+    if coefficient <= 0.0:
+        return math.inf
+    # rounding can push the coefficient a hair above 1 when p == q
+    return max(0.0, -math.log(min(coefficient, 1.0)))
+
+
 def brute_force_split(bin_labels, num_classes, test_bins, val_bins,
                       stage2_reference="whole"):
     """Two-stage exhaustive split selection over explicit bins."""
@@ -143,12 +155,6 @@ def brute_force_split(bin_labels, num_classes, test_bins, val_bins,
     def dist(counts):
         total = sum(counts)
         return None if total == 0 else [c / total for c in counts]
-
-    def distance(p, q):
-        coeff = sum(math.sqrt(a * b) for a, b in zip(p, q))
-        if coeff <= 0:
-            return math.inf
-        return max(0.0, -math.log(min(coeff, 1.0)))
 
     def counts_of(ids):
         counts = [0] * num_classes
@@ -173,7 +179,8 @@ def brute_force_split(bin_labels, num_classes, test_bins, val_bins,
             d_rest = dist(counts_of(rest))
             value = math.inf
             if d_pick is not None and d_rest is not None:
-                value = distance(d_pick, reference) + distance(d_rest, reference)
+                value = (bhattacharyya_distance(d_pick, reference)
+                         + bhattacharyya_distance(d_rest, reference))
             key = tuple(sorted(picked))
             # bitmask order is not lexicographic, so ties must compare keys
             if best is None or value < best_val or \
@@ -192,8 +199,8 @@ def brute_force_split(bin_labels, num_classes, test_bins, val_bins,
 
 def reference_best_subset(bin_counts, candidates, choose, reference):
     """The split search's stage as it scored subsets before the count matrix:
-    per-bin class-count vectors summed per subset, each distribution checked
-    by the public `bhattacharyya`, and a subset or rest of zero frames scored
+    per-bin class-count vectors summed per subset, each distribution scored
+    by `bhattacharyya_distance`, and a subset or rest of zero frames scored
     inf. `splitter._best_subset` must return the same ids and objective bit
     for bit."""
 
@@ -207,7 +214,7 @@ def reference_best_subset(bin_counts, candidates, choose, reference):
             dist = distribution(counts)
             if dist is None:
                 return math.inf
-            total += bhattacharyya(dist, reference)
+            total += bhattacharyya_distance(dist, reference)
         return total
 
     pool = np.sum([bin_counts[b] for b in candidates], axis=0)
@@ -226,9 +233,9 @@ def reference_best_subset(bin_counts, candidates, choose, reference):
 def per_subset_best_subset(counts, candidates, choose, reference):
     """The split search's stage as it scored one subset at a time from the
     bins x K count matrix: each subset's count sum, the rest's as the pool
-    minus it, both scored by `splitter._distance` and kept on the first strict
-    minimum. `splitter._best_subset` must return the same ids and objective
-    bit for bit."""
+    minus it, both scored by `bhattacharyya_distance` and kept on the first
+    strict minimum. `splitter._best_subset` must return the same ids and
+    objective bit for bit."""
     pool = counts[candidates].sum(axis=0)
     best_ids = None
     best_value = math.inf
@@ -236,8 +243,8 @@ def per_subset_best_subset(counts, candidates, choose, reference):
         ids = tuple(candidates[i] for i in picks)
         subset = counts[list(ids)].sum(axis=0)
         rest = pool - subset
-        value = (_distance(subset / float(subset.sum()), reference)
-                 + _distance(rest / float(rest.sum()), reference))
+        value = (bhattacharyya_distance(subset / float(subset.sum()), reference)
+                 + bhattacharyya_distance(rest / float(rest.sum()), reference))
         if best_ids is None or value < best_value:
             best_ids = ids
             best_value = value

@@ -20,7 +20,6 @@ from egobatch import (
     SynthConfig,
     TrainConfig,
     batch_plan,
-    bhattacharyya,
     build_baseline,
     build_piggyback,
     build_sliding,
@@ -43,6 +42,7 @@ from egobatch import (
 )
 from egobatch.cli import dispatch
 from egobatch.models import piggyback_logits
+from egobatch.splitter import _row_distances
 from oracles import brute_force_split, unbatched_reference_logits
 
 AMBIGUOUS_PAIR = (4, 5)
@@ -145,14 +145,20 @@ def test_split_oracle():
             assert abs(result.objective_test - expect[2]) < 1e-9
         checked += 1
 
+    # the split search's distance: integer class-count rows, some classes
+    # absent, against a reference distribution of counts
     mp.dps = 60
     for _ in range(200):
         size = int(rng.integers(2, 10))
-        p = rng.dirichlet(np.ones(size))
-        q = rng.dirichlet(np.ones(size))
-        oracle = float(-mp.log(sum(mp.sqrt(mpf(a) * mpf(b))
-                                   for a, b in zip(p, q))))
-        assert abs(bhattacharyya(p, q) - oracle) < 1e-9
+        counts = rng.integers(0, 400, size=size) * (rng.random(size) < 0.75)
+        counts[int(rng.integers(size))] += 1
+        whole = rng.integers(1, 400, size=size)
+        reference = whole / float(whole.sum())
+        total = mpf(int(counts.sum()))
+        oracle = float(-mp.log(sum(mp.sqrt(mpf(int(c)) / total * mpf(q))
+                                   for c, q in zip(counts, reference))))
+        mine = _row_distances(counts[None, :], reference)[0]
+        assert abs(mine - oracle) < 1e-9
     _passed("split oracle (100 instances + distance vs mpmath)")
 
 

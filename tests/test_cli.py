@@ -354,6 +354,16 @@ class TestSplitChecks:
         assert error in capsys.readouterr().err
         assert not (out / "split.json").exists()
 
+    def test_capacity_makes_bins_irrelevant(self, synth_dir, split_dir, tmp_path):
+        # --bins 6 derives capacity ceil(1.1 * 320 / 6) = 59, one day to a bin
+        out = tmp_path / "split"
+        assert run("split", "--manifest", str(synth_dir / "manifest.json"),
+                   "--labels", str(synth_dir / "labels.txt"), "--out-dir", str(out),
+                   "--bins", "2", "--test-bins", "1", "--val-bins", "1",
+                   "--capacity", "59") == 0
+        assert (out / "split.json").read_bytes() == \
+            (split_dir / "split.json").read_bytes()
+
     def test_search_too_large_exits_1_at_once(self, tmp_path, capsys):
         # 40 days of 40 frames pack one to a bin at --bins 24, and choosing
         # 10 test bins among 40 would score C(40, 10) + C(30, 1) subsets

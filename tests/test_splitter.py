@@ -15,7 +15,6 @@ from egobatch import (
     DaySequence,
     LabelSet,
     PackingError,
-    bhattacharyya,
     combinations,
     ffd_pack,
     select_split,
@@ -103,58 +102,19 @@ class TestCombinations:
             list(combinations(3, 0))
 
 
-def mp_bhattacharyya(p, q):
-    """High-precision oracle for the distance."""
+def mp_row_distance(counts, reference):
+    """High-precision oracle for the distance of one integer count row's
+    distribution, count / row total, from `reference`."""
     mp.dps = 60
-    coeff = sum(mp.sqrt(mpf(a) * mpf(b)) for a, b in zip(p, q))
+    total = mpf(int(sum(counts)))
+    coeff = sum(mp.sqrt(mpf(int(c)) / total * mpf(float(q)))
+                for c, q in zip(counts, reference))
     return float(-mp.log(coeff)) if coeff > 0 else math.inf
 
 
-class TestBhattacharyya:
-    def test_identical_distributions(self):
-        p = [0.2, 0.3, 0.5]
-        assert abs(bhattacharyya(p, p)) < 1e-12
-
-    def test_disjoint_support_is_infinite(self):
-        assert bhattacharyya([1.0, 0.0], [0.0, 1.0]) == math.inf
-
-    def test_hand_value_against_oracle(self):
-        p, q = [0.5, 0.5], [0.25, 0.75]
-        expected = mp_bhattacharyya(p, q)
-        # -ln(sqrt(.125) + sqrt(.375)) = 0.0346682...
-        assert abs(expected - 0.034668) < 1e-6
-        assert abs(bhattacharyya(p, q) - expected) < 1e-9
-
-    def test_matches_oracle_on_random_pairs(self):
-        rng = np.random.default_rng(3)
-        for _ in range(60):
-            size = int(rng.integers(2, 12))
-            p = rng.dirichlet(np.ones(size))
-            q = rng.dirichlet(np.ones(size))
-            mine = bhattacharyya(p, q)
-            assert abs(mine - mp_bhattacharyya(p, q)) < 1e-9
-            assert mine >= 0.0
-            assert abs(mine - bhattacharyya(q, p)) < 1e-15
-
-    def test_zero_iff_equal_on_common_support(self):
-        rng = np.random.default_rng(4)
-        for _ in range(20):
-            p = rng.dirichlet(np.ones(5))
-            q = rng.dirichlet(np.ones(5))
-            if not np.allclose(p, q, atol=1e-12):
-                assert bhattacharyya(p, q) > 0.0
-
-    def test_input_validation(self):
-        with pytest.raises(DataError):
-            bhattacharyya([0.5, 0.5], [0.5, 0.25, 0.25])
-        with pytest.raises(DataError):
-            bhattacharyya([0.7, 0.7], [0.5, 0.5])
-        with pytest.raises(DataError):
-            bhattacharyya([-0.1, 1.1], [0.5, 0.5])
-        with pytest.raises(DataError):
-            bhattacharyya([math.nan, 1.0], [0.5, 0.5])
-        with pytest.raises(DataError):
-            bhattacharyya([0.5, 0.5], [1.0, math.nan])
+def row_distance(counts, reference):
+    """`_row_distances` of one count row."""
+    return float(splitter._row_distances(np.array([counts]), np.asarray(reference))[0])
 
 
 def random_counts(rng, bins, classes):
@@ -163,6 +123,60 @@ def random_counts(rng, bins, classes):
     counts = rng.integers(0, rng.choice([6, 400]), size=(bins, classes))
     counts[np.arange(bins), rng.integers(0, classes, size=bins)] += 1
     return counts
+
+
+class TestBhattacharyya:
+    """`_row_distances`, the one distance the split search runs, against
+    mpmath on integer count rows."""
+
+    def test_identical_distributions(self):
+        counts = np.array([2, 3, 5])
+        assert abs(row_distance(counts, counts / 10.0)) < 1e-12
+        # sqrt(0.25) + sqrt(0.25) is exactly 1
+        assert row_distance([1, 1], [0.5, 0.5]) == 0.0
+        assert row_distance([4, 0, 4], [0.5, 0.0, 0.5]) == 0.0
+
+    def test_disjoint_support_is_infinite(self):
+        assert row_distance([3, 0], [0.0, 1.0]) == math.inf
+        assert row_distance([0, 7, 0], [0.5, 0.0, 0.5]) == math.inf
+
+    def test_hand_value_against_oracle(self):
+        counts, q = [1, 1], [0.25, 0.75]
+        expected = mp_row_distance(counts, q)
+        # -ln(sqrt(.125) + sqrt(.375)) = 0.0346682...
+        assert abs(expected - 0.034668) < 1e-6
+        assert abs(row_distance(counts, q) - expected) < 1e-9
+
+    def test_matches_oracle_on_random_pairs(self):
+        rng = np.random.default_rng(3)
+        for case in range(60):
+            classes = int(rng.integers(2, 22))
+            counts = random_counts(rng, 20, classes)
+            counts[rng.random(counts.shape) < 0.25] = 0  # absent classes
+            counts[counts.sum(axis=1) == 0, 0] = 1
+            # the whole set's distribution, or the rest's, which may lack a class
+            pool = random_counts(rng, 1, classes)[0]
+            if case % 2 == 0:
+                pool += 1
+            reference = pool / float(pool.sum())
+            mine = splitter._row_distances(counts, reference)
+            for row, value in zip(counts, mine):
+                expected = mp_row_distance(row, reference)
+                if expected == math.inf:
+                    assert value == math.inf
+                else:
+                    assert abs(value - expected) < 1e-9
+                    assert value >= 0.0
+                other = row_distance(pool, row / float(row.sum()))
+                assert value == other or abs(value - other) < 1e-15
+
+    def test_zero_iff_equal_on_common_support(self):
+        rng = np.random.default_rng(4)
+        counts = random_counts(rng, 20, 5) + 1
+        reference = rng.dirichlet(np.ones(5))
+        for row, value in zip(counts, splitter._row_distances(counts, reference)):
+            if not np.allclose(row / float(row.sum()), reference, atol=1e-12):
+                assert value > 0.0
 
 
 class TestBestSubset:
@@ -322,6 +336,15 @@ class TestSelectSplit:
             select_split(ds, num_bins=3, test_bins=3, val_bins=1, capacity=3)
         with pytest.raises(ConfigError):
             select_split(ds, num_bins=3, test_bins=2, val_bins=1, capacity=3)
+
+    def test_explicit_capacity_ignores_the_requested_bin_count(self):
+        # capacity 3 packs four singleton bins whatever num_bins asks for
+        ds = build_dataset([[0, 0], [1, 1], [0, 1], [0, 1]])
+        expect = select_split(ds, num_bins=4, test_bins=1, val_bins=1, capacity=3)
+        for num_bins in (1, 2):
+            result = select_split(ds, num_bins=num_bins, test_bins=1, val_bins=1,
+                                  capacity=3)
+            assert result.to_json_obj() == expect.to_json_obj()
 
     def test_absent_class_rejected(self):
         sequences = [seq_with_labels([0, 0], "s0"), seq_with_labels([0, 1], "s1"),
