@@ -41,22 +41,9 @@ CHECKPOINT_MAGIC = b"EGOMDL01"
 # and 1.0 ms unchunked.
 SGD_CHUNK = 32768
 
-
-def _sigmoid(x: np.ndarray, out: np.ndarray | None = None,
-             scratch: np.ndarray | None = None) -> np.ndarray:
-    # per element the usual two branches, 1/(1+e^-x) for x >= 0 and
-    # e^x/(1+e^x) below, as one quotient e^min(x,0) / (1+e^-|x|), so the same
-    # bits; exp sees only non-positive values and cannot overflow. One exp
-    # call takes numerator and denominator, stacked in `scratch` (2 x the
-    # shape of x, allocated when None). `out` may be `x` itself.
-    if scratch is None:
-        scratch = np.empty((2,) + x.shape)
-    num, den = scratch
-    np.minimum(x, 0.0, out=num)
-    np.copysign(x, -1.0, out=den)
-    np.exp(scratch, out=scratch)
-    den += 1.0
-    return np.divide(num, den, out=out)
+# Scalar operands of the LSTM's per-position ufunc calls, as read-only 0-d
+# float64 arrays so that no call converts a Python float.
+_ZERO, _ONE, _MINUS_ONE = (np.broadcast_to(v, ()) for v in (0.0, 1.0, -1.0))
 
 
 def _glorot(rng: np.random.Generator, out_dim: int, in_dim: int) -> np.ndarray:
@@ -253,7 +240,8 @@ class LstmLayer:
             raise ShapeError(f"expected input of length {self.in_dim}, got {x.shape}")
         if state.h.shape != (self.hidden,) or state.c.shape != (self.hidden,):
             raise ShapeError("state size does not match the hidden size")
-        _, c_rows, _, h_rows = self._recur(x.reshape(1, 1, -1), state)
+        _, c_rows, _, h_rows = self._recur(
+            x.reshape(1, 1, -1), LstmState(state.h.reshape(1, -1), state.c))
         if not np.isfinite(c_rows).all():
             raise NumericError("non-finite recurrent state")
         return LstmState(h_rows[0, 0], c_rows[0, 0])
@@ -262,7 +250,7 @@ class LstmLayer:
                rows: _Recurrence | None = None
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The recurrence over B x T x D windows, each from zero state or
-        from `start`, whose h and c broadcast against B x H.
+        from `start`, whose h is B x H and whose c broadcasts against B x H.
 
         The input projection is one matrix product over all B*T rows and each
         position advances every window with one (B x H)(H x 4H) product,
@@ -271,6 +259,12 @@ class LstmLayer:
         The results go into `rows`, a `_Recurrence` of this shape, or into a
         new one when None. Returns its B x T activated gates (4H, laid out
         like the stacks), cells, tanh of the cells and outputs.
+
+        The sigmoid gates take, per element, the usual two branches
+        1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below as one quotient
+        e^min(x,0) / (1+e^-|x|), with the same bits; exp sees only
+        non-positive values and cannot overflow, and one exp call takes
+        numerator and denominator, stacked in the rows' sigmoid scratch.
         """
         batch, steps, _ = inputs.shape
         if rows is None:
@@ -279,17 +273,30 @@ class LstmLayer:
                   out=rows.gate_rows.reshape(batch * steps, -1))
         rows.gate_rows += self.b_stack
         u_t = self.u_stack.T
-        h, c = (rows.zero_state,) * 2 if start is None else (start.h, start.c)
+        zero_state = rows.zero_state
+        h, c = (zero_state,) * 2 if start is None else (start.h, start.c)
         h_times_u, i_times_g, scratch = rows.h_times_u, rows.i_times_g, rows.sigmoid_scratch
+        num, den = scratch
+        # At h32 a position's arithmetic is smaller than the fixed cost of
+        # each numpy call, so the loop keeps that cost down with the same
+        # bits: scalar operands are the 0-d `_ZERO`, `_ONE`, `_MINUS_ONE`,
+        # never Python floats; h·Uᵀ is `np.dot` with a positional out; and
+        # every update is an explicit ufunc call (positional out, except
+        # `np.minimum`, which warns on it), not `+=`, `np.copyto` or a
+        # helper function.
         for gates, ifo, i, f, o, g, c_out, tanh_c, h_out in rows.positions:
-            if h is not rows.zero_state:
-                gates += np.matmul(h, u_t, out=h_times_u)
-            _sigmoid(ifo, out=ifo, scratch=scratch)
-            np.tanh(g, out=g)
-            np.multiply(f, c, out=c_out)
-            c_out += np.multiply(i, g, out=i_times_g)
-            np.tanh(c_out, out=tanh_c)
-            np.multiply(o, tanh_c, out=h_out)
+            if h is not zero_state:
+                np.add(gates, np.dot(h, u_t, h_times_u), gates)
+            np.minimum(ifo, _ZERO, out=num)
+            np.copysign(ifo, _MINUS_ONE, den)
+            np.exp(scratch, scratch)
+            np.add(den, _ONE, den)
+            np.divide(num, den, ifo)
+            np.tanh(g, g)
+            np.multiply(f, c, c_out)
+            np.add(c_out, np.multiply(i, g, i_times_g), c_out)
+            np.tanh(c_out, tanh_c)
+            np.multiply(o, tanh_c, h_out)
             h, c = h_out, c_out
         if not np.isfinite(rows.h_rows).all():
             raise NumericError("non-finite recurrent outputs")
@@ -358,25 +365,26 @@ class LstmLayer:
             np.copyto(dst, src)
         for dst, x in cache.squares:
             np.multiply(x, x, out=dst)
-            np.subtract(1.0, dst, out=dst)
-        np.subtract(1.0, cache.sigmoid_gates, out=cache.sigmoid_complements)
+            np.subtract(_ONE, dst, out=dst)
+        np.subtract(_ONE, cache.sigmoid_gates, out=cache.sigmoid_complements)
         s_flat, dc, dh, dc_twice = cache.s_flat, cache.dc, cache.dh, cache.dc_twice
         dh_next, dc_next = cache.dh_next, cache.dc_next
         dh_next.fill(0.0)
         dc_next.fill(0.0)
         u_t = self.u_stack.T
+        # the per-position calls follow `_recur`'s loop conventions
         for d_out, (o_t, d_tanh_t, a_t, b_t, c_t, f_t, row) in zip(
                 d_outputs[::-1], cache.backward_positions):
-            np.add(d_out, dh_next, out=dh)
-            np.multiply(dh, o_t, out=dc)
-            dc *= d_tanh_t
-            dc += dc_next
-            np.copyto(dc_twice, dc)
-            np.multiply(s_flat, a_t, out=row)
-            row *= b_t
-            row *= c_t
-            np.multiply(dc, f_t, out=dc_next)
-            np.matmul(u_t, row, out=dh_next)
+            np.add(d_out, dh_next, dh)
+            np.multiply(dh, o_t, dc)
+            np.multiply(dc, d_tanh_t, dc)
+            np.add(dc, dc_next, dc)
+            dc_twice[...] = dc
+            np.multiply(s_flat, a_t, row)
+            np.multiply(row, b_t, row)
+            np.multiply(row, c_t, row)
+            np.multiply(dc, f_t, dc_next)
+            np.dot(u_t, row, dh_next)
         d_pre = cache.d_pre
         np.matmul(d_pre.T, cache.inputs, out=dw)
         np.matmul(d_pre.T, cache.h_prev, out=du)

@@ -47,12 +47,39 @@ def test_summary_of_canned_results(bench):
     assert lines == [
         "wl, frames_per_s: 105 -> 120 1/s (+14.3 %, 4 of 5 better, higher is better; "
         "parent quartiles 100-110, IQR 10)",
+        "wl, frames_per_s verdict: within bound",
         # 2.1 against 2.1 is a tie, not a win
         "wl, run_s: 2.1 -> 2 s (-4.8 %, 3 of 5 better, lower is better; "
         "parent quartiles 2-2.2, IQR 0.2)",
+        "wl, run_s verdict: within bound",
         "failed runs: pair 3 change: 2 of 10 checks failed",
     ]
     assert bench.summarize("wl", pairs[:1], END_TO_END)[-1] == "failed runs: none"
+
+
+PARENT_FRAMES = [100, 101, 102, 103, 104, 105, 106, 107, 108, 109]
+WIDE_FRAMES = [50, 150, 60, 140, 70, 130, 80, 120, 90, 110]  # IQR 55 > 24 % of 100
+
+
+@pytest.mark.parametrize("parent, change, want", [
+    # 9 of 10 better, and the medians differ by 20 > IQR 4.5
+    (PARENT_FRAMES, [99] + [121 + k for k in range(9)], "gain"),
+    # 8 of 10 better is too few for a gain
+    (PARENT_FRAMES, [99, 100] + [122 + k for k in range(8)], "within bound"),
+    # -28.7 % against a bound of 24 %
+    (PARENT_FRAMES, [70 + k for k in range(10)], "worse beyond bound"),
+    (WIDE_FRAMES, [101 + k for k in range(10)], "unresolved"),
+    # every change run beats every parent run, but by less than the IQR
+    (WIDE_FRAMES, [151] * 10, "within bound"),
+    (PARENT_FRAMES, PARENT_FRAMES[::-1], "within bound"),
+])
+def test_verdict_of_canned_results(bench, parent, change, want):
+    pairs = [(bench.parse_result(result_line(a, 2.0)), bench.parse_result(result_line(b, 2.0)))
+             for a, b in zip(parent, change)]
+    lines = bench.summarize("wl", pairs, END_TO_END)
+    assert lines[1] == f"wl, frames_per_s verdict: {want}"
+    # equal run_s in every pair: no gain, no loss
+    assert lines[3] == "wl, run_s verdict: within bound"
 
 
 def test_parse_result_refuses_output_without_a_result(bench):
@@ -83,8 +110,9 @@ def test_pairs_alternate_which_side_runs_first(bench, tmp_path, monkeypatch, cap
         ["3", "parent"], ["3", "change"]]
     # the metrics of the repository's BENCHMARK.json that the runs report
     assert [line.split(":")[0] for line in out[6:]] == [
-        "wl, run_s", "wl, frames_per_s", "failed runs"]
-    assert out[7].startswith("wl, frames_per_s: 102 -> 102 1/s (+0.0 %, 0 of 3 better")
+        "wl, run_s", "wl, run_s verdict", "wl, frames_per_s", "wl, frames_per_s verdict",
+        "failed runs"]
+    assert out[8].startswith("wl, frames_per_s: 102 -> 102 1/s (+0.0 %, 0 of 3 better")
 
 
 def test_pairs_needs_two_checkouts_with_the_benchmark(bench, tmp_path, capsys):

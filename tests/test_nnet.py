@@ -33,7 +33,7 @@ from egobatch import (
 )
 from egobatch.models import LayerStack
 from egobatch.nnet import (SGD_CHUNK, StepWorkspace, _LstmCache, _masked_xent_rows,
-                           _Recurrence, _sigmoid, flatten_layers, layer_views)
+                           _Recurrence, flatten_layers, layer_views)
 from oracles import (
     reference_lstm_backward,
     reference_lstm_recur,
@@ -213,18 +213,19 @@ class TestLstmRecur:
     def test_equals_the_per_position_loop_bit_for_bit(self):
         # scales 40 and 800 saturate the gates
         rng = np.random.default_rng(32)
-        for batch in (1, 4):
-            for hidden in (1, 3, 32, 64):
-                for steps in range(1, 13):
-                    for scale in (1.0, 40.0, 800.0):
-                        in_dim = int(rng.integers(1, 40))
-                        layer = LstmLayer.create(in_dim, hidden, rng)
-                        layer.b_stack[...] = rng.normal(size=4 * hidden)
-                        inputs = rng.normal(scale=scale, size=(batch, steps, in_dim))
-                        got = layer._recur(inputs)
-                        want = reference_lstm_recur(layer, inputs)
-                        for name, a, b in zip(("gates", "c", "tanh c", "h"), got, want):
-                            assert same_bits(a, b), (batch, hidden, steps, scale, name)
+        # hidden 256 at batch 6 and 18 are shapes of the h256 inference benchmark
+        shapes = [(batch, hidden) for batch in (1, 4) for hidden in (1, 3, 32, 64)]
+        for batch, hidden in shapes + [(6, 256), (18, 256)]:
+            for steps in (range(1, 13) if hidden < 256 else (1, 2, 10)):
+                for scale in (1.0, 40.0, 800.0):
+                    in_dim = int(rng.integers(1, 40))
+                    layer = LstmLayer.create(in_dim, hidden, rng)
+                    layer.b_stack[...] = rng.normal(size=4 * hidden)
+                    inputs = rng.normal(scale=scale, size=(batch, steps, in_dim))
+                    got = layer._recur(inputs)
+                    want = reference_lstm_recur(layer, inputs)
+                    for name, a, b in zip(("gates", "c", "tanh c", "h"), got, want):
+                        assert same_bits(a, b), (batch, hidden, steps, scale, name)
 
 
 def masked_sigmoid(x):
@@ -237,6 +238,22 @@ def masked_sigmoid(x):
     return out
 
 
+def recur_sigmoid(x, rows=None):
+    """The input gates `_recur` computes from pre-activations `x`: one 1 x 1
+    window per value through a layer of hidden size 1 whose four gates read
+    the input with weight 1 and nothing else, so each gate row holds x
+    exactly, infinities included (an identity W would mix 0 * inf into every
+    row). The windows go into `rows` when given."""
+    layer = LstmLayer(np.ones((4, 1)), np.zeros((4, 1)), np.zeros(4))
+    if rows is None:
+        rows = layer.batch_rows(x.size, 1)
+    try:
+        layer._recur(x.reshape(-1, 1, 1), rows=rows)
+    except NumericError:
+        assert np.isnan(x).any()  # a NaN gate makes a NaN output
+    return rows.gate_rows[:, 0, 0].copy()
+
+
 class TestSigmoid:
     SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, 709.0, -709.0, 745.0, -745.0,
                5e-324, -5e-324, 2.2e-308, -2.2e-308]
@@ -245,7 +262,7 @@ class TestSigmoid:
         rng = np.random.default_rng(26)
         for scale in (1e-8, 1e-3, 1.0, 10.0, 40.0, 800.0):
             x = np.concatenate([rng.normal(scale=scale, size=300), self.SPECIAL])
-            got, want = _sigmoid(x), masked_sigmoid(x)
+            got, want = recur_sigmoid(x), masked_sigmoid(x)
             real = ~np.isnan(want)
             assert np.array_equal(np.isnan(got), ~real)
             assert np.array_equal(got[real].view(np.uint64),
@@ -254,17 +271,21 @@ class TestSigmoid:
     def test_saturates_without_warnings(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert np.array_equal(_sigmoid(np.array([1000.0, -1000.0])), [1.0, 0.0])
+            assert np.array_equal(recur_sigmoid(np.array([1000.0, -1000.0])), [1.0, 0.0])
 
     def test_in_place_equals_allocating_form_bit_for_bit(self):
+        # rows handed to `_recur` full of other values are overwritten to the
+        # bits of new rows
         rng = np.random.default_rng(33)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for scale in (1e-8, 1e-3, 1.0, 10.0, 40.0, 800.0):
                 x = np.concatenate([rng.normal(scale=scale, size=300), self.SPECIAL])
-                want, masked = _sigmoid(x), masked_sigmoid(x)
-                got = x.copy()
-                assert _sigmoid(got, out=got) is got
+                want, masked = recur_sigmoid(x), masked_sigmoid(x)
+                rows = _Recurrence(x.size, 1, 1)
+                for block in (rows.gate_rows, rows.sigmoid_scratch):
+                    block[...] = rng.normal(scale=scale, size=block.shape)
+                got = recur_sigmoid(x, rows)
                 assert same_bits(got, want), scale
                 real = ~np.isnan(masked)
                 assert same_bits(got[real], masked[real]), scale
@@ -309,8 +330,9 @@ def same_bits(a, b):
 class TestLstmBackward:
     def test_equals_the_per_position_loop_bit_for_bit(self):
         rng = np.random.default_rng(27)
-        for hidden in (1, 3, 32, 64):
-            for steps in range(1, 13):
+        # hidden 256 at T = 10 is the paper's training shape
+        for hidden in (1, 3, 32, 64, 256):
+            for steps in (range(1, 13) if hidden < 256 else (1, 2, 10)):
                 in_dim = int(rng.integers(1, 40))
                 layer = LstmLayer.create(in_dim, hidden, rng)
                 layer.b_stack[...] = rng.normal(size=4 * hidden)

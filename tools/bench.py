@@ -11,8 +11,10 @@ line (the last line `perfbench/run.py` prints) is printed as it finishes.
 Then, for each end-to-end metric of the `BENCHMARK.json` next to this
 directory, one line: the parent's median and quartiles, the change's
 median, the change in %, and in how many pairs the change was better, in
-the direction of the metric's `better`. Every run with `failed` above 0 is
-listed after them.
+the direction of the metric's `better`, followed by a line with the verdict
+of the acceptance rule (`verdict` says how each is decided): `gain`,
+`worse beyond bound`, `unresolved` or `within bound`. Every run with
+`failed` above 0 is listed after them.
 """
 
 from __future__ import annotations
@@ -56,6 +58,28 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
+def verdict(parent: list[float], change: list[float], spec: dict) -> str:
+    """What the acceptance rule makes of one metric's pairs, in this order:
+    `gain` when the change is better in at least 9 of 10 pairs and the
+    medians differ by more than the parent's IQR; `worse beyond bound` when
+    the change's median is worse than the parent's by more than the metric's
+    relative `bound`; `unresolved` when the parent's IQR is wider than the
+    bound, unless every change run beats every parent run; else
+    `within bound`."""
+    sign = 1 if spec["better"] == "higher" else -1
+    wins = sum(sign * (b - a) > 0 for a, b in zip(parent, change))
+    q1, a, q3 = quartiles(parent)
+    gained = sign * (statistics.median(change) - a)
+    bound = spec["bound"] * abs(a)
+    if 10 * wins >= 9 * len(parent) and gained > q3 - q1:
+        return "gain"
+    if gained < -bound:
+        return "worse beyond bound"
+    if q3 - q1 > bound and not all(sign * (b - a) > 0 for a in parent for b in change):
+        return "unresolved"
+    return "within bound"
+
+
 def summarize(workload: str, pairs: list[tuple[dict, dict]],
               end_to_end: list[dict]) -> list[str]:
     """One line per end-to-end metric that every run reports, then the runs
@@ -75,6 +99,7 @@ def summarize(workload: str, pairs: list[tuple[dict, dict]],
         lines.append(f"{workload}, {name}: {a:.6g} -> {b:.6g} {spec['unit']} ({pct}, "
                      f"{wins} of {len(pairs)} better, {spec['better']} is better; "
                      f"parent quartiles {q1:.6g}-{q3:.6g}, IQR {q3 - q1:.3g})")
+        lines.append(f"{workload}, {name} verdict: {verdict(parent, change, spec)}")
     failed = [f"pair {k} {side}: {result['failed']} of {result['attempted']} checks failed"
               for k, pair in enumerate(pairs, 1)
               for side, result in zip(SIDES, pair) if result["failed"] > 0]
