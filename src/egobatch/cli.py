@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +45,8 @@ from .evaluation import (
 )
 from .models import (
     ARCHITECTURES,
+    DEFAULT_HIDDEN,
+    RETENTIONS,
     build_stack,
     model_from_params,
     predict_days,
@@ -52,8 +54,9 @@ from .models import (
     write_timelines_json,
 )
 from .nnet import grad_check, read_checkpoint, write_checkpoint
-from .splitter import read_split_ids, select_split
+from .splitter import STAGE2_REFERENCES, SUBSETS, read_split_ids, select_split
 from .training import (
+    PHASES,
     TrainConfig,
     train_baseline,
     train_piggyback,
@@ -64,6 +67,14 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
+# The exit code of each error that parsing or a command may raise.
+_EXIT_CODES = {
+    ConfigError: EXIT_USAGE,
+    FormatError: EXIT_DATA, DataError: EXIT_DATA, ShapeError: EXIT_DATA,
+    PackingError: EXIT_DATA, SequencingError: EXIT_DATA, OSError: EXIT_DATA,
+    UnicodeDecodeError: EXIT_DATA,
+    NumericError: EXIT_NUMERIC,
+}
 
 # (architecture, timestep) -> (learning rate, epochs) defaults
 _SCHEDULES = {
@@ -84,13 +95,9 @@ def default_schedule(architecture: str, timestep: int) -> tuple[float, int]:
     return _SCHEDULES.get((architecture, timestep), _FALLBACK_SCHEDULE)
 
 
-class _UsageError(ConfigError):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit code 1 instead of argparse's 2
-        raise _UsageError(message)
+        raise ConfigError(message)
 
 
 def _parsed_flags(args) -> dict:
@@ -156,20 +163,11 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    lr, epochs = default_schedule(args.arch, args.timestep)
-    cfg = TrainConfig(
-        architecture=args.arch,
-        timestep=args.timestep,
-        overlap=args.overlap,
-        learning_rate=args.lr if args.lr is not None else lr,
-        momentum=args.momentum,
-        weight_decay=args.weight_decay,
-        epochs=args.epochs if args.epochs is not None else epochs,
-        patience=args.patience,
-        dropout=args.dropout,
-        seed=args.seed,
-        phase=args.phase,
-    )
+    lr, epochs = default_schedule(args.architecture, args.timestep)
+    given = {f.name: getattr(args, f.name) for f in fields(TrainConfig)}
+    given["learning_rate"] = lr if args.learning_rate is None else args.learning_rate
+    given["epochs"] = epochs if args.epochs is None else args.epochs
+    cfg = TrainConfig(**given)
     if cfg.architecture == "piggyback" and cfg.phase == 2 and not args.init_from:
         raise SequencingError("phase 2 requires --init-from with a phase-1 checkpoint")
 
@@ -336,19 +334,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--classes", type=int, default=6, help="number of categories")
-    p.add_argument("--feature-dim", type=int, default=16)
-    p.add_argument("--ambiguous", type=int, nargs=2, default=(4, 5),
+    p.add_argument("--classes", type=int, default=SynthConfig.num_classes,
+                   help="number of categories")
+    p.add_argument("--feature-dim", type=int, default=SynthConfig.feature_dim)
+    p.add_argument("--ambiguous", type=int, nargs=2, default=SynthConfig.ambiguous_pair,
                    metavar=("A", "B"), help="pair of classes sharing one emission mean")
     p.add_argument("--context", type=int, nargs=2, default=(0, 1),
                    metavar=("PRED_A", "PRED_B"),
                    help="sole predecessor class of each ambiguous class")
-    p.add_argument("--self-transition", type=float, default=0.80)
-    p.add_argument("--noise-sigma", type=float, default=0.1)
-    p.add_argument("--mean-scale", type=float, default=1.0)
-    p.add_argument("--sequences", type=int, default=40)
-    p.add_argument("--frames", type=int, default=300, help="frames per sequence")
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--self-transition", type=float,
+                   default=SynthConfig.self_transition_prob)
+    p.add_argument("--noise-sigma", type=float, default=SynthConfig.noise_sigma)
+    p.add_argument("--mean-scale", type=float, default=SynthConfig.mean_scale)
+    p.add_argument("--sequences", type=int, default=SynthConfig.num_sequences)
+    p.add_argument("--frames", type=int, default=SynthConfig.frames_per_sequence,
+                   help="frames per sequence")
+    p.add_argument("--seed", type=int, default=SynthConfig.seed)
     p.set_defaults(handler=_cmd_synth)
 
     p = sub.add_parser("split", help="select test/val/train day splits")
@@ -363,30 +364,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--val-bins", type=int, required=True)
     p.add_argument("--capacity", type=int, default=None,
                    help="frame budget per bin (overrides the derived capacity)")
-    p.add_argument("--stage2-reference", choices=("whole", "rest"), default="whole",
+    p.add_argument("--stage2-reference", choices=STAGE2_REFERENCES,
+                   default=STAGE2_REFERENCES[0],
                    help="reference distribution for the validation-split stage")
     p.set_defaults(handler=_cmd_split)
 
     p = sub.add_parser("train", help="train one architecture")
-    p.add_argument("--arch", required=True, choices=ARCHITECTURES)
+    p.add_argument("--arch", dest="architecture", required=True, choices=ARCHITECTURES)
     p.add_argument("--manifest", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--split", required=True, help="split manifest JSON")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--timestep", type=int, default=5,
+    p.add_argument("--timestep", type=int, default=TrainConfig.timestep,
                    help="window length (sliding) or batch size n (piggyback)")
-    p.add_argument("--overlap", type=int, default=0, help="overlap m (piggyback)")
-    p.add_argument("--lr", type=float, default=None,
+    p.add_argument("--overlap", type=int, default=TrainConfig.overlap,
+                   help="overlap m (piggyback)")
+    p.add_argument("--lr", dest="learning_rate", metavar="LR", type=float, default=None,
                    help="default depends on architecture and timestep")
-    p.add_argument("--momentum", type=float, default=0.9)
-    p.add_argument("--weight-decay", type=float, default=5e-6)
+    p.add_argument("--momentum", type=float, default=TrainConfig.momentum)
+    p.add_argument("--weight-decay", type=float, default=TrainConfig.weight_decay)
     p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--patience", type=int, default=3)
-    p.add_argument("--dropout", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--hidden", type=int, default=256,
+    p.add_argument("--patience", type=int, default=TrainConfig.patience)
+    p.add_argument("--dropout", type=float, default=TrainConfig.dropout)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
+    p.add_argument("--hidden", type=int, default=DEFAULT_HIDDEN,
                    help="recurrent units (ignored with --init-from)")
-    p.add_argument("--phase", type=int, default=1, choices=(1, 2),
+    p.add_argument("--phase", type=int, default=TrainConfig.phase, choices=PHASES,
                    help="piggyback training phase")
     p.add_argument("--init-from", default=None, help="checkpoint to start from")
     p.set_defaults(handler=_cmd_train)
@@ -397,11 +400,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--split", default=None, help="restrict to one split subset")
-    p.add_argument("--subset", choices=("test", "val", "train"), default=None,
+    p.add_argument("--subset", choices=SUBSETS, default=None,
                    help="the --split subset to predict (default: test)")
     p.add_argument("--timestep", type=int, default=5)
     p.add_argument("--overlap", type=int, default=2)
-    p.add_argument("--retention", choices=("earlier", "later"), default="earlier",
+    p.add_argument("--retention", choices=RETENTIONS, default=RETENTIONS[0],
                    help="which batch's prediction overlapped frames keep")
     p.add_argument("--include-probs", action="store_true")
     p.set_defaults(handler=_cmd_predict)
@@ -433,26 +436,14 @@ def _shared_parser() -> argparse.ArgumentParser:
 
 def dispatch(argv: list[str]) -> int:
     """Parse and run one invocation, mapping errors to exit codes."""
-    parser = _shared_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        args = _shared_parser().parse_args(argv)
+        return args.handler(args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    try:
-        return args.handler(args)
-    except ConfigError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (FormatError, DataError, ShapeError, PackingError, SequencingError,
-            OSError, UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 def main() -> None:

@@ -29,6 +29,10 @@ from .errors import ConfigError, DataError, FormatError, PackingError
 MAX_SUBSETS = 10**7
 # Subsets scored together in one pass of array operations.
 SUBSET_CHUNK = 4096
+# The parts of a split, in the order a split manifest lists them.
+SUBSETS = ("test", "val", "train")
+# Stage-2 reference distributions of `select_split`; the first is the default.
+STAGE2_REFERENCES = ("whole", "rest")
 
 
 @dataclass
@@ -51,11 +55,8 @@ class SplitResult:
     bins: list[Bin]
 
     def sequence_ids(self, which: str) -> list:
-        bin_ids = {
-            "test": self.test_bin_ids,
-            "val": self.val_bin_ids,
-            "train": self.train_bin_ids,
-        }[which]
+        bin_ids = dict(zip(SUBSETS, (self.test_bin_ids, self.val_bin_ids,
+                                     self.train_bin_ids)))[which]
         out = []
         for b in bin_ids:
             out.extend(self.bins[b].sequence_ids)
@@ -63,9 +64,7 @@ class SplitResult:
 
     def to_json_obj(self) -> dict:
         return {
-            "test": self.sequence_ids("test"),
-            "val": self.sequence_ids("val"),
-            "train": self.sequence_ids("train"),
+            **{which: self.sequence_ids(which) for which in SUBSETS},
             "objective_test": self.objective_test,
             "objective_val": self.objective_val,
             "bins": [b.sequence_ids for b in self.bins],
@@ -80,7 +79,7 @@ def read_split_ids(path: str | Path) -> dict:
     that "test", "val" and "train" list string ids and no id twice."""
     obj = read_json(path)
     seen: set[str] = set()
-    for key in ("test", "val", "train"):
+    for key in SUBSETS:
         ids = obj.get(key) if isinstance(obj, dict) else None
         if not isinstance(ids, list) or not all(isinstance(sid, str) for sid in ids):
             raise FormatError(f"{path}: split manifest needs {key!r} as a list of ids")
@@ -172,7 +171,7 @@ def _best_subset(counts: np.ndarray, candidates: list[int], choose: int,
 
 def select_split(dataset: Dataset, num_bins: int, test_bins: int, val_bins: int,
                  capacity: int | None = None,
-                 stage2_reference: str = "whole") -> SplitResult:
+                 stage2_reference: str = STAGE2_REFERENCES[0]) -> SplitResult:
     """Two-stage exhaustive split of whole days into test/validation/train.
 
     Sequences are FFD-packed into bins (default capacity
@@ -187,7 +186,7 @@ def select_split(dataset: Dataset, num_bins: int, test_bins: int, val_bins: int,
     together is refused before it starts, with a `ConfigError`. Only each
     day's id, length and labels are read, so the days may be `DayLabels`.
     """
-    if stage2_reference not in ("whole", "rest"):
+    if stage2_reference not in STAGE2_REFERENCES:
         raise ConfigError("stage2_reference must be 'whole' or 'rest'")
     if num_bins < 1 or test_bins < 1 or val_bins < 1:
         raise ConfigError("bin counts must be positive")

@@ -28,6 +28,7 @@ from .nnet import (OptimizerState, StepWorkspace, backprop_window, flatten_layer
                    sgd_update)
 
 _IMPROVEMENT = 1e-12  # a validation loss must beat the best by more than this
+PHASES = (1, 2)  # the overlap architecture's training phases
 
 
 @dataclass(frozen=True)
@@ -37,6 +38,10 @@ class TrainConfig:
     `timestep` is the window length for the sliding architecture and the
     batch size n for the overlap architecture, whose `overlap` m must satisfy
     0 < m < n. `phase` only matters for the overlap architecture.
+    The `learning_rate` and `epochs` defaults here (2.5e-5 and 5) are not the
+    command line's: `train` takes them from `cli.default_schedule` by
+    architecture and timestep unless `--lr` or `--epochs` is given (1e-5 for
+    10 epochs for the baseline, 1e-4 for 10 for piggyback at n = 10).
     """
 
     architecture: str
@@ -75,7 +80,7 @@ class TrainConfig:
                 raise ConfigError(
                     f"overlap must satisfy 0 < m < n, got n={self.timestep} m={self.overlap}"
                 )
-            if self.phase not in (1, 2):
+            if self.phase not in PHASES:
                 raise ConfigError("phase must be 1 or 2")
 
 

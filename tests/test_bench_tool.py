@@ -118,3 +118,59 @@ def test_pairs_alternate_which_side_runs_first(bench, tmp_path, monkeypatch, cap
 def test_pairs_needs_two_checkouts_with_the_benchmark(bench, tmp_path, capsys):
     assert bench.main(["pairs", str(tmp_path), str(tmp_path), "--workload", "wl"]) == 2
     assert "has no perfbench/run.py" in capsys.readouterr().err
+
+
+STUB_RUN = '''import json, sys
+seed = int(sys.argv[sys.argv.index("--seed") + 1])
+if seed in FAIL_EXIT:
+    print("first stderr line", file=sys.stderr)
+    print(f"seed {seed} failed", file=sys.stderr)
+    sys.exit(1)
+if seed in FAIL_SILENT:
+    sys.exit(0)
+print(json.dumps({"correct": True, "attempted": 10, "failed": 0,
+                  "metrics": {"frames_per_s": {"value": FRAMES + seed, "unit": "1/s"}}}))
+'''
+
+
+def stub_checkout(path, frames, fail_exit=(), fail_silent=()):
+    (path / "perfbench").mkdir(parents=True)
+    (path / "perfbench" / "run.py").write_text(
+        f"FAIL_EXIT, FAIL_SILENT, FRAMES = {set(fail_exit)!r}, {set(fail_silent)!r}, "
+        f"{frames}\n" + STUB_RUN)
+    return str(path)
+
+
+def test_pairs_go_on_past_a_failed_run(bench, tmp_path, capsys):
+    """A run that exits non-zero or prints no result line is listed with its
+    seed, exit code and last stderr lines; the other pairs still run, the
+    medians leave its pair out, and the tool exits 1."""
+    parent = stub_checkout(tmp_path / "parent", 100)
+    change = stub_checkout(tmp_path / "change", 200, fail_exit={2}, fail_silent={3})
+    assert bench.main(["pairs", parent, change, "--workload", "wl", "-n", "4"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split()[:3] for line in out[:8]] == [
+        ["pair", "1", "parent"], ["pair", "1", "change"], ["pair", "2", "change"],
+        ["pair", "2", "parent"], ["pair", "3", "parent"], ["pair", "3", "change"],
+        ["pair", "4", "change"], ["pair", "4", "parent"]]
+    assert out[8:] == [
+        # pairs 1 and 4: parent 101, 104 against change 201, 204
+        "wl, frames_per_s: 102.5 -> 202.5 1/s (+97.6 %, 2 of 2 better, higher is "
+        "better; parent quartiles 101.75-103.25, IQR 1.5)",
+        "wl, frames_per_s verdict: gain",
+        "failed runs: pair 2 change: seed 2 exited 1; "
+        "pair 3 change: seed 3 exited 0, the run printed nothing",
+        "  pair 2 change stderr: first stderr line",
+        "  pair 2 change stderr: seed 2 failed",
+    ]
+
+
+def test_pairs_with_no_whole_pair(bench, tmp_path, capsys):
+    parent = stub_checkout(tmp_path / "parent", 100, fail_exit={1})
+    change = stub_checkout(tmp_path / "change", 200)
+    assert bench.main(["pairs", parent, change, "--workload", "wl", "-n", "1"]) == 1
+    assert capsys.readouterr().out.splitlines()[2:] == [
+        "failed runs: pair 1 parent: seed 1 exited 1",
+        "  pair 1 parent stderr: first stderr line",
+        "  pair 1 parent stderr: seed 1 failed",
+    ]

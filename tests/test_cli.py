@@ -1,3 +1,6 @@
+import argparse
+import dataclasses
+import inspect
 import json
 import os
 import shutil
@@ -29,7 +32,10 @@ from egobatch import (
 )
 from egobatch import cli, datamodel
 from egobatch.cli import dispatch
-from egobatch.models import ARCHITECTURES
+from egobatch.datamodel import SynthConfig
+from egobatch.models import ARCHITECTURES, DEFAULT_HIDDEN, RETENTIONS, predict_days
+from egobatch.splitter import STAGE2_REFERENCES, SUBSETS
+from egobatch.training import PHASES, TrainConfig
 
 
 def run(*argv):
@@ -66,6 +72,53 @@ class TestHelp:
 
     def test_top_level_help(self):
         assert run("--help") == 0
+
+
+def test_defaults_and_choices_are_the_librarys():
+    """Each command parsed with only its required flags gives the values the
+    library decides, and each flag's choices are the library's tuple."""
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+
+    def choices(command, flag):
+        return next(a for a in commands[command]._actions
+                    if flag in a.option_strings).choices
+
+    def default(function, name):
+        return inspect.signature(function).parameters[name].default
+
+    synth = parser.parse_args(["synth", "--out-dir", "o"])
+    want = SynthConfig()
+    assert (synth.classes, synth.feature_dim, tuple(synth.ambiguous),
+            synth.self_transition, synth.noise_sigma, synth.mean_scale,
+            synth.sequences, synth.frames, synth.seed) == (
+        want.num_classes, want.feature_dim, want.ambiguous_pair,
+        want.self_transition_prob, want.noise_sigma, want.mean_scale,
+        want.num_sequences, want.frames_per_sequence, want.seed)
+    assert tuple(synth.context) == tuple(want.context_map[a] for a in want.ambiguous_pair)
+
+    split = parser.parse_args(["split", "--manifest", "m", "--labels", "l",
+                               "--out-dir", "o", "--bins", "3", "--test-bins", "1",
+                               "--val-bins", "1"])
+    assert split.stage2_reference == default(select_split, "stage2_reference")
+    assert choices("split", "--stage2-reference") == STAGE2_REFERENCES
+
+    for arch in ARCHITECTURES:
+        train = parser.parse_args(["train", "--arch", arch, "--manifest", "m",
+                                   "--labels", "l", "--split", "s", "--out-dir", "o"])
+        # TrainConfig("piggyback") refuses overlap 0, so compare field defaults
+        want = {f.name: f.default for f in dataclasses.fields(TrainConfig)}
+        want.update(architecture=arch, learning_rate=None, epochs=None)
+        assert {name: getattr(train, name) for name in want} == want
+        assert train.hidden == DEFAULT_HIDDEN == default(build_stack, "hidden")
+    assert choices("train", "--phase") == PHASES
+
+    predict = parser.parse_args(["predict", "--model", "x", "--manifest", "m",
+                                 "--labels", "l", "--out-dir", "o"])
+    assert predict.retention == default(predict_days, "retention")
+    assert choices("predict", "--retention") == RETENTIONS
+    assert choices("predict", "--subset") == SUBSETS
 
 
 class TestUsageErrors:

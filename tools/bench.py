@@ -7,6 +7,9 @@ runs each checkout's own `perfbench/run.py`, unchanged, at `--seed s` for
 the `run_seconds` of `BENCHMARK.json` with `--trace 0`; the parent runs first in odd pairs and the change first in even ones, so
 neither side always meets the host as the other left it. Each run's result
 line (the last line `perfbench/run.py` prints) is printed as it finishes.
+A run that exits non-zero or prints no result line does not stop the
+others: its exit code and stderr tail are printed instead, its pair is left
+out of every figure below, and the tool exits 1.
 
 Then, for each end-to-end metric of the `BENCHMARK.json` next to this
 directory, one line: the parent's median and quartiles, the change's
@@ -14,7 +17,8 @@ median, the change in %, and in how many pairs the change was better, in
 the direction of the metric's `better`, followed by a line with the verdict
 of the acceptance rule (`verdict` says how each is decided): `gain`,
 `worse beyond bound`, `unresolved` or `within bound`. Every run with
-`failed` above 0 is listed after them.
+`failed` above 0, and every run that exited non-zero or printed no result
+line, is listed after them, the latter with the last lines of its stderr.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
+STDERR_LINES = 5  # of a failed run, listed in the summary
 
 
 def parse_result(stdout: str) -> dict:
@@ -42,13 +47,19 @@ def parse_result(stdout: str) -> dict:
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """The run's result object; for a run that exits non-zero or prints no
+    result line, its exit code, the last lines of its stderr and, if it
+    exited 0, why its output is no result."""
     command = [sys.executable, str(checkout / "perfbench" / "run.py"), "--workload",
                workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(command, capture_output=True, text=True)
+    failure = {"exit": done.returncode, "stderr": done.stderr.splitlines()[-STDERR_LINES:]}
     if done.returncode:
-        raise RuntimeError(f"{' '.join(command)} exited {done.returncode}:\n"
-                           f"{done.stderr[-2000:]}")
-    return parse_result(done.stdout)
+        return failure
+    try:
+        return parse_result(done.stdout)
+    except ValueError as exc:  # json's decode error is one too
+        return failure | {"error": str(exc)}
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -58,17 +69,26 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def verdict(parent: list[float], change: list[float], spec: dict) -> str:
-    """What the acceptance rule makes of one metric's pairs, in this order:
+def paired(parent: list[float], change: list[float], better: str
+           ) -> tuple[int, int, tuple[float, float, float]]:
+    """The sign of the metric's direction (1 if higher is better, else -1),
+    the pairs in which the change is better, and the parent's quartiles."""
+    sign = 1 if better == "higher" else -1
+    wins = sum(sign * (b - a) > 0 for a, b in zip(parent, change))
+    return sign, wins, quartiles(parent)
+
+
+def verdict(parent: list[float], change: list[float], spec: dict, sign: int,
+            wins: int, parent_quartiles: tuple[float, float, float]) -> str:
+    """What the acceptance rule makes of one metric's pairs, given what
+    `paired` returns for them, in this order:
     `gain` when the change is better in at least 9 of 10 pairs and the
     medians differ by more than the parent's IQR; `worse beyond bound` when
     the change's median is worse than the parent's by more than the metric's
     relative `bound`; `unresolved` when the parent's IQR is wider than the
     bound, unless every change run beats every parent run; else
     `within bound`."""
-    sign = 1 if spec["better"] == "higher" else -1
-    wins = sum(sign * (b - a) > 0 for a, b in zip(parent, change))
-    q1, a, q3 = quartiles(parent)
+    q1, a, q3 = parent_quartiles
     gained = sign * (statistics.median(change) - a)
     bound = spec["bound"] * abs(a)
     if 10 * wins >= 9 * len(parent) and gained > q3 - q1:
@@ -82,29 +102,39 @@ def verdict(parent: list[float], change: list[float], spec: dict) -> str:
 
 def summarize(workload: str, pairs: list[tuple[dict, dict]],
               end_to_end: list[dict]) -> list[str]:
-    """One line per end-to-end metric that every run reports, then the runs
-    that failed checks; `pairs` holds (parent, change) result objects."""
+    """One line per end-to-end metric that every run of a whole pair
+    reports, over the whole pairs, then the runs that failed checks or
+    failed outright, the latter followed by their last stderr lines;
+    `pairs` holds (parent, change) objects of pairs 1, 2, ..., each a
+    result object or a failed run as `run_once` returns it."""
+    whole = [pair for pair in pairs if all("metrics" in result for result in pair)]
     lines = []
     for spec in end_to_end:
         name = spec["name"]
-        if not all(name in result["metrics"] for pair in pairs for result in pair):
+        if not whole or not all(name in result["metrics"]
+                                for pair in whole for result in pair):
             continue
         parent, change = ([result["metrics"][name]["value"] for result in side]
-                          for side in zip(*pairs))
-        sign = 1 if spec["better"] == "higher" else -1
-        wins = sum(sign * (b - a) > 0 for a, b in zip(parent, change))
-        q1, a, q3 = quartiles(parent)
+                          for side in zip(*whole))
+        sign, wins, (q1, a, q3) = stats = paired(parent, change, spec["better"])
         b = statistics.median(change)
         pct = f"{100 * (b - a) / a:+.1f} %" if a else "n/a"
         lines.append(f"{workload}, {name}: {a:.6g} -> {b:.6g} {spec['unit']} ({pct}, "
-                     f"{wins} of {len(pairs)} better, {spec['better']} is better; "
+                     f"{wins} of {len(whole)} better, {spec['better']} is better; "
                      f"parent quartiles {q1:.6g}-{q3:.6g}, IQR {q3 - q1:.3g})")
-        lines.append(f"{workload}, {name} verdict: {verdict(parent, change, spec)}")
-    failed = [f"pair {k} {side}: {result['failed']} of {result['attempted']} checks failed"
-              for k, pair in enumerate(pairs, 1)
-              for side, result in zip(SIDES, pair) if result["failed"] > 0]
+        lines.append(f"{workload}, {name} verdict: {verdict(parent, change, spec, *stats)}")
+    failed, stderr = [], []
+    for k, pair in enumerate(pairs, 1):
+        for side, result in zip(SIDES, pair):
+            if "metrics" not in result:
+                why = f", {result['error']}" if "error" in result else ""
+                failed.append(f"pair {k} {side}: seed {k} exited {result['exit']}{why}")
+                stderr += [f"  pair {k} {side} stderr: {line}" for line in result["stderr"]]
+            elif result["failed"] > 0:
+                failed.append(f"pair {k} {side}: {result['failed']} of "
+                              f"{result['attempted']} checks failed")
     lines.append("failed runs: " + ("none" if not failed else "; ".join(failed)))
-    return lines
+    return lines + stderr
 
 
 def run_pairs(args) -> int:
@@ -126,7 +156,7 @@ def run_pairs(args) -> int:
         results.append((pair["parent"], pair["change"]))
     for line in summarize(args.workload, results, benchmark["end_to_end"]):
         print(line)
-    return 0
+    return int(any("metrics" not in result for pair in results for result in pair))
 
 
 def main(argv=None) -> int:
