@@ -76,25 +76,6 @@ _EXIT_CODES = {
     NumericError: EXIT_NUMERIC,
 }
 
-# (architecture, timestep) -> (learning rate, epochs) defaults
-_SCHEDULES = {
-    ("sliding", 5): (2.5e-5, 5),
-    ("sliding", 10): (1e-4, 4),
-    ("sliding", 15): (1e-4, 2),
-    ("piggyback", 5): (2.5e-5, 10),
-    ("piggyback", 10): (1e-4, 10),
-    ("piggyback", 15): (1e-4, 10),
-}
-_FALLBACK_SCHEDULE = (2.5e-5, 10)
-_BASELINE_SCHEDULE = (1e-5, 10)
-
-
-def default_schedule(architecture: str, timestep: int) -> tuple[float, int]:
-    if architecture == "baseline":
-        return _BASELINE_SCHEDULE
-    return _SCHEDULES.get((architecture, timestep), _FALLBACK_SCHEDULE)
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit code 1 instead of argparse's 2
         raise ConfigError(message)
@@ -163,11 +144,7 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    lr, epochs = default_schedule(args.architecture, args.timestep)
-    given = {f.name: getattr(args, f.name) for f in fields(TrainConfig)}
-    given["learning_rate"] = lr if args.learning_rate is None else args.learning_rate
-    given["epochs"] = epochs if args.epochs is None else args.epochs
-    cfg = TrainConfig(**given)
+    cfg = TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)})
     if cfg.architecture == "piggyback" and cfg.phase == 2 and not args.init_from:
         raise SequencingError("phase 2 requires --init-from with a phase-1 checkpoint")
 
@@ -379,11 +356,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="window length (sliding) or batch size n (piggyback)")
     p.add_argument("--overlap", type=int, default=TrainConfig.overlap,
                    help="overlap m (piggyback)")
-    p.add_argument("--lr", dest="learning_rate", metavar="LR", type=float, default=None,
+    p.add_argument("--lr", dest="learning_rate", metavar="LR", type=float,
+                   default=TrainConfig.learning_rate,
                    help="default depends on architecture and timestep")
     p.add_argument("--momentum", type=float, default=TrainConfig.momentum)
     p.add_argument("--weight-decay", type=float, default=TrainConfig.weight_decay)
-    p.add_argument("--epochs", type=int, default=None)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
     p.add_argument("--patience", type=int, default=TrainConfig.patience)
     p.add_argument("--dropout", type=float, default=TrainConfig.dropout)
     p.add_argument("--seed", type=int, default=TrainConfig.seed)

@@ -270,10 +270,10 @@ def read_sequence_file(
 # ---------------------------------------------------------------------------
 
 def read_json(path: str | Path):
-    """Parse a UTF-8 JSON file; malformed JSON is a `FormatError` naming it."""
+    """Parse a UTF-8 JSON file; malformed or over-nested JSON is a `FormatError` naming it."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise FormatError(f"{path}: invalid JSON ({exc})") from exc
 
 
@@ -361,8 +361,8 @@ class Manifest:
 
 def read_manifest(manifest_path: str | Path, labels_path: str | Path) -> Manifest:
     """Read labels.txt and a manifest JSON and check the whole manifest:
-    entry shape, string ids, unique sequence ids. Paths in the manifest are
-    relative to its directory."""
+    entry shape, string ids and paths, unique sequence ids. Paths in the
+    manifest are relative to its directory and hold no NUL byte."""
     manifest_path = Path(manifest_path)
     label_set = read_labels_file(labels_path)
     entries = read_json(manifest_path)
@@ -372,15 +372,18 @@ def read_manifest(manifest_path: str | Path, labels_path: str | Path) -> Manifes
     for entry in entries:
         try:
             sequence_id, user_id = entry["sequence_id"], entry.get("user_id", "")
-            path = manifest_path.parent / entry["path"]
+            path = entry["path"]
         except (KeyError, TypeError) as exc:
             raise FormatError(f"{manifest_path}: bad manifest entry {entry!r}") from exc
+        if not isinstance(path, str) or "\0" in path:
+            raise FormatError(f"{manifest_path}: bad manifest entry {entry!r}: "
+                              "the path must be a string without NUL bytes")
         if not (isinstance(sequence_id, str) and isinstance(user_id, str)):
             raise FormatError(f"{manifest_path}: bad manifest entry {entry!r}: "
                               "sequence and user ids must be strings")
         if sequence_id in days:
             raise DataError(f"{manifest_path}: duplicate sequence id {sequence_id!r}")
-        days[sequence_id] = (path, user_id)
+        days[sequence_id] = (manifest_path.parent / path, user_id)
     return Manifest(label_set, days)
 
 

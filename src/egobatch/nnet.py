@@ -723,6 +723,8 @@ def read_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
                     f"{path}: tensors out of lexicographic order at {name!r}")
             previous = name
             (rank,) = src.take(1, "u1", "rank").tolist()
+            if rank > 64:  # numpy's limit on an array's dimensions
+                raise FormatError(f"{path}: tensor {name!r} has rank {rank} > 64")
             dims = src.take(rank, "<u4", "dimension").tolist()
             # a Python int product: np.prod would wrap around
             data = src.take(math.prod(dims), "<f8", f"data of {name!r}")

@@ -29,6 +29,18 @@ from .nnet import (OptimizerState, StepWorkspace, backprop_window, flatten_layer
 
 _IMPROVEMENT = 1e-12  # a validation loss must beat the best by more than this
 PHASES = (1, 2)  # the overlap architecture's training phases
+# (architecture, timestep) -> (learning rate, epochs), the schedule a config
+# that names neither takes; the baseline's holds at every timestep
+_SCHEDULES = {
+    ("sliding", 5): (2.5e-5, 5),
+    ("sliding", 10): (1e-4, 4),
+    ("sliding", 15): (1e-4, 2),
+    ("piggyback", 5): (2.5e-5, 10),
+    ("piggyback", 10): (1e-4, 10),
+    ("piggyback", 15): (1e-4, 10),
+}
+_FALLBACK_SCHEDULE = (2.5e-5, 10)
+_BASELINE_SCHEDULE = (1e-5, 10)
 
 
 @dataclass(frozen=True)
@@ -37,20 +49,18 @@ class TrainConfig:
 
     `timestep` is the window length for the sliding architecture and the
     batch size n for the overlap architecture, whose `overlap` m must satisfy
-    0 < m < n. `phase` only matters for the overlap architecture.
-    The `learning_rate` and `epochs` defaults here (2.5e-5 and 5) are not the
-    command line's: `train` takes them from `cli.default_schedule` by
-    architecture and timestep unless `--lr` or `--epochs` is given (1e-5 for
-    10 epochs for the baseline, 1e-4 for 10 for piggyback at n = 10).
+    0 < m < n. `phase` only matters for the overlap architecture. A
+    `learning_rate` or `epochs` left as None takes the schedule's value for
+    the architecture and timestep.
     """
 
     architecture: str
     timestep: int = 5
     overlap: int = 0
-    learning_rate: float = 2.5e-5
+    learning_rate: float | None = None
     momentum: float = 0.9
     weight_decay: float = 5e-6
-    epochs: int = 5
+    epochs: int | None = None
     patience: int = 3
     dropout: float = 0.5
     seed: int = 0
@@ -59,6 +69,12 @@ class TrainConfig:
     def __post_init__(self):
         if self.architecture not in ARCHITECTURES:
             raise ConfigError(f"architecture must be one of {ARCHITECTURES}")
+        lr, epochs = (_BASELINE_SCHEDULE if self.architecture == "baseline" else
+                      _SCHEDULES.get((self.architecture, self.timestep), _FALLBACK_SCHEDULE))
+        if self.learning_rate is None:
+            object.__setattr__(self, "learning_rate", lr)
+        if self.epochs is None:
+            object.__setattr__(self, "epochs", epochs)
         if not 0 < self.learning_rate < np.inf:  # NaN fails every comparison
             raise ConfigError("learning rate must be positive and finite")
         if not 0.0 <= self.momentum < 1.0:

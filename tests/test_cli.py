@@ -109,7 +109,7 @@ def test_defaults_and_choices_are_the_librarys():
                                    "--labels", "l", "--split", "s", "--out-dir", "o"])
         # TrainConfig("piggyback") refuses overlap 0, so compare field defaults
         want = {f.name: f.default for f in dataclasses.fields(TrainConfig)}
-        want.update(architecture=arch, learning_rate=None, epochs=None)
+        want.update(architecture=arch)
         assert {name: getattr(train, name) for name in want} == want
         assert train.hidden == DEFAULT_HIDDEN == default(build_stack, "hidden")
     assert choices("train", "--phase") == PHASES
@@ -232,10 +232,12 @@ class TestDataErrors:
 
     @pytest.mark.parametrize("bad", ["labels", "manifest", "checkpoint", "split",
                                      "timelines", "manifest-json", "split-json",
-                                     "timelines-json"])
+                                     "timelines-json", "manifest-nested",
+                                     "timelines-nested"])
     def test_non_utf8_input(self, synth_dir, split_dir, tmp_path, bad, capsys):
         """Every command that reads a file that is not UTF-8, or ("-json")
-        not JSON, exits 2; malformed JSON is reported with the file's name."""
+        not JSON, or ("-nested") JSON nested too deeply to parse, exits 2;
+        malformed JSON is reported with the file's name."""
         data = load_dataset(synth_dir / "manifest.json", synth_dir / "labels.txt")
         checkpoint = tmp_path / "model.egomdl"
         write_checkpoint(build_baseline(data.feature_dim, data.label_set.size).params(),
@@ -253,6 +255,8 @@ class TestDataErrors:
             broken.write_bytes(checkpoint.read_bytes().replace(b"head.W", b"head.\xff"))
         elif kind == "json":
             broken.write_text('[{"test": ["s0", ', encoding="utf-8")
+        elif kind == "nested":
+            broken.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
         else:
             broken.write_bytes(b"\xff\xfe\n")
         files[bad] = broken
@@ -270,7 +274,7 @@ class TestDataErrors:
                              "--split", files["split"]])
         for argv in commands:
             assert run(*map(str, argv), "--out-dir", str(tmp_path / "out")) == 2
-            if kind == "json":
+            if kind:
                 assert f"error: {broken}: invalid JSON" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
@@ -347,6 +351,21 @@ class TestDataErrors:
                    "--labels", str(synth_dir / "labels.txt"),
                    "--out-dir", str(tmp_path / "out"))
         assert code == 2
+
+    def test_checkpoint_rank_beyond_numpys_limit(self, synth_dir, tmp_path, capsys):
+        # 65 dimensions of 1 and the one element they hold
+        name = b"head.W"
+        checkpoint = tmp_path / "bad.egomdl"
+        checkpoint.write_bytes(b"EGOMDL01" + struct.pack("<I", 1)
+                               + struct.pack("<H", len(name)) + name + bytes([65])
+                               + struct.pack("<I", 1) * 65 + struct.pack("<d", 0.0))
+        code = run("predict", "--model", str(checkpoint),
+                   "--manifest", str(synth_dir / "manifest.json"),
+                   "--labels", str(synth_dir / "labels.txt"),
+                   "--out-dir", str(tmp_path / "out"))
+        assert code == 2
+        assert "tensor 'head.W' has rank 65" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_phase2_without_checkpoint(self, synth_dir, split_dir, tmp_path):
         code = run("train", "--arch", "piggyback", "--timestep", "5",
@@ -1187,6 +1206,18 @@ class TestConfigJson:
         assert list(config)[4] == "hidden"
         assert config["hidden"] == hidden
 
+    def test_train_without_rate_or_epochs_records_the_schedule(self, synth_dir, split_dir,
+                                                                tmp_path):
+        # sliding at T = 15 trains 2 epochs at 1e-4
+        assert run("train", "--arch", "sliding", "--timestep", "15", "--hidden", "4",
+                   "--manifest", str(synth_dir / "manifest.json"),
+                   "--labels", str(synth_dir / "labels.txt"),
+                   "--split", str(split_dir / "split.json"),
+                   "--out-dir", str(tmp_path)) == 0
+        config = json.loads((tmp_path / "config.json").read_text())
+        assert (config["learning_rate"], config["epochs"]) == (1e-4, 2)
+        assert len(json.loads((tmp_path / "report.json").read_text())["epochs"]) == 2
+
     @pytest.mark.parametrize("split, subset, days", [(False, None, 8), (True, "val", 1)])
     def test_predict_records_the_subset_it_predicted(self, synth_dir, split_dir, tmp_path,
                                                      split, subset, days):
@@ -1359,6 +1390,16 @@ class TestRefusals:
             error = "expected a JSON array of timelines"
         assert run(*argv, "--out-dir", str(out)) == 2
         assert f"error: {broken}: {error}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_manifest_path_with_a_nul_byte(self, synth_dir, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps([{"sequence_id": "s", "path": "x\u0000.egoseq"}]))
+        out = tmp_path / "out"
+        assert run("split", "--manifest", str(manifest),
+                   "--labels", str(synth_dir / "labels.txt"), "--bins", "4",
+                   "--test-bins", "1", "--val-bins", "1", "--out-dir", str(out)) == 2
+        assert "the path must be a string without NUL bytes" in capsys.readouterr().err
         assert not out.exists()
 
     def test_labels_beyond_u16_ids(self, tmp_path, capsys):

@@ -418,7 +418,9 @@ class TestLoadSubset:
                                        {"sequence_id": ["a"], "path": "x"},
                                        {"sequence_id": 5, "path": "x"},
                                        {"sequence_id": "z", "user_id": 7, "path": "x"},
-                                       {"sequence_id": "z", "user_id": None, "path": "x"}])
+                                       {"sequence_id": "z", "user_id": None, "path": "x"},
+                                       {"sequence_id": "z", "path": 5},
+                                       {"sequence_id": "z", "path": "x\u0000.egoseq"}])
     def test_bad_manifest_entry(self, manifest, entry):
         path, labels = manifest
         entries = json.loads(path.read_text())

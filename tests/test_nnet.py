@@ -791,6 +791,25 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="truncated"):
             read_checkpoint(path)
 
+    @pytest.mark.parametrize("dims, data", [((1,) * 65, 1), ((1,) * 64 + (0,), 0)])
+    def test_rank_beyond_numpys_limit(self, tmp_path, dims, data):
+        # refused at the rank, before any dimension is read
+        name = b"head.W"
+        payload = b"EGOMDL01" + struct.pack("<I", 1)
+        payload += struct.pack("<H", len(name)) + name + bytes([len(dims)])
+        payload += b"".join(struct.pack("<I", d) for d in dims) + b"\x00" * 8 * data
+        path = tmp_path / "rank.egomdl"
+        path.write_bytes(payload)
+        with pytest.raises(FormatError) as refused:
+            read_checkpoint(path)
+        assert str(refused.value) == f"{path}: tensor 'head.W' has rank 65 > 64"
+
+    def test_rank_at_numpys_limit_round_trips(self, tmp_path):
+        path = tmp_path / "rank.egomdl"
+        write_checkpoint({"t": np.full((1,) * 64, 2.0)}, path)
+        back = read_checkpoint(path)["t"]
+        assert back.shape == (1,) * 64 and back.item() == 2.0
+
     def test_order_enforced(self, tmp_path):
         import struct
 

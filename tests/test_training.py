@@ -118,6 +118,35 @@ class TestTrainConfig:
             with pytest.raises(ConfigError):
                 TrainConfig("sliding", weight_decay=bad)
 
+    # (architecture, timestep, learning rate, epochs): every entry of the
+    # schedule, the fallback of an unlisted timestep and the baseline's,
+    # which holds at any timestep
+    SCHEDULE = [("sliding", 5, 2.5e-5, 5), ("sliding", 10, 1e-4, 4),
+                ("sliding", 15, 1e-4, 2), ("piggyback", 5, 2.5e-5, 10),
+                ("piggyback", 10, 1e-4, 10), ("piggyback", 15, 1e-4, 10),
+                ("sliding", 7, 2.5e-5, 10), ("piggyback", 7, 2.5e-5, 10),
+                ("baseline", 1, 1e-5, 10), ("baseline", 5, 1e-5, 10),
+                ("baseline", 10, 1e-5, 10), ("baseline", 15, 1e-5, 10)]
+
+    @pytest.mark.parametrize("arch, timestep, lr, epochs", SCHEDULE)
+    def test_unnamed_rate_and_epochs_follow_the_schedule(self, arch, timestep, lr,
+                                                          epochs):
+        cfg = TrainConfig(arch, timestep=timestep, overlap=2 if arch == "piggyback" else 0)
+        assert (cfg.learning_rate, cfg.epochs) == (lr, epochs)
+
+    def test_every_schedule_entry_is_checked(self):
+        listed = {(arch, timestep) for arch, timestep, *_ in self.SCHEDULE}
+        assert set(training_module._SCHEDULES) <= listed
+
+    @pytest.mark.parametrize("given, want", [
+        ({"learning_rate": 0.5, "epochs": 2}, (0.5, 2)),
+        ({"learning_rate": 0.5}, (0.5, 10)),
+        ({"epochs": 2}, (1e-4, 2)),
+    ])
+    def test_a_named_rate_or_epoch_count_is_kept(self, given, want):
+        cfg = TrainConfig("piggyback", timestep=10, overlap=3, **given)
+        assert (cfg.learning_rate, cfg.epochs) == want
+
 
 class TestEmptySplit:
     @pytest.mark.parametrize("empty", ["train", "val"])
